@@ -359,31 +359,33 @@ def _solve_group_angle(form: DiscreteConnectionForm, q, p) -> float:
     """Angle t such that act(e^{it}, p) lies on the horizontal slice through q.
 
     Runs a coarse scan followed by bracketed bisection with secant
-    refinement on the group coordinate; raises ProbeFailed when no
-    bracket is found or the residual does not converge.
+    refinement on the group coordinate; raises ProbeFailed when a probed
+    point leaves the form's domain, no bracket is found or the residual
+    does not converge.  The scan angles are evaluated in one batch and
+    each bracket in another; the refinement steps run one at a time.
     """
     bundle = form.bundle
 
-    def residual(theta: float) -> float:
-        moved = bundle.act(CircleElement(theta), p)
-        if not form.in_domain(q, moved):
+    def residuals(thetas: Sequence[float]) -> list[float]:
+        moved = [bundle.act(CircleElement(theta), p) for theta in thetas]
+        if not all(form.in_domain(q, m) for m in moved):
             raise ProbeFailed("probe left the form's domain while scanning the fiber")
-        return form.evaluate(q, moved).angle
+        return [g.angle for g in form.evaluate_many([(q, m) for m in moved])]
 
     n_scan = 24
     spacing = math.tau / n_scan
     thetas = [-math.pi + (k + 0.5) * spacing for k in range(n_scan)]
-    values = [residual(t) for t in thetas]
+    values = residuals(thetas)
     best = min(range(n_scan), key=lambda k: abs(values[k]))
 
     half = spacing
     a, b = thetas[best] - half, thetas[best] + half
-    fa, fb = residual(a), residual(b)
+    fa, fb = residuals((a, b))
     widened = 0
     while fa * fb > 0.0 and widened < 2:
         half *= 2.0
         a, b = thetas[best] - half, thetas[best] + half
-        fa, fb = residual(a), residual(b)
+        fa, fb = residuals((a, b))
         widened += 1
     if fa * fb > 0.0:
         raise ProbeFailed("no sign change bracketing the slice equation root")
@@ -397,7 +399,7 @@ def _solve_group_angle(form: DiscreteConnectionForm, q, p) -> float:
             x = b - fb * (b - a) / (fb - fa)  # secant candidate
         if x is None or not (a < x < b) or not math.isfinite(x):
             x = 0.5 * (a + b)
-        fx = residual(x)
+        (fx,) = residuals((x,))
         if abs(fx) < abs(best_val):
             best_theta, best_val = x, fx
         if fa * fx <= 0.0:

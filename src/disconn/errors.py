@@ -34,7 +34,8 @@ class ProbeFailed(DisconnError):
 
 
 class SolveFailed(DisconnError):
-    """The per-stage linear system of the horizontal lift was singular."""
+    """The horizontal lift produced a non-finite stage velocity or an
+    endpoint off its target fiber."""
 
 
 class OutOfRange(DisconnError):
@@ -43,3 +44,7 @@ class OutOfRange(DisconnError):
 
 class EmptyDomainIntersection(DisconnError):
     """No sampled pair landed in the domains of both forms being compared."""
+
+
+class InvalidConfig(DisconnError, ValueError):
+    """A size or tolerance parameter would make a run vacuous or undefined."""

@@ -8,16 +8,24 @@ construction by explicit Runge-Kutta integration, the equivalent closed
 form, and a known variant (geodesic in the total space, then project and
 lift) that fails equivariance and serves as the counterexample.
 
-The per-stage velocity solves three conditions: tangency to the total
-sphere, horizontality with respect to the vertical direction i*q, and
-matching the base velocity under the differential of the projection,
-d(project)(q)[h] = conj(h) i q + conj(q) i h.  The resulting linear
-system is solved in least-squares form (normal equations) at every
-stage, and the state is renormalized to the sphere after each step.
+The lift is integrated with the classical four-stage Runge-Kutta method
+followed by a projection back to the sphere after every step (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, section IV.4).  Each
+stage velocity has a closed form.  With P = conj(q) i q, r = Im(P)/|q|^2
+and v the base velocity,
 
-All constructions are pure; forms built here are immutable and safe for
-concurrent evaluation.  Evaluation of many pairs at once runs the same
-integrator vectorized over the batch.
+    h = q u,    u = (v x r) / (2 |q|^2).
+
+The factor u is imaginary and orthogonal to r, so h is tangent to the
+sphere through q and orthogonal to the vertical direction i q for every
+nonzero q, and d(project)(q)[h] = conj(h) i q + conj(q) i h = 2 P x u
+equals v - r <r, v>, which is v for base-tangent velocities.  The stage
+is computed column by column from scalar products and sums, so each
+row's result does not depend on how many rows share the batch.
+
+A single pair is evaluated as a batch of one through the same
+integrator that serves whole batches.  All constructions are pure; forms
+built here are immutable and safe for concurrent evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from .algebra import CircleElement, Q_I, Quaternion, UnitQuaternion
 from .bundle import HopfBundle
 from .connection import DiscreteConnectionForm
-from .errors import AntipodalPoints, OutOfRange, SolveFailed
+from .errors import AntipodalPoints, InvalidConfig, OutOfRange, SolveFailed
 
 #: pairs whose fiber phase square sum falls below this are out of domain
 DOMAIN_BUFFER = 1e-12
@@ -196,31 +204,34 @@ def _slerp_rows(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _stage_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-row horizontal velocity solving tangency, horizontality and the
-    base-velocity condition in least-squares form via normal equations."""
-    n = q.shape[0]
+    """Per-row horizontal velocity h = q (v x r) / (2 |q|^2) over base velocity v.
+
+    Written elementwise on the columns, so every row is computed by the
+    same operations whatever the batch size.
+    """
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    a = np.empty((n, 5, 4))
-    # row 0: tangency <h, q> = 0
-    a[:, 0, 0] = w; a[:, 0, 1] = x; a[:, 0, 2] = y; a[:, 0, 3] = z
-    # row 1: horizontality <h, i q> = 0
-    a[:, 1, 0] = -x; a[:, 1, 1] = w; a[:, 1, 2] = -z; a[:, 1, 3] = y
-    # rows 2-4: imaginary components of conj(h) i q + conj(q) i h
-    a[:, 2, 0] = 2.0 * w; a[:, 2, 1] = 2.0 * x; a[:, 2, 2] = -2.0 * y; a[:, 2, 3] = -2.0 * z
-    a[:, 3, 0] = -2.0 * z; a[:, 3, 1] = 2.0 * y; a[:, 3, 2] = 2.0 * x; a[:, 3, 3] = -2.0 * w
-    a[:, 4, 0] = 2.0 * y; a[:, 4, 1] = 2.0 * z; a[:, 4, 2] = 2.0 * w; a[:, 4, 3] = 2.0 * x
-    b = np.zeros((n, 5))
-    b[:, 2:] = v
-    at = a.transpose(0, 2, 1)
-    gram = at @ a
-    rhs = at @ b[:, :, None]
-    try:
-        h = np.linalg.solve(gram, rhs)[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailed("singular stage system in the horizontal lift") from exc
+    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
+    norm2 = w * w + x * x + y * y + z * z
+    r0 = (w * w + x * x - y * y - z * z) / norm2
+    r1 = 2.0 * (x * y - w * z) / norm2
+    r2 = 2.0 * (w * y + x * z) / norm2
+    half = 0.5 / norm2
+    u0 = (v1 * r2 - v2 * r1) * half
+    u1 = (v2 * r0 - v0 * r2) * half
+    u2 = (v0 * r1 - v1 * r0) * half
+    h = np.empty_like(q)
+    h[:, 0] = -(x * u0 + y * u1 + z * u2)
+    h[:, 1] = w * u0 + y * u2 - z * u1
+    h[:, 2] = w * u1 - x * u2 + z * u0
+    h[:, 3] = w * u2 + x * u1 - y * u0
     if not np.all(np.isfinite(h)):
         raise SolveFailed("non-finite stage velocity in the horizontal lift")
     return h
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise InvalidConfig(f"steps must be at least 1, got {steps}")
 
 
 def _integrate_rows(q0: np.ndarray,
@@ -234,8 +245,7 @@ def _integrate_rows(q0: np.ndarray,
     final rows plus, when ``collect``, the sampled times, states and the
     first-stage velocities.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    _check_steps(steps)
     q = q0.copy()
     dt = 1.0 / steps
     v_t = velocity_fn(0.0)
@@ -369,13 +379,11 @@ def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
 
     evaluate(q0, q1) lifts the minimizing base arc between the projections
     of q0 and q1, starting at q0, with ``steps`` Runge-Kutta steps, then
-    translates the endpoint onto q1.  Batch evaluation vectorizes the same
-    integrator over all pairs.
+    translates the endpoint onto q1.  A single pair is evaluated as a batch
+    of one, so both entry points share one integration path.  Raises
+    InvalidConfig when ``steps`` is below one.
     """
-    def ev(q0: UnitQuaternion, q1: UnitQuaternion) -> CircleElement:
-        segment = base_geodesic(_HOPF.project(q0), _HOPF.project(q1))
-        result = horizontal_lift_path(segment, q0, steps)
-        return _HOPF.fiber_translation(result.endpoint, q1, atol=LIFT_FIBER_ATOL)
+    _check_steps(steps)
 
     def ev_many(pairs) -> list[CircleElement]:
         q0_rows = np.array([p[0].components() for p in pairs])
@@ -383,6 +391,9 @@ def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
         velocity = _slerp_velocity_rows(_project_rows(q0_rows), _project_rows(q1_rows))
         end, _, _, _ = _integrate_rows(q0_rows, velocity, steps)
         return _translate_endpoints(end, [p[1] for p in pairs])
+
+    def ev(q0: UnitQuaternion, q1: UnitQuaternion) -> CircleElement:
+        return ev_many([(q0, q1)])[0]
 
     return DiscreteConnectionForm(_HOPF, ev, _hopf_in_domain, "geodesic-built",
                                   evaluate_many_fn=ev_many)
@@ -401,7 +412,10 @@ def lmw_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
     obtained by central finite differences with step 1/steps, and the
     endpoint is translated onto q1.  The result intentionally fails
     equivariance, so the returned object is flagged as a non-connection.
+    Raises InvalidConfig when ``steps`` is below one.
     """
+    _check_steps(steps)
+
     def angles(pairs) -> list[CircleElement]:
         q0_rows = np.array([p[0].components() for p in pairs])
         q1_rows = np.array([p[1].components() for p in pairs])

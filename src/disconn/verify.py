@@ -32,7 +32,7 @@ from .connection import (
     form_from_lift,
     lift_from_form,
 )
-from .errors import EmptyDomainIntersection, OutOfRange, ProbeFailed
+from .errors import EmptyDomainIntersection, InvalidConfig, OutOfRange, ProbeFailed
 from .riemannian import beta_formula, lmw_form
 from .rng import SplitMix64, substream
 
@@ -64,13 +64,27 @@ _COMPARE_STREAM = 0x10001
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling parameters; identical configs yield byte-identical reports."""
+    """Sampling parameters; identical configs yield byte-identical reports.
+
+    Raises InvalidConfig for fewer than one sample or step and for
+    non-finite tolerances, each of which would make a verdict vacuous.
+    A negative tolerance stays allowed: it can only force failures.
+    """
 
     seed: int = 42
     n_samples: int = 1000
     tolerances: Optional[Mapping[str, float]] = None
     steps: int = 256
     box: float = 2.0
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise InvalidConfig(f"n_samples must be at least 1, got {self.n_samples}")
+        if self.steps < 1:
+            raise InvalidConfig(f"steps must be at least 1, got {self.steps}")
+        for axiom_id, tol in (self.tolerances or {}).items():
+            if not math.isfinite(float(tol)):
+                raise InvalidConfig(f"tolerance for {axiom_id} must be finite, got {tol}")
 
     def tolerance_for(self, axiom_id: str, form: DiscreteConnectionForm) -> float:
         if self.tolerances and axiom_id in self.tolerances:
@@ -247,9 +261,10 @@ def _violations_batch(axiom: str, bundle, form, lift, recovered, lift2,
         gs = form.evaluate_many([(q, q) for (q,) in inputs])
         return [bundle.group_distance(g, e) for g in gs]
     if axiom == "equivariance":
-        base = form.evaluate_many([(q0, q1) for q0, q1, _, _ in inputs])
-        moved = form.evaluate_many(
-            [(bundle.act(g0, q0), bundle.act(g1, q1)) for q0, q1, g0, g1 in inputs])
+        values = form.evaluate_many(
+            [(q0, q1) for q0, q1, _, _ in inputs]
+            + [(bundle.act(g0, q0), bundle.act(g1, q1)) for q0, q1, g0, g1 in inputs])
+        base, moved = values[:len(inputs)], values[len(inputs):]
         out = []
         for a, m, (_, _, g0, g1) in zip(base, moved, inputs):
             expected = bundle.group_compose(
@@ -268,8 +283,9 @@ def _violations_batch(axiom: str, bundle, form, lift, recovered, lift2,
         return [bundle.base_distance(bundle.project(p), r1)
                 for p, (_, r1) in zip(pts, inputs)]
     if axiom == "lift_equivariance":
-        moved = lift.lift_many([(bundle.act(g, q0), r1) for q0, r1, g in inputs])
-        plain = lift.lift_many([(q0, r1) for q0, r1, _ in inputs])
+        pts = lift.lift_many([(bundle.act(g, q0), r1) for q0, r1, g in inputs]
+                             + [(q0, r1) for q0, r1, _ in inputs])
+        moved, plain = pts[:len(inputs)], pts[len(inputs):]
         return [bundle.distance(m, bundle.act(g, p))
                 for m, p, (_, _, g) in zip(moved, plain, inputs)]
     if axiom == "lift_normalization":
@@ -300,8 +316,7 @@ def _violation_single(axiom: str, bundle, form, lift, recovered, lift2,
         return bundle.group_distance(form.evaluate(q, q), e)
     if axiom == "equivariance":
         q0, q1, g0, g1 = inputs
-        a = form.evaluate(q0, q1)
-        m = form.evaluate(bundle.act(g0, q0), bundle.act(g1, q1))
+        a, m = form.evaluate_many([(q0, q1), (bundle.act(g0, q0), bundle.act(g1, q1))])
         expected = bundle.group_compose(
             bundle.group_compose(g1, a), bundle.group_inverse(g0))
         return bundle.group_distance(m, expected)
@@ -316,8 +331,7 @@ def _violation_single(axiom: str, bundle, form, lift, recovered, lift2,
         return bundle.base_distance(bundle.project(lift.lift(q0, r1)), r1)
     if axiom == "lift_equivariance":
         q0, r1, g = inputs
-        moved = lift.lift(bundle.act(g, q0), r1)
-        plain = lift.lift(q0, r1)
+        moved, plain = lift.lift_many([(bundle.act(g, q0), r1), (q0, r1)])
         return bundle.distance(moved, bundle.act(g, plain))
     if axiom == "lift_normalization":
         (q0,) = inputs
@@ -424,17 +438,16 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
         violations = _violations_batch(axiom, bundle, form, lift, recovered,
                                        lift2, inputs)
         tol = cfg.tolerance_for(axiom, form)
-        failures = sum(1 for v in violations if v > tol)
-        if inputs:
-            worst_idx = max(range(len(violations)), key=lambda k: violations[k])
-            worst_inputs = inputs[worst_idx]
-            # standalone re-evaluation is what lands in the report, so the
-            # recorded number is reproducible outside the batch path
-            worst_val = _violation_single(axiom, bundle, form, lift, recovered,
-                                          lift2, worst_inputs)
-            worst_ser = _serialize_inputs(bundle, axiom, worst_inputs)
-        else:
-            worst_val, worst_ser = 0.0, None
+        # a NaN violation or tolerance counts as a failure, never a pass
+        failures = sum(1 for v in violations if not v <= tol)
+        # n_samples >= 1, so there is always a worst input
+        worst_idx = max(range(len(violations)), key=lambda k: violations[k])
+        worst_inputs = inputs[worst_idx]
+        # standalone re-evaluation is what lands in the report, so the
+        # recorded number is reproducible outside the batch path
+        worst_val = _violation_single(axiom, bundle, form, lift, recovered,
+                                      lift2, worst_inputs)
+        worst_ser = _serialize_inputs(bundle, axiom, worst_inputs)
         records.append(AxiomRecord(axiom, len(inputs), failures, worst_val, worst_ser))
 
     return VerificationReport(

@@ -77,6 +77,33 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "sweep", "--grid", "zero:one:two")
         assert code == 2
 
+    def test_nan_tolerance_rejected(self, capsys):
+        # the known non-connection must never be certified by a NaN tolerance
+        code, out, err = run(capsys, "verify", "--bundle", "hopf", "--form", "lmw",
+                             "--samples", "40", "--tolerance", "nan")
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+    def test_zero_samples_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--bundle", "hopf", "--form", "closed",
+                             "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_samples" in err
+
+    def test_zero_steps_rejected(self, capsys):
+        code, _, err = run(capsys, "verify", "--bundle", "hopf", "--form", "geodesic",
+                           "--steps", "0", "--samples", "5")
+        assert code == 2
+        assert "steps" in err
+
+    def test_zero_budget_probe_is_a_vacuous_pass(self, capsys):
+        code, out, _ = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                           "closed", "--points", "1", "--budget", "0")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
 
 class TestSweepCommand:
     def test_default_grid_row_count(self, capsys, tmp_path):

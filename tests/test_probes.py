@@ -59,6 +59,19 @@ class TestSliceProbe:
             slice_probe(broken, ONE, 4, seed=2)
 
 
+    def test_scan_leaving_the_domain_raises(self, hopf):
+        # the domain keeps only pairs whose closed-form phase is below 2, so
+        # every fiber scan crosses its boundary
+        closed = hopf_closed_form()
+
+        def dom(q0, q1):
+            return closed.in_domain(q0, q1) and abs(closed.evaluate(q0, q1).angle) < 2.0
+
+        narrow = DiscreteConnectionForm(hopf, closed.evaluate, dom, "closed-form")
+        with pytest.raises(ProbeFailed, match="left the form's domain"):
+            slice_probe(narrow, ONE, 4, seed=2)
+
+
 class TestTangentSplit:
     def test_hopf_rank_three_at_identity(self):
         assert tangent_split_check(hopf_closed_form(), ONE)

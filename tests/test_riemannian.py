@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from disconn import (
     AntipodalPoints,
     CircleElement,
+    InvalidConfig,
     OutOfDomain,
     OutOfRange,
     Quaternion,
@@ -21,6 +23,7 @@ from disconn import (
     lmw_form,
     riemannian_form,
 )
+from disconn.riemannian import _conj_rows, _project_rows, _qmul_rows, _stage_rows
 from disconn.rng import substream
 
 from conftest import HALF_J, I_BASE, I_POINT, J_POINT, K_BASE, ONE
@@ -118,6 +121,42 @@ class TestBaseGeodesic:
             base_geodesic(I_BASE, Quaternion(0.0, -1.0, 0.0, 0.0))
 
 
+def _stage_inputs(n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, 4))
+    q = scale * q / np.linalg.norm(q, axis=1, keepdims=True)
+    return q, rng.normal(size=(n, 3))
+
+
+class TestClosedFormStage:
+    @pytest.mark.parametrize("scale", [1.0, 0.7, 1.3])
+    def test_tangent_horizontal_and_base_matching(self, scale):
+        q, v = _stage_inputs(200, 3, scale)
+        h = _stage_rows(q, v)
+        i_rows = np.tile([0.0, 1.0, 0.0, 0.0], (len(q), 1))
+        iq = _qmul_rows(i_rows, q)
+        assert np.abs(np.sum(h * q, axis=1)).max() <= 1e-14
+        assert np.abs(np.sum(h * iq, axis=1)).max() <= 1e-14
+        # d(project)(q)[h] = Im(conj(h) i q + conj(q) i h) = v - r <r, v>
+        dpi = (_qmul_rows(_conj_rows(h), iq)
+               + _qmul_rows(_conj_rows(q), _qmul_rows(i_rows, h)))[:, 1:]
+        r = _project_rows(q) / np.sum(q * q, axis=1, keepdims=True)
+        expected = v - r * np.sum(r * v, axis=1, keepdims=True)
+        assert np.abs(dpi - expected).max() <= 1e-13
+
+    def test_row_does_not_depend_on_batch_size(self):
+        q, v = _stage_inputs(64, 4, 1.1)
+        batch = _stage_rows(q, v)
+        for k in range(64):
+            assert np.array_equal(_stage_rows(q[k:k + 1], v[k:k + 1])[0], batch[k])
+
+    def test_non_finite_stage_raises(self):
+        from disconn import SolveFailed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(SolveFailed):
+                _stage_rows(np.zeros((1, 4)), np.ones((1, 3)))
+
+
 class TestHorizontalLift:
     def test_constant_path_fixes_point(self):
         seg = base_geodesic(I_BASE, I_BASE)
@@ -206,8 +245,15 @@ class TestGeodesicForm:
             if form.in_domain(q0, q1):
                 pairs.append((q0, q1))
         batch = form.evaluate_many(pairs)
+        # a single pair is a batch of one, so it gives the same bits
         for (q0, q1), g in zip(pairs, batch):
-            assert circle_distance(form.evaluate(q0, q1), g) <= 1e-12
+            assert form.evaluate(q0, q1).angle == g.angle
+
+    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_rejected(self, factory, steps):
+        with pytest.raises(InvalidConfig):
+            factory(steps)
 
     def test_equivariance_invariant(self):
         b = hopf()

@@ -7,6 +7,7 @@ from disconn import (
     AXIOM_IDS,
     DiscreteConnectionForm,
     EmptyDomainIntersection,
+    InvalidConfig,
     OutOfRange,
     SampleConfig,
     check_axioms,
@@ -67,6 +68,31 @@ class TestCheckAxioms:
                            tolerances={a: -1.0 for a in AXIOM_IDS})
         report = check_axioms(hopf_closed_form(), cfg)
         assert report.verdict == "fail"
+
+
+class TestSampleConfigValidation:
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_count_below_one_rejected(self, n):
+        with pytest.raises(InvalidConfig):
+            SampleConfig(n_samples=n)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(InvalidConfig):
+            SampleConfig(steps=steps)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidConfig):
+            SampleConfig(tolerances={"equivariance": tol})
+
+    def test_nan_tolerance_never_counts_as_pass(self):
+        # even a NaN that slipped past validation must fail every sample
+        cfg = SampleConfig(seed=3, n_samples=10)
+        object.__setattr__(cfg, "tolerances", {a: math.nan for a in AXIOM_IDS})
+        report = check_axioms(hopf_closed_form(), cfg)
+        assert report.verdict == "fail"
+        assert report.axiom("normalization").failures == 10
 
 
 class TestDeterminism:
@@ -132,7 +158,7 @@ class TestCompareForms:
         assert cmp.max_deviation <= 1e-6
 
     def test_geodesic_low_steps_still_matches(self):
-        # the stage solves are exactly horizontal, which makes the
+        # the stage velocities are exactly horizontal, which makes the
         # translated endpoint phase a conserved quantity of the discrete
         # flow; deviations sit at roundoff for every step count, so the
         # convergence study lives on endpoints instead (see the
