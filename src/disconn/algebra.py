@@ -112,6 +112,20 @@ class UnitQuaternion(Quaternion):
     def from_quaternion(cls, q: Quaternion) -> "UnitQuaternion":
         return cls(q.w, q.x, q.y, q.z)
 
+    @classmethod
+    def restored(cls, w: float, x: float, y: float, z: float) -> "UnitQuaternion":
+        """The point with exactly these recorded components.
+
+        Construction renormalizes any drift, and renormalizing a point that
+        was normalized once already can move it by an ulp; a recorded point
+        comes back bit for bit instead.  The drift checks of construction
+        still apply.
+        """
+        point = cls(w, x, y, z)
+        for name, value in zip("wxyz", (w, x, y, z)):
+            object.__setattr__(point, name, float(value))
+        return point
+
 
 Q_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 Q_I = Quaternion(0.0, 1.0, 0.0, 0.0)

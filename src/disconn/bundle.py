@@ -28,7 +28,7 @@ from .algebra import (
     canonical_angle,
     circle_distance,
 )
-from .errors import NotSameFiber, SectionUndefined
+from .errors import InvalidConfig, NotSameFiber, SectionUndefined
 from .rng import SplitMix64
 
 #: two total points count as fiber mates when their base distance is below this
@@ -236,7 +236,7 @@ class HopfBundle(PrincipalBundle):
         return list(q.components())
 
     def restore_point(self, data) -> UnitQuaternion:
-        return UnitQuaternion(*data)
+        return UnitQuaternion.restored(*data)
 
     def describe_base(self, r: Quaternion):
         return [r.x, r.y, r.z]
@@ -253,7 +253,7 @@ class TrivialBundle(PrincipalBundle):
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("base dimension must be at least 1")
+            raise InvalidConfig(f"base dimension must be at least 1, got {self.dim}")
 
     @property
     def dim_total(self) -> int:

@@ -6,8 +6,13 @@ shared samples), ``sweep`` (counterexample table as CSV) and
 
 Exit codes: 0 on success/pass, 1 when a verification fails (axiom
 verdict ``fail`` or a probe below threshold), 2 on usage or
-configuration errors.  The environment variable DISCONN_SEED supplies
-the default seed.  Identical invocations write byte-identical outputs.
+configuration errors, including sizes that would make a run vacuous or
+undefined (``--points`` below 1, a negative ``--budget``, a non-finite
+or non-positive ``--box``, ``--dim`` below 1, a theta grid of more than
+10,000 values).  Reports are strict JSON; an empty probe's
+``min_separation`` is ``null``.  The environment variable DISCONN_SEED
+supplies the default seed.  Identical invocations write byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .verify import SampleConfig, check_axioms, compare_forms, counterexample_sw
 
 _HOPF_FORMS = ("closed", "geodesic", "lmw")
 _TRIVIAL_FORMS = ("trivial-c",)
+#: longest theta grid ``sweep`` accepts
+_MAX_GRID_POINTS = 10_000
 
 
 class UsageError(Exception):
@@ -164,12 +171,27 @@ def _parse_grid(raw: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid must contain numbers, got {raw!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(f"grid must contain finite numbers, got {raw!r}")
     if step <= 0:
         raise UsageError("grid step must be positive")
-    count = int(round((stop - start) / step)) + 1
-    if count < 1:
+    span = round((stop - start) / step)
+    if span < 0:
         raise UsageError("grid is empty")
-    return [start + k * step for k in range(count)]
+    if span >= _MAX_GRID_POINTS:
+        raise UsageError(f"grid has {span + 1:g} values, more than {_MAX_GRID_POINTS}")
+    return [start + k * step for k in range(int(span) + 1)]
+
+
+def _check_sizes(args) -> None:
+    """Reject a sampling box, probe count or budget that makes a run vacuous."""
+    box = getattr(args, "box", 1.0)
+    if not (math.isfinite(box) and box > 0):
+        raise UsageError(f"--box must be finite and above 0, got {box}")
+    if getattr(args, "points", 1) < 1:
+        raise UsageError(f"--points must be at least 1, got {args.points}")
+    if getattr(args, "budget", 0) < 0:
+        raise UsageError(f"--budget must be at least 0, got {args.budget}")
 
 
 def _cmd_verify(args) -> int:
@@ -229,7 +251,9 @@ def _cmd_slice_probe(args) -> int:
         all_passed = all_passed and report.passed
         results.append({
             "point": bundle.describe_point(point),
-            "min_separation": report.min_separation,
+            # an empty probe has no separation to report
+            "min_separation": (report.min_separation
+                               if math.isfinite(report.min_separation) else None),
             "slice_samples": report.slice_samples,
             "orbit_samples": report.orbit_samples,
             "passed": report.passed,
@@ -245,7 +269,7 @@ def _cmd_slice_probe(args) -> int:
         "verdict": "pass" if all_passed else "fail",
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(json.dumps(payload, indent=2, allow_nan=False), args.output)
     else:
         lines = [f"bundle={bundle.name} form={form.provenance} seed={args.seed}"]
         for r in results:
@@ -285,6 +309,7 @@ def run_cli(argv: Optional[list] = None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
+        _check_sizes(args)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "compare":

@@ -63,6 +63,11 @@ class DiscreteConnectionForm:
         self._evaluate_many_fn = evaluate_many_fn
         self._out_of_domain_error = out_of_domain_error
 
+    @property
+    def batched(self) -> bool:
+        """True when the form has its own batched evaluator."""
+        return self._evaluate_many_fn is not None
+
     def in_domain(self, q0, q1) -> bool:
         return self._in_domain_fn(q0, q1)
 

@@ -8,6 +8,21 @@ together with both form/lift round trips.  Failures are data, not
 errors; every axiom record carries its worst offending input, and that
 input re-evaluated standalone reproduces the recorded violation.
 
+Each axiom is defined once, as a generator that states its queries to
+four targets (the form, the lift induced from it, the form recovered
+from that lift, and the lift induced from the recovered form), receives
+the answers and returns one violation per input.  A round merges the
+queries of all its axioms into one call per target, so a round costs at
+most four evaluations of the form whatever the number of axioms; on an
+integrator-built form each is one Runge-Kutta integration.  A form with
+its own batched evaluator is checked in rounds covering every axiom for
+a block of at most 2048 samples; any other form gains nothing from
+merging and is checked one axiom per round over all samples.  Each
+axiom keeps only its failure count and its running worst input; a last
+round re-evaluates the worst inputs, one row per axiom, and those values
+are reported.  Standalone re-evaluation (:func:`violation_from_record`)
+is the same runner on a round of one.
+
 Sampling uses SplitMix64 streams addressed by (seed, axiom, sample
 index), so reports are byte-identical across runs and independent of
 the execution order of samples.  Points are drawn uniformly: on the
@@ -22,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Optional, Sequence
 
 from . import __version__
@@ -59,6 +75,8 @@ _DEFAULT_TOLERANCES = {
 }
 
 _RESAMPLE_LIMIT = 100
+#: samples per round of a form with its own batched evaluator
+_ROUND_SAMPLES = 2048
 _COMPARE_STREAM = 0x10001
 
 
@@ -66,8 +84,9 @@ _COMPARE_STREAM = 0x10001
 class SampleConfig:
     """Sampling parameters; identical configs yield byte-identical reports.
 
-    Raises InvalidConfig for fewer than one sample or step and for
-    non-finite tolerances, each of which would make a verdict vacuous.
+    Raises InvalidConfig for fewer than one sample or step, for a box
+    that is not a finite positive half-width and for non-finite
+    tolerances, each of which would make a verdict vacuous or undefined.
     A negative tolerance stays allowed: it can only force failures.
     """
 
@@ -82,6 +101,8 @@ class SampleConfig:
             raise InvalidConfig(f"n_samples must be at least 1, got {self.n_samples}")
         if self.steps < 1:
             raise InvalidConfig(f"steps must be at least 1, got {self.steps}")
+        if not (math.isfinite(self.box) and self.box > 0):
+            raise InvalidConfig(f"box must be finite and above 0, got {self.box}")
         for axiom_id, tol in (self.tolerances or {}).items():
             if not math.isfinite(float(tol)):
                 raise InvalidConfig(f"tolerance for {axiom_id} must be finite, got {tol}")
@@ -144,7 +165,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
     def to_text(self) -> str:
         lines = [
@@ -251,101 +272,127 @@ def _antipodal_partner(bundle, q0, g):
 
 
 # ---------------------------------------------------------------------------
-# violations
+# axioms, one definition each
 # ---------------------------------------------------------------------------
+#
+# An axiom is a generator over (form, inputs).  It yields its queries as a
+# list of (target, items), receives one answer list per query, and returns
+# one violation per input; the targets are the keys of _targets(form).
 
-def _violations_batch(axiom: str, bundle, form, lift, recovered, lift2,
-                      inputs: list) -> list[float]:
+def _normalization(form, inputs):
+    bundle = form.bundle
+    (values,) = yield [("form", [(q, q) for (q,) in inputs])]
     e = bundle.group_identity()
-    if axiom == "normalization":
-        gs = form.evaluate_many([(q, q) for (q,) in inputs])
-        return [bundle.group_distance(g, e) for g in gs]
-    if axiom == "equivariance":
-        values = form.evaluate_many(
-            [(q0, q1) for q0, q1, _, _ in inputs]
-            + [(bundle.act(g0, q0), bundle.act(g1, q1)) for q0, q1, g0, g1 in inputs])
-        base, moved = values[:len(inputs)], values[len(inputs):]
-        out = []
-        for a, m, (_, _, g0, g1) in zip(base, moved, inputs):
-            expected = bundle.group_compose(
-                bundle.group_compose(g1, a), bundle.group_inverse(g0))
-            out.append(bundle.group_distance(m, expected))
-        return out
-    if axiom == "diagonal_domain":
-        return [0.0 if form.in_domain(q, q) else 1.0 for (q,) in inputs]
-    if axiom == "domain_invariance":
-        return [
-            0.0 if form.in_domain(bundle.act(g0, q0), bundle.act(g1, q1)) else 1.0
-            for q0, q1, g0, g1 in inputs
-        ]
-    if axiom == "lift_section":
-        pts = lift.lift_many(inputs)
-        return [bundle.base_distance(bundle.project(p), r1)
-                for p, (_, r1) in zip(pts, inputs)]
-    if axiom == "lift_equivariance":
-        pts = lift.lift_many([(bundle.act(g, q0), r1) for q0, r1, g in inputs]
-                             + [(q0, r1) for q0, r1, _ in inputs])
-        moved, plain = pts[:len(inputs)], pts[len(inputs):]
-        return [bundle.distance(m, bundle.act(g, p))
-                for m, p, (_, _, g) in zip(moved, plain, inputs)]
-    if axiom == "lift_normalization":
-        pts = lift.lift_many([(q0, bundle.project(q0)) for (q0,) in inputs])
-        return [bundle.distance(p, q0) for p, (q0,) in zip(pts, inputs)]
-    if axiom == "roundtrip_form":
-        direct = form.evaluate_many(inputs)
-        recon = recovered.evaluate_many(inputs)
-        return [bundle.group_distance(a, b) for a, b in zip(direct, recon)]
-    if axiom == "roundtrip_lift":
-        direct = lift.lift_many(inputs)
-        recon = lift2.lift_many(inputs)
-        return [bundle.distance(a, b) for a, b in zip(direct, recon)]
-    if axiom == "domain_properness":
-        return [
-            1.0 if form.in_domain(q0, _antipodal_partner(bundle, q0, g)) else 0.0
-            for q0, g in inputs
-        ]
-    raise ValueError(f"unknown axiom {axiom!r}")
+    return [bundle.group_distance(g, e) for g in values]
 
 
-def _violation_single(axiom: str, bundle, form, lift, recovered, lift2,
-                      inputs: tuple) -> float:
-    """Standalone (non-batched) violation used for worst-input reporting."""
-    e = bundle.group_identity()
-    if axiom == "normalization":
-        (q,) = inputs
-        return bundle.group_distance(form.evaluate(q, q), e)
-    if axiom == "equivariance":
-        q0, q1, g0, g1 = inputs
-        a, m = form.evaluate_many([(q0, q1), (bundle.act(g0, q0), bundle.act(g1, q1))])
-        expected = bundle.group_compose(
-            bundle.group_compose(g1, a), bundle.group_inverse(g0))
-        return bundle.group_distance(m, expected)
-    if axiom == "diagonal_domain":
-        (q,) = inputs
-        return 0.0 if form.in_domain(q, q) else 1.0
-    if axiom == "domain_invariance":
-        q0, q1, g0, g1 = inputs
-        return 0.0 if form.in_domain(bundle.act(g0, q0), bundle.act(g1, q1)) else 1.0
-    if axiom == "lift_section":
-        q0, r1 = inputs
-        return bundle.base_distance(bundle.project(lift.lift(q0, r1)), r1)
-    if axiom == "lift_equivariance":
-        q0, r1, g = inputs
-        moved, plain = lift.lift_many([(bundle.act(g, q0), r1), (q0, r1)])
-        return bundle.distance(moved, bundle.act(g, plain))
-    if axiom == "lift_normalization":
-        (q0,) = inputs
-        return bundle.distance(lift.lift(q0, bundle.project(q0)), q0)
-    if axiom == "roundtrip_form":
-        q0, q1 = inputs
-        return bundle.group_distance(form.evaluate(q0, q1), recovered.evaluate(q0, q1))
-    if axiom == "roundtrip_lift":
-        q0, r1 = inputs
-        return bundle.distance(lift.lift(q0, r1), lift2.lift(q0, r1))
-    if axiom == "domain_properness":
-        q0, g = inputs
-        return 1.0 if form.in_domain(q0, _antipodal_partner(bundle, q0, g)) else 0.0
-    raise ValueError(f"unknown axiom {axiom!r}")
+def _equivariance(form, inputs):
+    bundle = form.bundle
+    base, moved = yield [
+        ("form", [(q0, q1) for q0, q1, _, _ in inputs]),
+        ("form", [(bundle.act(g0, q0), bundle.act(g1, q1)) for q0, q1, g0, g1 in inputs]),
+    ]
+    return [bundle.group_distance(m, bundle.group_compose(
+                bundle.group_compose(g1, a), bundle.group_inverse(g0)))
+            for a, m, (_, _, g0, g1) in zip(base, moved, inputs)]
+
+
+def _diagonal_domain(form, inputs):
+    yield []
+    return [0.0 if form.in_domain(q, q) else 1.0 for (q,) in inputs]
+
+
+def _domain_invariance(form, inputs):
+    bundle = form.bundle
+    yield []
+    return [0.0 if form.in_domain(bundle.act(g0, q0), bundle.act(g1, q1)) else 1.0
+            for q0, q1, g0, g1 in inputs]
+
+
+def _lift_section(form, inputs):
+    bundle = form.bundle
+    (points,) = yield [("lift", inputs)]
+    return [bundle.base_distance(bundle.project(p), r1)
+            for p, (_, r1) in zip(points, inputs)]
+
+
+def _lift_equivariance(form, inputs):
+    bundle = form.bundle
+    moved, plain = yield [
+        ("lift", [(bundle.act(g, q0), r1) for q0, r1, g in inputs]),
+        ("lift", [(q0, r1) for q0, r1, _ in inputs]),
+    ]
+    return [bundle.distance(m, bundle.act(g, p))
+            for m, p, (_, _, g) in zip(moved, plain, inputs)]
+
+
+def _lift_normalization(form, inputs):
+    bundle = form.bundle
+    (points,) = yield [("lift", [(q0, bundle.project(q0)) for (q0,) in inputs])]
+    return [bundle.distance(p, q0) for p, (q0,) in zip(points, inputs)]
+
+
+def _roundtrip_form(form, inputs):
+    direct, recon = yield [("form", inputs), ("recovered", inputs)]
+    return [form.bundle.group_distance(a, b) for a, b in zip(direct, recon)]
+
+
+def _roundtrip_lift(form, inputs):
+    direct, recon = yield [("lift", inputs), ("lift2", inputs)]
+    return [form.bundle.distance(a, b) for a, b in zip(direct, recon)]
+
+
+def _domain_properness(form, inputs):
+    yield []
+    return [1.0 if form.in_domain(q0, _antipodal_partner(form.bundle, q0, g)) else 0.0
+            for q0, g in inputs]
+
+
+_AXIOMS = {
+    "normalization": _normalization,
+    "equivariance": _equivariance,
+    "diagonal_domain": _diagonal_domain,
+    "domain_invariance": _domain_invariance,
+    "lift_section": _lift_section,
+    "lift_equivariance": _lift_equivariance,
+    "lift_normalization": _lift_normalization,
+    "roundtrip_form": _roundtrip_form,
+    "roundtrip_lift": _roundtrip_lift,
+    "domain_properness": _domain_properness,
+}
+
+
+def _targets(form: DiscreteConnectionForm) -> dict:
+    """The form with its induced lift, the recovered form and that form's lift."""
+    lift = lift_from_form(form)
+    recovered = form_from_lift(lift)
+    return {"form": form, "lift": lift, "recovered": recovered,
+            "lift2": lift_from_form(recovered)}
+
+
+def _run_round(targets: dict, jobs: list) -> list[list[float]]:
+    """Violations of each (axiom, inputs) job, querying every target at most once."""
+    form = targets["form"]
+    axioms = [_AXIOMS[axiom](form, inputs) for axiom, inputs in jobs]
+    requests = [next(axiom) for axiom in axioms]
+    merged = {name: [] for name in targets}
+    for request in requests:
+        for name, items in request:
+            merged[name].extend(items)
+    answers = {}
+    for name, items in merged.items():
+        if items:
+            target = targets[name]
+            values = (target.evaluate_many(items) if name in ("form", "recovered")
+                      else target.lift_many(items))
+            answers[name] = iter(values)
+    violations = []
+    for axiom, request in zip(axioms, requests):
+        try:
+            axiom.send([list(islice(answers[name], len(items))) for name, items in request])
+        except StopIteration as done:
+            violations.append(done.value)
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +440,14 @@ def _restore_inputs(bundle, axiom: str, data: dict) -> tuple:
 
 def violation_from_record(form: DiscreteConnectionForm, axiom_id: str,
                           worst_input: dict) -> float:
-    """Re-evaluate a recorded worst input standalone.
+    """Re-evaluate a recorded worst input standalone, as a round of one.
 
     The returned violation reproduces the report's ``max_violation`` for
     that axiom, which is what makes failure reports auditable.
     """
-    bundle = form.bundle
-    lift = lift_from_form(form)
-    recovered = form_from_lift(lift)
-    lift2 = lift_from_form(recovered)
-    inputs = _restore_inputs(bundle, axiom_id, worst_input)
-    return _violation_single(axiom_id, bundle, form, lift, recovered, lift2, inputs)
+    inputs = _restore_inputs(form.bundle, axiom_id, worst_input)
+    ((violation,),) = _run_round(_targets(form), [(axiom_id, [inputs])])
+    return violation
 
 
 # ---------------------------------------------------------------------------
@@ -418,38 +462,54 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     probe runs only on the quaternion bundle, where pairs over antipodal
     base points exist by construction; each of its draws is a counted
     out-of-domain rejection.
+
+    A form with its own batched evaluator is checked in rounds that cover
+    every axiom for a block of at most ``_ROUND_SAMPLES`` samples; any other
+    form one axiom at a time over all samples.  Each axiom keeps only its
+    failure count and its running worst input, and a last round
+    re-evaluates the worst inputs, one row per axiom, so the recorded
+    violation is computed outside the batch that selected it.
     """
     bundle = form.bundle
-    lift = lift_from_form(form)
-    recovered = form_from_lift(lift)
-    lift2 = lift_from_form(recovered)
+    targets = _targets(form)
+    lift, recovered, lift2 = targets["lift"], targets["recovered"], targets["lift2"]
     counter = [0]
-    records: list[AxiomRecord] = []
+    checked = [(index, axiom) for index, axiom in enumerate(AXIOM_IDS)
+               if axiom != "domain_properness" or isinstance(bundle, HopfBundle)]
+    if form.batched:
+        rounds, block = [checked], _ROUND_SAMPLES
+    else:
+        rounds, block = [[entry] for entry in checked], cfg.n_samples
+    failures = dict.fromkeys(AXIOM_IDS, 0)
+    worst = {}  # axiom -> (violation, inputs), folded as max() would
+    for group in rounds:
+        for start in range(0, cfg.n_samples, block):
+            jobs = [(axiom, [_draw_one(axiom, bundle, form, lift, recovered, lift2,
+                                       substream(cfg.seed, index, i), cfg.box, counter)
+                             for i in range(start, min(start + block, cfg.n_samples))])
+                    for index, axiom in group]
+            for (axiom, inputs), violations in zip(jobs, _run_round(targets, jobs)):
+                tol = cfg.tolerance_for(axiom, form)
+                for v, sample in zip(violations, inputs):
+                    # a NaN violation or tolerance counts as a failure, never a pass
+                    failures[axiom] += not v <= tol
+                    # the first maximum wins and every comparison with NaN is
+                    # false, exactly as in max() over the whole sample
+                    if axiom not in worst or v > worst[axiom][0]:
+                        worst[axiom] = (v, sample)
+            # free this round's inputs before the next round draws its own
+            del jobs, inputs, violations
 
-    for axiom_index, axiom in enumerate(AXIOM_IDS):
-        if axiom == "domain_properness" and not isinstance(bundle, HopfBundle):
-            records.append(AxiomRecord(axiom, 0, 0, 0.0, None))
-            continue
-        inputs = []
-        for i in range(cfg.n_samples):
-            rng = substream(cfg.seed, axiom_index, i)
-            inputs.append(_draw_one(axiom, bundle, form, lift, recovered, lift2,
-                                    rng, cfg.box, counter))
-        violations = _violations_batch(axiom, bundle, form, lift, recovered,
-                                       lift2, inputs)
-        tol = cfg.tolerance_for(axiom, form)
-        # a NaN violation or tolerance counts as a failure, never a pass
-        failures = sum(1 for v in violations if not v <= tol)
-        # n_samples >= 1, so there is always a worst input
-        worst_idx = max(range(len(violations)), key=lambda k: violations[k])
-        worst_inputs = inputs[worst_idx]
-        # standalone re-evaluation is what lands in the report, so the
-        # recorded number is reproducible outside the batch path
-        worst_val = _violation_single(axiom, bundle, form, lift, recovered,
-                                      lift2, worst_inputs)
-        worst_ser = _serialize_inputs(bundle, axiom, worst_inputs)
-        records.append(AxiomRecord(axiom, len(inputs), failures, worst_val, worst_ser))
-
+    # n_samples >= 1, so every checked axiom has a worst input
+    recheck = [(axiom, [worst[axiom][1]]) for _, axiom in checked]
+    standalone = {axiom: values[0]
+                  for (axiom, _), values in zip(recheck, _run_round(targets, recheck))}
+    records = [
+        AxiomRecord(axiom, cfg.n_samples, failures[axiom], standalone[axiom],
+                    _serialize_inputs(bundle, axiom, worst[axiom][1]))
+        if axiom in worst else AxiomRecord(axiom, 0, 0, 0.0, None)
+        for axiom in AXIOM_IDS
+    ]
     return VerificationReport(
         artifact_version=__version__,
         bundle=bundle.name,
@@ -490,7 +550,7 @@ class FormComparison:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
     def to_text(self) -> str:
         return (f"bundle={self.bundle} {self.provenance_a} vs {self.provenance_b} "
@@ -599,7 +659,9 @@ def counterexample_sweep(theta_grid: Sequence[float], steps: int = 256) -> Sweep
     def witness_pair(theta: float):
         return anchor, bundle.act(CircleElement(theta), WITNESS_POINT)
 
-    angles = form.evaluate_many([witness_pair(t) for t in thetas])
+    h = _SWEEP_FD_STEP
+    *angles, plus, minus = form.evaluate_many(
+        [witness_pair(t) for t in thetas] + [witness_pair(h), witness_pair(-h)])
     rows = []
     for t, a in zip(thetas, angles):
         rows.append(SweepRow(
@@ -610,8 +672,6 @@ def counterexample_sweep(theta_grid: Sequence[float], steps: int = 256) -> Sweep
             abs_difference=abs(canonical_angle(a.angle - t)),
         ))
 
-    h = _SWEEP_FD_STEP
-    plus, minus = form.evaluate_many([witness_pair(h), witness_pair(-h)])
     derivative = canonical_angle(plus.angle - minus.angle) / (2.0 * h)
     if abs(derivative - math.pi / 4.0) > _SWEEP_DERIVATIVE_ATOL:
         raise ProbeFailed(

@@ -88,6 +88,20 @@ class TestFiberStructure:
         FiberPair(hopf, ONE, I_POINT)
 
 
+class TestSerialization:
+    def test_hopf_points_restore_bit_for_bit(self, hopf):
+        # a sampled point is normalized already; restoring it must not
+        # renormalize it again
+        rng = substream(4, 2)
+        for _ in range(200):
+            q = hopf.sample_point(rng)
+            assert hopf.restore_point(hopf.describe_point(q)).components() == q.components()
+
+    def test_restore_rejects_points_off_the_sphere(self, hopf):
+        with pytest.raises(ValueError):
+            hopf.restore_point([1.0, 1.0, 0.0, 0.0])
+
+
 class TestHopfSection:
     def test_section_at_i(self, hopf):
         s = hopf.local_section(I_BASE)

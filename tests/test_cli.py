@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from disconn.cli import run_cli
 from disconn.verify import CSV_HEADER
 
@@ -103,6 +105,65 @@ class TestUsageErrors:
                            "closed", "--points", "1", "--budget", "0")
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+    def test_zero_budget_probe_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-finite number {constant}")
+
+        code, out, _ = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                           "closed", "--points", "1", "--budget", "0")
+        assert code == 0
+        data = json.loads(out, parse_constant=reject)
+        assert data["verdict"] == "pass"
+        assert data["points"][0]["min_separation"] is None
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_probe_point_count_below_one_rejected(self, capsys, points):
+        code, out, err = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                             "closed", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert "--points" in err
+
+    def test_negative_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                             "closed", "--points", "1", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err
+
+    def test_zero_dimension_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--bundle", "trivial", "--form",
+                             "trivial-c", "--dim", "0", "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert "dimension" in err
+
+    @pytest.mark.parametrize("box", ["nan", "inf", "0", "-1"])
+    def test_box_not_finite_and_positive_rejected(self, capsys, box):
+        code, out, err = run(capsys, "verify", "--bundle", "trivial", "--form",
+                             "trivial-c", "--c-family", "linear", "--box", box,
+                             "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert "--box" in err
+
+    def test_probe_box_rejected(self, capsys):
+        code, _, err = run(capsys, "slice-probe", "--bundle", "trivial", "--form",
+                           "trivial-c", "--points", "1", "--box", "nan")
+        assert code == 2
+        assert "--box" in err
+
+    def test_overlong_grid_rejected_before_it_is_built(self, capsys):
+        code, out, err = run(capsys, "sweep", "--grid", "0:1:1e-12")
+        assert code == 2
+        assert out == ""
+        assert "more than" in err
+
+    def test_non_finite_grid_rejected(self, capsys):
+        code, _, err = run(capsys, "sweep", "--grid", "0:inf:1")
+        assert code == 2
+        assert "finite" in err
 
 
 class TestSweepCommand:

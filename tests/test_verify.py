@@ -20,7 +20,23 @@ from disconn import (
     trivial_form_from_C,
     violation_from_record,
 )
+from disconn import riemannian, verify
+from disconn.rng import substream
 from disconn.verify import CSV_HEADER
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Row count of every integrator call made while the test runs."""
+    rows = []
+    integrate = riemannian._integrate_rows
+
+    def counting(q0, *args, **kwargs):
+        rows.append(q0.shape[0])
+        return integrate(q0, *args, **kwargs)
+
+    monkeypatch.setattr(riemannian, "_integrate_rows", counting)
+    return rows
 
 
 class TestCheckAxioms:
@@ -81,6 +97,11 @@ class TestSampleConfigValidation:
         with pytest.raises(InvalidConfig):
             SampleConfig(steps=steps)
 
+    @pytest.mark.parametrize("box", [0.0, -1.0, math.nan, math.inf])
+    def test_box_not_finite_and_positive_rejected(self, box):
+        with pytest.raises(InvalidConfig):
+            SampleConfig(box=box)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, tol):
         with pytest.raises(InvalidConfig):
@@ -93,6 +114,50 @@ class TestSampleConfigValidation:
         report = check_axioms(hopf_closed_form(), cfg)
         assert report.verdict == "fail"
         assert report.axiom("normalization").failures == 10
+
+
+class TestRounds:
+    def test_geodesic_check_queries_each_target_once_per_round(self, integrations):
+        # one round over every axiom plus the worst-input round, each
+        # querying the form, lift, recovered form and second lift once
+        check_axioms(riemannian_form(16), SampleConfig(seed=5, n_samples=32))
+        assert integrations == [128, 160, 32, 32, 4, 5, 1, 1]
+        assert sum(integrations) == 363
+
+    def test_form_without_batched_evaluator_gives_the_same_report(self):
+        form = riemannian_form(16)
+        plain = DiscreteConnectionForm(form.bundle, form.evaluate, form.in_domain,
+                                       form.provenance)
+        assert form.batched and not plain.batched
+        cfg = SampleConfig(seed=5, n_samples=32)
+        assert check_axioms(plain, cfg).to_json() == check_axioms(form, cfg).to_json()
+
+    def test_blocks_fold_like_one_round(self):
+        # more samples than one round holds: the worst input and failure
+        # count are folded across blocks
+        closed = hopf_closed_form()
+        listed = DiscreteConnectionForm(
+            closed.bundle, closed.evaluate, closed.in_domain, closed.provenance,
+            evaluate_many_fn=lambda pairs: [closed.evaluate(*p) for p in pairs])
+        cfg = SampleConfig(seed=8, n_samples=verify._ROUND_SAMPLES + 60)
+        assert check_axioms(listed, cfg).to_json() == check_axioms(closed, cfg).to_json()
+
+    def test_first_maximum_wins_across_blocks(self, monkeypatch):
+        # every diagonal_domain violation is 0.0, so the worst input is the
+        # first sample's, as max() would pick it, whatever the round size
+        monkeypatch.setattr(verify, "_ROUND_SAMPLES", 7)
+        form = riemannian_form(32)
+        report = check_axioms(form, SampleConfig(seed=3, n_samples=20))
+        first = form.bundle.sample_point(
+            substream(3, AXIOM_IDS.index("diagonal_domain"), 0))
+        assert report.axiom("diagonal_domain").worst_input == {
+            "arg0": {"point": form.bundle.describe_point(first)}}
+
+    def test_small_blocks_give_the_same_report(self, monkeypatch):
+        cfg = SampleConfig(seed=13, n_samples=40)
+        whole = check_axioms(lmw_form(32), cfg).to_json()
+        monkeypatch.setattr(verify, "_ROUND_SAMPLES", 7)
+        assert check_axioms(lmw_form(32), cfg).to_json() == whole
 
 
 class TestDeterminism:
@@ -134,6 +199,17 @@ class TestSoundness:
                 continue
             again = violation_from_record(fresh, record.axiom_id, record.worst_input)
             assert abs(again - record.max_violation) <= 1e-12
+
+    @pytest.mark.parametrize("make_form", [
+        lambda: riemannian_form(32),
+        lambda: lmw_form(32),
+    ])
+    def test_worst_inputs_reproduce_violations_exactly(self, make_form):
+        report = check_axioms(make_form(), SampleConfig(seed=42, n_samples=40))
+        fresh = make_form()
+        for record in report.axioms:
+            again = violation_from_record(fresh, record.axiom_id, record.worst_input)
+            assert again == record.max_violation
 
     def test_roundtrip_through_json(self, line_bundle):
         form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.9,), 1))
@@ -202,6 +278,10 @@ class TestSweep:
         result = counterexample_sweep(grid, steps=256)
         for row in result.rows:
             assert abs(row.lmw_angle - row.beta_formula) <= 1e-4
+
+    def test_one_integration(self, integrations):
+        counterexample_sweep([-0.2, 0.0, 0.3], steps=16)
+        assert integrations == [5]
 
     def test_derivative_check(self):
         result = counterexample_sweep([0.0], steps=256)
