@@ -7,9 +7,9 @@ shared samples), ``sweep`` (counterexample table as CSV) and
 Exit codes: 0 on success/pass, 1 when a verification fails (axiom
 verdict ``fail`` or a probe below threshold), 2 on usage or
 configuration errors, including sizes that would make a run vacuous or
-undefined (``--points`` below 1, a negative ``--budget``, a non-finite
-or non-positive ``--box``, ``--dim`` below 1, a theta grid of more than
-10,000 values).  Reports are strict JSON; an empty probe's
+undefined (``--steps`` or ``--points`` below 1, a negative ``--budget``,
+a non-finite or non-positive ``--box``, ``--dim`` below 1, a theta grid
+of more than 10,000 values).  Reports are strict JSON; an empty probe's
 ``min_separation`` is ``null``.  The environment variable DISCONN_SEED
 supplies the default seed.  Identical invocations write byte-identical
 outputs.
@@ -184,7 +184,9 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def _check_sizes(args) -> None:
-    """Reject a sampling box, probe count or budget that makes a run vacuous."""
+    """Reject a step count, box, probe count or budget that makes a run vacuous."""
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     box = getattr(args, "box", 1.0)
     if not (math.isfinite(box) and box > 0):
         raise UsageError(f"--box must be finite and above 0, got {box}")
@@ -202,7 +204,7 @@ def _cmd_verify(args) -> int:
         from .verify import AXIOM_IDS
         tolerances = {a: args.tolerance for a in AXIOM_IDS}
     cfg = SampleConfig(seed=args.seed, n_samples=args.samples,
-                       tolerances=tolerances, steps=args.steps, box=args.box)
+                       tolerances=tolerances, box=args.box)
     report = check_axioms(form, cfg)
     _emit(report.to_json() if args.format == "json" else report.to_text(),
           args.output)
@@ -213,8 +215,7 @@ def _cmd_compare(args) -> int:
     bundle = _build_bundle(args)
     form_a = _build_form(args, bundle, which="_a")
     form_b = _build_form(args, bundle, which="_b")
-    cfg = SampleConfig(seed=args.seed, n_samples=args.samples,
-                       steps=args.steps, box=args.box)
+    cfg = SampleConfig(seed=args.seed, n_samples=args.samples, box=args.box)
     comparison = compare_forms(form_a, form_b, cfg)
     _emit(comparison.to_json() if args.format == "json" else comparison.to_text(),
           args.output)

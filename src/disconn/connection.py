@@ -267,16 +267,14 @@ def lift_from_form(form: DiscreteConnectionForm,
             return False
         return form.in_domain(q0, s)
 
-    def lift(q0, r1):
-        s = sec(r1)  # SectionUndefined propagates
-        g = form.evaluate(q0, s)
-        return bundle.act(bundle.group_inverse(g), s)
-
     def lift_many(items):
-        sections = [sec(r1) for _, r1 in items]
+        sections = [sec(r1) for _, r1 in items]  # SectionUndefined propagates
         gs = form.evaluate_many([(q0, s) for (q0, _), s in zip(items, sections)])
         return [bundle.act(bundle.group_inverse(g), s)
                 for g, s in zip(gs, sections)]
+
+    def lift(q0, r1):
+        return lift_many([(q0, r1)])[0]
 
     return DiscreteHorizontalLift(bundle, lift, dom, form.provenance,
                                   lift_many_fn=lift_many)
@@ -291,10 +289,6 @@ def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
     """
     bundle = lift.bundle
 
-    def ev(q0, q1) -> CircleElement:
-        h1 = lift.lift(q0, bundle.project(q1))
-        return bundle.fiber_translation(h1, q1)
-
     def dom(q0, q1) -> bool:
         return lift.in_domain(q0, bundle.project(q1))
 
@@ -302,6 +296,9 @@ def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
         pts = lift.lift_many([(q0, bundle.project(q1)) for q0, q1 in pairs])
         return [bundle.fiber_translation(p, q1)
                 for p, (_, q1) in zip(pts, pairs)]
+
+    def ev(q0, q1) -> CircleElement:
+        return ev_many([(q0, q1)])[0]
 
     return DiscreteConnectionForm(bundle, ev, dom, lift.provenance,
                                   evaluate_many_fn=ev_many)

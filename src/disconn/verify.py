@@ -8,28 +8,32 @@ together with both form/lift round trips.  Failures are data, not
 errors; every axiom record carries its worst offending input, and that
 input re-evaluated standalone reproduces the recorded violation.
 
-Each axiom is defined once, as a generator that states its queries to
-four targets (the form, the lift induced from it, the form recovered
-from that lift, and the lift induced from the recovered form), receives
-the answers and returns one violation per input.  A round merges the
-queries of all its axioms into one call per target, so a round costs at
-most four evaluations of the form whatever the number of axioms; on an
-integrator-built form each is one Runge-Kutta integration.  A form with
-its own batched evaluator is checked in rounds covering every axiom for
-a block of at most 2048 samples; any other form gains nothing from
-merging and is checked one axiom per round over all samples.  Each
-axiom keeps only its failure count and its running worst input; a last
-round re-evaluates the worst inputs, one row per axiom, and those values
-are reported.  Standalone re-evaluation (:func:`violation_from_record`)
-is the same runner on a round of one.
+Each axiom is one entry of a table: the inputs it draws and a generator
+that states its queries to four targets (the form, the lift induced
+from it, the form recovered from that lift, and the lift induced from
+the recovered form), receives the answers and returns one violation per
+input.  A round merges the queries of all its axioms into one call per
+target, so a round costs at most four evaluations of the form whatever
+the number of axioms; on an integrator-built form each is one
+Runge-Kutta integration.  A form with its own batched evaluator is
+checked in rounds covering every axiom for a block of at most 2048
+samples; any other form gains nothing from merging and is checked one
+axiom per round over all samples.  Each axiom keeps only its failure
+count and its running worst input; a last round re-evaluates the worst
+inputs, one row per axiom, and those values are reported.  Standalone
+re-evaluation (:func:`violation_from_record`) is the same runner on a
+round of one.
 
 Sampling uses SplitMix64 streams addressed by (seed, axiom, sample
 index), so reports are byte-identical across runs and independent of
 the execution order of samples.  Points are drawn uniformly: on the
 total sphere via normalized 4-component Gaussians, on flat bases
 uniformly in a configurable box, with uniform angles for group
-elements.  Draws whose pair falls outside a form's domain are resampled
-(up to 100 attempts per sample) and counted in the report.
+elements.  An axiom's entry lists its inputs in draw order, each a kind
+(total point, base point or group element) with the domain check that
+runs once that input is drawn.  One loop draws for every axiom: a
+failed check counts one rejection in the report and restarts the
+sample, up to 100 attempts per sample.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .algebra import CircleElement, Q_J, UnitQuaternion, canonical_angle
@@ -84,23 +88,20 @@ _COMPARE_STREAM = 0x10001
 class SampleConfig:
     """Sampling parameters; identical configs yield byte-identical reports.
 
-    Raises InvalidConfig for fewer than one sample or step, for a box
-    that is not a finite positive half-width and for non-finite
-    tolerances, each of which would make a verdict vacuous or undefined.
+    Raises InvalidConfig for fewer than one sample, for a box that is not
+    a finite positive half-width and for non-finite tolerances, each of
+    which would make a verdict vacuous or undefined.
     A negative tolerance stays allowed: it can only force failures.
     """
 
     seed: int = 42
     n_samples: int = 1000
     tolerances: Optional[Mapping[str, float]] = None
-    steps: int = 256
     box: float = 2.0
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidConfig(f"n_samples must be at least 1, got {self.n_samples}")
-        if self.steps < 1:
-            raise InvalidConfig(f"steps must be at least 1, got {self.steps}")
         if not (math.isfinite(self.box) and self.box > 0):
             raise InvalidConfig(f"box must be finite and above 0, got {self.box}")
         for axiom_id, tol in (self.tolerances or {}).items():
@@ -182,102 +183,13 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# drawing axiom inputs
-# ---------------------------------------------------------------------------
-
-def _draw_pair(bundle, form, rng, box, counter):
-    for _ in range(_RESAMPLE_LIMIT):
-        q0 = bundle.sample_point(rng, box=box)
-        q1 = bundle.sample_point(rng, box=box)
-        if form.in_domain(q0, q1):
-            return q0, q1
-        counter[0] += 1
-    raise ProbeFailed("resampling budget exhausted while drawing an in-domain pair")
-
-
-def _draw_one(axiom: str, bundle, form, lift, recovered, lift2,
-              rng: SplitMix64, box: float, counter):
-    if axiom in ("normalization", "diagonal_domain"):
-        return (bundle.sample_point(rng, box=box),)
-    if axiom == "equivariance":
-        for _ in range(_RESAMPLE_LIMIT):
-            q0 = bundle.sample_point(rng, box=box)
-            q1 = bundle.sample_point(rng, box=box)
-            if not form.in_domain(q0, q1):
-                counter[0] += 1
-                continue
-            g0 = bundle.sample_group(rng)
-            g1 = bundle.sample_group(rng)
-            if not form.in_domain(bundle.act(g0, q0), bundle.act(g1, q1)):
-                counter[0] += 1
-                continue
-            return q0, q1, g0, g1
-        raise ProbeFailed("resampling budget exhausted (equivariance)")
-    if axiom == "domain_invariance":
-        q0, q1 = _draw_pair(bundle, form, rng, box, counter)
-        return q0, q1, bundle.sample_group(rng), bundle.sample_group(rng)
-    if axiom == "lift_section":
-        for _ in range(_RESAMPLE_LIMIT):
-            q0 = bundle.sample_point(rng, box=box)
-            r1 = bundle.project(bundle.sample_point(rng, box=box))
-            if lift.in_domain(q0, r1):
-                return q0, r1
-            counter[0] += 1
-        raise ProbeFailed("resampling budget exhausted (lift_section)")
-    if axiom == "lift_equivariance":
-        for _ in range(_RESAMPLE_LIMIT):
-            q0 = bundle.sample_point(rng, box=box)
-            r1 = bundle.project(bundle.sample_point(rng, box=box))
-            g = bundle.sample_group(rng)
-            if lift.in_domain(q0, r1) and lift.in_domain(bundle.act(g, q0), r1):
-                return q0, r1, g
-            counter[0] += 1
-        raise ProbeFailed("resampling budget exhausted (lift_equivariance)")
-    if axiom == "lift_normalization":
-        for _ in range(_RESAMPLE_LIMIT):
-            q0 = bundle.sample_point(rng, box=box)
-            if lift.in_domain(q0, bundle.project(q0)):
-                return (q0,)
-            counter[0] += 1
-        raise ProbeFailed("resampling budget exhausted (lift_normalization)")
-    if axiom == "roundtrip_form":
-        for _ in range(_RESAMPLE_LIMIT):
-            q0 = bundle.sample_point(rng, box=box)
-            q1 = bundle.sample_point(rng, box=box)
-            if form.in_domain(q0, q1) and recovered.in_domain(q0, q1):
-                return q0, q1
-            counter[0] += 1
-        raise ProbeFailed("resampling budget exhausted (roundtrip_form)")
-    if axiom == "roundtrip_lift":
-        for _ in range(_RESAMPLE_LIMIT):
-            q0 = bundle.sample_point(rng, box=box)
-            r1 = bundle.project(bundle.sample_point(rng, box=box))
-            if lift.in_domain(q0, r1) and lift2.in_domain(q0, r1):
-                return q0, r1
-            counter[0] += 1
-        raise ProbeFailed("resampling budget exhausted (roundtrip_lift)")
-    if axiom == "domain_properness":
-        # deliberately draw a pair over antipodal base points; it must be
-        # rejected, and each rejection is a counted out-of-domain draw
-        q0 = bundle.sample_point(rng, box=box)
-        g = bundle.sample_group(rng)
-        counter[0] += 1
-        return q0, g
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
-def _antipodal_partner(bundle, q0, g):
-    """Group translate of j*q0, which lies over the base antipode of q0."""
-    return bundle.act(g, UnitQuaternion.from_quaternion(Q_J * q0))
-
-
-# ---------------------------------------------------------------------------
-# axioms, one definition each
+# axioms, one spec each
 # ---------------------------------------------------------------------------
 #
-# An axiom is a generator over (form, inputs).  It yields its queries as a
-# list of (target, items), receives one answer list per query, and returns
-# one violation per input; the targets are the keys of _targets(form).
+# An axiom's violations are a generator over (form, inputs).  It yields its
+# queries as a list of (target, items), receives one answer list per query,
+# and returns one violation per input; the targets are the keys of
+# _targets(form).
 
 def _normalization(form, inputs):
     bundle = form.bundle
@@ -342,24 +254,95 @@ def _roundtrip_lift(form, inputs):
     return [form.bundle.distance(a, b) for a, b in zip(direct, recon)]
 
 
+def _antipodal_partner(bundle, q0, g):
+    """Group translate of j*q0, which lies over the base antipode of q0."""
+    return bundle.act(g, UnitQuaternion.from_quaternion(Q_J * q0))
+
+
 def _domain_properness(form, inputs):
     yield []
     return [1.0 if form.in_domain(q0, _antipodal_partner(form.bundle, q0, g)) else 0.0
             for q0, g in inputs]
 
 
+class _Axiom(NamedTuple):
+    #: (kind, check) per input in draw order; kind is "point", "base" or
+    #: "group", and check(targets, drawn) runs once that input is drawn
+    steps: tuple
+    violations: Callable
+
+
+def _pair_in(*names):
+    """Check that the first two inputs drawn lie in each named target's domain."""
+    def check(targets, drawn):
+        for name in names:
+            if not targets[name].in_domain(drawn[0], drawn[1]):
+                return False
+        return True
+    return check
+
+
+def _moved_pair_in_form(targets, drawn):
+    q0, q1, g0, g1 = drawn
+    form = targets["form"]
+    return form.in_domain(form.bundle.act(g0, q0), form.bundle.act(g1, q1))
+
+
+def _plain_and_moved_pair_in_lift(targets, drawn):
+    q0, r1, g = drawn
+    lift = targets["lift"]
+    return lift.in_domain(q0, r1) and lift.in_domain(lift.bundle.act(g, q0), r1)
+
+
+def _own_fiber_in_lift(targets, drawn):
+    lift = targets["lift"]
+    return lift.in_domain(drawn[0], lift.bundle.project(drawn[0]))
+
+
+_POINT, _BASE, _GROUP = ("point", None), ("base", None), ("group", None)
+
 _AXIOMS = {
-    "normalization": _normalization,
-    "equivariance": _equivariance,
-    "diagonal_domain": _diagonal_domain,
-    "domain_invariance": _domain_invariance,
-    "lift_section": _lift_section,
-    "lift_equivariance": _lift_equivariance,
-    "lift_normalization": _lift_normalization,
-    "roundtrip_form": _roundtrip_form,
-    "roundtrip_lift": _roundtrip_lift,
-    "domain_properness": _domain_properness,
+    "normalization": _Axiom((_POINT,), _normalization),
+    "equivariance": _Axiom(
+        (_POINT, ("point", _pair_in("form")), _GROUP, ("group", _moved_pair_in_form)),
+        _equivariance),
+    "diagonal_domain": _Axiom((_POINT,), _diagonal_domain),
+    "domain_invariance": _Axiom(
+        (_POINT, ("point", _pair_in("form")), _GROUP, _GROUP), _domain_invariance),
+    "lift_section": _Axiom((_POINT, ("base", _pair_in("lift"))), _lift_section),
+    "lift_equivariance": _Axiom(
+        (_POINT, _BASE, ("group", _plain_and_moved_pair_in_lift)), _lift_equivariance),
+    "lift_normalization": _Axiom((("point", _own_fiber_in_lift),), _lift_normalization),
+    "roundtrip_form": _Axiom(
+        (_POINT, ("point", _pair_in("form", "recovered"))), _roundtrip_form),
+    "roundtrip_lift": _Axiom(
+        (_POINT, ("base", _pair_in("lift", "lift2"))), _roundtrip_lift),
+    # drawn over antipodal base points, so outside the domain by design
+    "domain_properness": _Axiom((_POINT, _GROUP), _domain_properness),
 }
+
+
+def _draw(axiom: str, targets: dict, rng: SplitMix64, box: float, counter) -> tuple:
+    """One sample of an axiom's inputs, drawn from ``rng`` step by step.
+
+    A failed domain check adds one to ``counter[0]`` and restarts the sample.
+    """
+    bundle = targets["form"].bundle
+    steps = _AXIOMS[axiom].steps
+    for _ in range(_RESAMPLE_LIMIT):
+        drawn = []
+        for kind, check in steps:
+            if kind == "group":
+                drawn.append(bundle.sample_group(rng))
+            else:
+                q = bundle.sample_point(rng, box=box)
+                drawn.append(q if kind == "point" else bundle.project(q))
+            if check is not None and not check(targets, drawn):
+                counter[0] += 1
+                break
+        else:
+            return tuple(drawn)
+    raise ProbeFailed(f"resampling budget exhausted ({axiom})")
 
 
 def _targets(form: DiscreteConnectionForm) -> dict:
@@ -373,7 +356,7 @@ def _targets(form: DiscreteConnectionForm) -> dict:
 def _run_round(targets: dict, jobs: list) -> list[list[float]]:
     """Violations of each (axiom, inputs) job, querying every target at most once."""
     form = targets["form"]
-    axioms = [_AXIOMS[axiom](form, inputs) for axiom, inputs in jobs]
+    axioms = [_AXIOMS[axiom].violations(form, inputs) for axiom, inputs in jobs]
     requests = [next(axiom) for axiom in axioms]
     merged = {name: [] for name in targets}
     for request in requests:
@@ -399,23 +382,9 @@ def _run_round(targets: dict, jobs: list) -> list[list[float]]:
 # worst-input serialization
 # ---------------------------------------------------------------------------
 
-_INPUT_FIELDS = {
-    "normalization": ("point",),
-    "equivariance": ("point", "point", "group", "group"),
-    "diagonal_domain": ("point",),
-    "domain_invariance": ("point", "point", "group", "group"),
-    "lift_section": ("point", "base"),
-    "lift_equivariance": ("point", "base", "group"),
-    "lift_normalization": ("point",),
-    "roundtrip_form": ("point", "point"),
-    "roundtrip_lift": ("point", "base"),
-    "domain_properness": ("point", "group"),
-}
-
-
 def _serialize_inputs(bundle, axiom: str, inputs: tuple) -> dict:
     out = {}
-    for i, (kind, value) in enumerate(zip(_INPUT_FIELDS[axiom], inputs)):
+    for i, ((kind, _), value) in enumerate(zip(_AXIOMS[axiom].steps, inputs)):
         if kind == "point":
             out[f"arg{i}"] = {"point": bundle.describe_point(value)}
         elif kind == "base":
@@ -427,7 +396,7 @@ def _serialize_inputs(bundle, axiom: str, inputs: tuple) -> dict:
 
 def _restore_inputs(bundle, axiom: str, data: dict) -> tuple:
     restored = []
-    for i, kind in enumerate(_INPUT_FIELDS[axiom]):
+    for i, (kind, _) in enumerate(_AXIOMS[axiom].steps):
         entry = data[f"arg{i}"]
         if kind == "point":
             restored.append(bundle.restore_point(entry["point"]))
@@ -460,7 +429,7 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     Runs every axiom at ``cfg.n_samples`` samples with per-sample streams
     derived from (seed, axiom index, sample index).  The domain-properness
     probe runs only on the quaternion bundle, where pairs over antipodal
-    base points exist by construction; each of its draws is a counted
+    base points exist by construction; each of its samples is a counted
     out-of-domain rejection.
 
     A form with its own batched evaluator is checked in rounds that cover
@@ -472,10 +441,10 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     """
     bundle = form.bundle
     targets = _targets(form)
-    lift, recovered, lift2 = targets["lift"], targets["recovered"], targets["lift2"]
     counter = [0]
+    properness = isinstance(bundle, HopfBundle)
     checked = [(index, axiom) for index, axiom in enumerate(AXIOM_IDS)
-               if axiom != "domain_properness" or isinstance(bundle, HopfBundle)]
+               if axiom != "domain_properness" or properness]
     if form.batched:
         rounds, block = [checked], _ROUND_SAMPLES
     else:
@@ -484,8 +453,8 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     worst = {}  # axiom -> (violation, inputs), folded as max() would
     for group in rounds:
         for start in range(0, cfg.n_samples, block):
-            jobs = [(axiom, [_draw_one(axiom, bundle, form, lift, recovered, lift2,
-                                       substream(cfg.seed, index, i), cfg.box, counter)
+            jobs = [(axiom, [_draw(axiom, targets, substream(cfg.seed, index, i),
+                                   cfg.box, counter)
                              for i in range(start, min(start + block, cfg.n_samples))])
                     for index, axiom in group]
             for (axiom, inputs), violations in zip(jobs, _run_round(targets, jobs)):
@@ -516,7 +485,8 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
         form_provenance=form.provenance,
         seed=cfg.seed,
         n_samples=cfg.n_samples,
-        resampled_out_of_domain=counter[0],
+        # each domain_properness sample is drawn outside the domain
+        resampled_out_of_domain=counter[0] + properness * cfg.n_samples,
         axioms=records,
     )
 

@@ -100,6 +100,22 @@ class TestUsageErrors:
         assert code == 2
         assert "steps" in err
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--bundle", "hopf", "--form", "closed"),
+        ("compare", "--bundle", "hopf", "--form-a", "closed", "--form-b", "closed"),
+        ("slice-probe", "--bundle", "hopf", "--form", "closed", "--points", "1",
+         "--budget", "1"),
+        ("sweep",),
+    ])
+    def test_steps_below_one_rejected_by_every_subcommand(self, capsys, argv, steps):
+        # the closed form never reads --steps; the size is rejected anyway,
+        # so a command line is valid or not whatever form it names
+        code, out, err = run(capsys, *argv, "--steps", steps)
+        assert code == 2
+        assert out == ""
+        assert "--steps" in err
+
     def test_zero_budget_probe_is_a_vacuous_pass(self, capsys):
         code, out, _ = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
                            "closed", "--points", "1", "--budget", "0")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from disconn import (
     EmptyDomainIntersection,
     InvalidConfig,
     OutOfRange,
+    ProbeFailed,
     SampleConfig,
     check_axioms,
     compare_forms,
@@ -92,11 +94,6 @@ class TestSampleConfigValidation:
         with pytest.raises(InvalidConfig):
             SampleConfig(n_samples=n)
 
-    @pytest.mark.parametrize("steps", [0, -1])
-    def test_steps_below_one_rejected(self, steps):
-        with pytest.raises(InvalidConfig):
-            SampleConfig(steps=steps)
-
     @pytest.mark.parametrize("box", [0.0, -1.0, math.nan, math.inf])
     def test_box_not_finite_and_positive_rejected(self, box):
         with pytest.raises(InvalidConfig):
@@ -158,6 +155,75 @@ class TestRounds:
         whole = check_axioms(lmw_form(32), cfg).to_json()
         monkeypatch.setattr(verify, "_ROUND_SAMPLES", 7)
         assert check_axioms(lmw_form(32), cfg).to_json() == whole
+
+
+def _point(r, angle):
+    return {"point": {"r": [r], "angle": angle}}
+
+
+def _base(r):
+    return {"base": [r]}
+
+
+def _group(angle):
+    return {"group_angle": angle}
+
+
+def _args(*entries):
+    return {f"arg{i}": entry for i, entry in enumerate(entries)}
+
+
+#: worst inputs of a linear-C form whose base pairs lie less than 1 apart
+_RESTRICTED_WORST = {
+    "normalization": _args(_point(-0.6807122173652962, -2.8525827212781443)),
+    "equivariance": _args(_point(-0.7777574722592755, -3.0045035414813674),
+                          _point(0.100789498477031, 2.3971708050633307),
+                          _group(3.126754367863633), _group(-0.7025070777883156)),
+    "diagonal_domain": _args(_point(1.777694519702484, 3.08209771073836)),
+    "domain_invariance": _args(_point(0.7995727745804517, 1.64568289603994),
+                               _point(0.6706590728427808, -0.3153088791280174),
+                               _group(0.0895716019879993), _group(-2.906527306313912)),
+    "lift_section": _args(_point(-1.5633962932974659, -1.0119127230499103),
+                          _base(-1.1743666776824955)),
+    "lift_equivariance": _args(_point(-0.3581279481826809, -3.0982506877326537),
+                               _base(-1.3081021250260574), _group(-2.973469066801158)),
+    "lift_normalization": _args(_point(0.8774076187232525, -0.09710682793140313)),
+    "roundtrip_form": _args(_point(1.5036983491397868, -1.793176590754117),
+                            _point(1.914345936959338, 0.5800802458983907)),
+    "roundtrip_lift": _args(_point(-0.773278671753447, -1.203301976065041),
+                            _base(0.12055092385066235)),
+    "domain_properness": None,
+}
+
+
+class TestDrawing:
+    def test_rejected_draws_keep_their_order(self, line_bundle):
+        # a restricted domain rejects thousands of draws; each accepted
+        # input must come from the same stream position as when recorded
+        form = trivial_form_from_C(
+            line_bundle, make_c_function("linear", (0.7,), 1),
+            base_domain=lambda r0, r1: abs(r0[0] - r1[0]) < 1.0)
+        report = check_axioms(form, SampleConfig(seed=3, n_samples=300))
+        assert report.resampled_out_of_domain == 2360
+        assert {a.axiom_id: a.worst_input for a in report.axioms} == _RESTRICTED_WORST
+
+    def test_exhausted_budget_names_the_axiom(self, line_bundle):
+        form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.7,), 1),
+                                   base_domain=lambda r0, r1: r0 == r1)
+        with pytest.raises(ProbeFailed, match="equivariance"):
+            check_axioms(form, SampleConfig(seed=3, n_samples=5))
+
+    @pytest.mark.parametrize("axiom", [
+        "equivariance", "domain_invariance", "lift_section", "lift_equivariance",
+        "roundtrip_form", "roundtrip_lift"])
+    def test_every_exhausted_draw_names_its_axiom(self, line_bundle, axiom):
+        # off the diagonal nothing is in the domain, so every pair is rejected
+        form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.7,), 1),
+                                   base_domain=lambda r0, r1: r0 == r1)
+        counter = [0]
+        with pytest.raises(ProbeFailed, match=re.escape(f"({axiom})")):
+            verify._draw(axiom, verify._targets(form), substream(3, 0, 0), 2.0, counter)
+        assert counter == [verify._RESAMPLE_LIMIT]
 
 
 class TestDeterminism:
