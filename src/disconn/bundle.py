@@ -63,12 +63,11 @@ class PrincipalBundle(abc.ABC):
         """Left action of the group element ``g`` on the total point ``q``."""
 
     @abc.abstractmethod
-    def fiber_translation(self, q0, q1, *, atol: float = FIBER_ATOL) -> CircleElement:
+    def fiber_translation(self, q0, q1) -> CircleElement:
         """Unique g with act(g, q0) = q1 for points on the same fiber.
 
-        Raises NotSameFiber when the base points are further than ``atol``
-        apart.  Callers lifting by numerical integration pass a looser
-        ``atol`` to absorb endpoint error.
+        Raises NotSameFiber when the base points are further than
+        ``FIBER_ATOL`` apart.
         """
 
     @abc.abstractmethod
@@ -189,10 +188,10 @@ class HopfBundle(PrincipalBundle):
         rot = Quaternion(math.cos(g.angle), math.sin(g.angle), 0.0, 0.0)
         return UnitQuaternion.from_quaternion(rot * q)
 
-    def fiber_translation(self, q0, q1, *, atol: float = FIBER_ATOL) -> CircleElement:
+    def fiber_translation(self, q0, q1) -> CircleElement:
         d = self.base_distance(self.project(q0), self.project(q1))
-        if d > atol:
-            raise NotSameFiber(f"base points are {d:.3e} apart (allowed {atol:.1e})")
+        if d > FIBER_ATOL:
+            raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
         u = q1 * q0.conj()
         return CircleElement(math.atan2(u.x, u.w))
 
@@ -298,10 +297,10 @@ class TrivialBundle(PrincipalBundle):
     def act(self, g: CircleElement, q: TrivialPoint) -> TrivialPoint:
         return TrivialPoint(q.r, g * q.g)
 
-    def fiber_translation(self, q0, q1, *, atol: float = FIBER_ATOL) -> CircleElement:
+    def fiber_translation(self, q0, q1) -> CircleElement:
         d = self.base_distance(q0.r, q1.r)
-        if d > atol:
-            raise NotSameFiber(f"base points are {d:.3e} apart (allowed {atol:.1e})")
+        if d > FIBER_ATOL:
+            raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
         return q1.g * q0.g.inverse()
 
     def local_section(self, r) -> TrivialPoint:

@@ -23,16 +23,19 @@ equals v - r <r, v>, which is v for base-tangent velocities.  The stage
 is computed column by column from scalar products and sums, so each
 row's result does not depend on how many rows share the batch.
 
-A single pair is evaluated as a batch of one through the same
-integrator that serves whole batches.  All constructions are pure; forms
-built here are immutable and safe for concurrent evaluation.
+Both integrated forms lift from q0 and translate onto q1 under one fiber
+guard, a single pair as a batch of one; they differ in the base velocity
+only: the minimizing base arc's, or the variant's exact 2 B(g, g') along
+the projected total-space arc g, with B symmetric and B(q, q) the base
+point of q.  All constructions are pure; forms built here are immutable
+and safe for concurrent evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,9 +50,6 @@ DOMAIN_BUFFER = 1e-12
 ANTIPODAL_DOT_BUFFER = 1e-9
 #: fiber tolerance applied when translating integrated endpoints
 LIFT_FIBER_ATOL = 1e-3
-#: looser endpoint guard for the variant construction, whose projected
-#: paths can approach length 2*pi on near-antipodal total-space pairs
-LMW_FIBER_ATOL = 5e-2
 #: default number of Runge-Kutta steps
 DEFAULT_STEPS = 256
 
@@ -171,32 +171,25 @@ def _conj_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_rows(q: np.ndarray) -> np.ndarray:
-    """Base points of total rows: imaginary components of conj(q) i q."""
+def _project_rows(q: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise symmetric bilinear B(q, p) with B(q, q) = Im(conj(q) i q).
+
+    2 B(q, p) is the derivative of the projection at q along p.  Terms are
+    grouped as (a b + b a) - (c d + d c), which is 2 (a b - c d) bit for
+    bit when p is q.
+    """
+    p = q if p is None else p
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    pw, px, py, pz = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
     out = np.empty((q.shape[0], 3))
-    out[:, 0] = w * w + x * x - y * y - z * z
-    out[:, 1] = 2.0 * (x * y - w * z)
-    out[:, 2] = 2.0 * (w * y + x * z)
+    out[:, 0] = w * pw + x * px - y * py - z * pz
+    out[:, 1] = (x * py + y * px) - (w * pz + z * pw)
+    out[:, 2] = (w * py + y * pw) + (x * pz + z * px)
     return out
 
 
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q, axis=1, keepdims=True)
-
-
-def _slerp_rows(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Row-wise great-circle interpolation, valid for parameters beyond [0, 1]."""
-    dot = np.clip(np.sum(a * b, axis=1), -1.0, 1.0)
-    omega = np.arccos(dot)
-    sin_omega = np.sin(omega)
-    small = sin_omega < 1e-9
-    safe = np.where(small, 1.0, sin_omega)
-    out = (np.sin((1.0 - t) * omega) / safe)[:, None] * a \
-        + (np.sin(t * omega) / safe)[:, None] * b
-    if small.any():
-        out[small] = (a + t * (b - a))[small]
-    return _normalize_rows(out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +263,35 @@ def _integrate_rows(q0: np.ndarray,
     return q, times, path, vels
 
 
-def _slerp_velocity_rows(r0: np.ndarray, r1: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Velocity field of the row-wise constant-speed arcs from r0 to r1."""
-    dot = np.clip(np.sum(r0 * r1, axis=1), -1.0, 1.0)
+def _arc_rows(a: np.ndarray, b: np.ndarray):
+    """Position and velocity fields of the row-wise constant-speed arcs a to b.
+
+    Nearly equal rows follow the chord; antipodal rows raise AntipodalPoints.
+    """
+    dot = np.clip(np.sum(a * b, axis=1), -1.0, 1.0)
     if np.any(dot <= -1.0 + ANTIPODAL_DOT_BUFFER):
-        raise AntipodalPoints("no unique minimizing arc between antipodal base points")
+        raise AntipodalPoints("no unique minimizing arc between antipodal points")
     omega = np.arccos(dot)
     sin_omega = np.sin(omega)
     small = sin_omega < 1e-9
-    scale = np.where(small, 0.0, omega / np.where(small, 1.0, sin_omega))
+    safe = np.where(small, 1.0, sin_omega)
+    scale = np.where(small, 0.0, omega / safe)
+
+    def position(t: float) -> np.ndarray:
+        p = (np.sin((1.0 - t) * omega) / safe)[:, None] * a \
+            + (np.sin(t * omega) / safe)[:, None] * b
+        if small.any():
+            p[small] = (a + t * (b - a))[small]
+        return p
 
     def velocity(t: float) -> np.ndarray:
-        v = scale[:, None] * (-np.cos((1.0 - t) * omega)[:, None] * r0
-                              + np.cos(t * omega)[:, None] * r1)
+        v = scale[:, None] * (-np.cos((1.0 - t) * omega)[:, None] * a
+                              + np.cos(t * omega)[:, None] * b)
         if small.any():
-            v[small] = (r1 - r0)[small]
+            v[small] = (b - a)[small]
         return v
 
-    return velocity
+    return position, velocity
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +366,40 @@ def hopf_closed_form() -> DiscreteConnectionForm:
     return DiscreteConnectionForm(_HOPF, ev, _hopf_in_domain, "closed-form")
 
 
-def _translate_endpoints(end_rows: np.ndarray, q1s: Sequence[UnitQuaternion],
-                         atol: float = LIFT_FIBER_ATOL):
-    q1_rows = np.array([q.components() for q in q1s])
+def _translate_endpoints(end_rows: np.ndarray, q1_rows: np.ndarray) -> list[CircleElement]:
     base_err = np.linalg.norm(_project_rows(end_rows) - _project_rows(q1_rows),
                               axis=1)
-    if np.any(base_err > atol):
+    if np.any(base_err > LIFT_FIBER_ATOL):
         raise SolveFailed(
             f"integrated endpoint strayed {base_err.max():.3e} from the target fiber")
     u = _qmul_rows(q1_rows, _conj_rows(end_rows))
     return [CircleElement(math.atan2(row[1], row[0])) for row in u]
+
+
+def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
+                     provenance: str, **flags) -> DiscreteConnectionForm:
+    """Form that lifts a base path from q0 and translates the endpoint onto q1.
+
+    ``base_velocity(q0_rows, q1_rows)`` returns the velocity field of the
+    base paths of a batch.  A single pair is evaluated as a batch of one.
+    """
+    _check_steps(steps)
+
+    def ev_many(pairs) -> list[CircleElement]:
+        q0_rows = np.array([p[0].components() for p in pairs])
+        q1_rows = np.array([p[1].components() for p in pairs])
+        end, _, _, _ = _integrate_rows(q0_rows, base_velocity(q0_rows, q1_rows), steps)
+        return _translate_endpoints(end, q1_rows)
+
+    def ev(q0: UnitQuaternion, q1: UnitQuaternion) -> CircleElement:
+        return ev_many([(q0, q1)])[0]
+
+    return DiscreteConnectionForm(_HOPF, ev, in_domain, provenance,
+                                  evaluate_many_fn=ev_many, **flags)
+
+
+def _base_arc_velocity(q0_rows: np.ndarray, q1_rows: np.ndarray) -> Callable:
+    return _arc_rows(_project_rows(q0_rows), _project_rows(q1_rows))[1]
 
 
 def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
@@ -379,66 +407,36 @@ def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
 
     evaluate(q0, q1) lifts the minimizing base arc between the projections
     of q0 and q1, starting at q0, with ``steps`` Runge-Kutta steps, then
-    translates the endpoint onto q1.  A single pair is evaluated as a batch
-    of one, so both entry points share one integration path.  Raises
-    InvalidConfig when ``steps`` is below one.
+    translates the endpoint onto q1.  Raises InvalidConfig when ``steps``
+    is below one.
     """
-    _check_steps(steps)
-
-    def ev_many(pairs) -> list[CircleElement]:
-        q0_rows = np.array([p[0].components() for p in pairs])
-        q1_rows = np.array([p[1].components() for p in pairs])
-        velocity = _slerp_velocity_rows(_project_rows(q0_rows), _project_rows(q1_rows))
-        end, _, _, _ = _integrate_rows(q0_rows, velocity, steps)
-        return _translate_endpoints(end, [p[1] for p in pairs])
-
-    def ev(q0: UnitQuaternion, q1: UnitQuaternion) -> CircleElement:
-        return ev_many([(q0, q1)])[0]
-
-    return DiscreteConnectionForm(_HOPF, ev, _hopf_in_domain, "geodesic-built",
-                                  evaluate_many_fn=ev_many)
+    return _integrated_form(steps, _base_arc_velocity, _hopf_in_domain,
+                            "geodesic-built")
 
 
 def _lmw_in_domain(q0: UnitQuaternion, q1: UnitQuaternion) -> bool:
     return q0.dot(q1) > -1.0 + ANTIPODAL_DOT_BUFFER
 
 
+def _projected_arc_velocity(q0_rows: np.ndarray, q1_rows: np.ndarray) -> Callable:
+    position, velocity = _arc_rows(q0_rows, q1_rows)
+    return lambda t: 2.0 * _project_rows(position(t), velocity(t))
+
+
 def lmw_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
     """Variant construction: total-space arc, projected, then lifted.
 
-    For a pair (q0, q1) the minimizing arc from q0 to q1 in the total
-    sphere is projected to the base (in general not a geodesic there),
-    the projected path is lifted horizontally from q0 using its velocity
-    obtained by central finite differences with step 1/steps, and the
-    endpoint is translated onto q1.  The result intentionally fails
-    equivariance, so the returned object is flagged as a non-connection.
-    Raises InvalidConfig when ``steps`` is below one.
+    For a pair (q0, q1) the minimizing arc gamma from q0 to q1 in the
+    total sphere is projected to the base (in general not a geodesic
+    there), the projected path is lifted horizontally from q0 using its
+    exact velocity 2 B(gamma, gamma'), the derivative of the projection
+    along the arc, and the endpoint is translated onto q1.  The result
+    intentionally fails equivariance, so the returned object is flagged as
+    a non-connection.  Raises InvalidConfig when ``steps`` is below one.
     """
-    _check_steps(steps)
-
-    def angles(pairs) -> list[CircleElement]:
-        q0_rows = np.array([p[0].components() for p in pairs])
-        q1_rows = np.array([p[1].components() for p in pairs])
-        delta = 1.0 / steps
-
-        def projected(t: float) -> np.ndarray:
-            return _project_rows(_slerp_rows(q0_rows, q1_rows, t))
-
-        def velocity(t: float) -> np.ndarray:
-            return (projected(t + delta) - projected(t - delta)) / (2.0 * delta)
-
-        end, _, _, _ = _integrate_rows(q0_rows, velocity, steps)
-        return _translate_endpoints(end, [p[1] for p in pairs], atol=LMW_FIBER_ATOL)
-
-    def ev(q0, q1) -> CircleElement:
-        return angles([(q0, q1)])[0]
-
-    return DiscreteConnectionForm(
-        _HOPF, ev, _lmw_in_domain, "lmw-variant",
-        evaluate_many_fn=angles,
-        flagged_non_connection=True,
-        out_of_domain_error=AntipodalPoints,
-    )
+    return _integrated_form(steps, _projected_arc_velocity, _lmw_in_domain,
+                            "lmw-variant", flagged_non_connection=True,
+                            out_of_domain_error=AntipodalPoints)
 
 
 def beta_formula(theta: float) -> float:

@@ -23,9 +23,11 @@ class TestVerifyCommand:
         assert data["form_provenance"] == "closed-form"
         assert data["seed"] == 42
 
-    def test_lmw_fails_exit_one(self, capsys):
+    @pytest.mark.parametrize("steps, samples, seed", [("32", "30", "42"),
+                                                      ("16", "40", "13")])
+    def test_lmw_fails_exit_one(self, capsys, steps, samples, seed):
         code, out, _ = run(capsys, "verify", "--bundle", "hopf", "--form", "lmw",
-                           "--steps", "32", "--samples", "30", "--seed", "42")
+                           "--steps", steps, "--samples", samples, "--seed", seed)
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
 

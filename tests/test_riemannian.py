@@ -9,6 +9,7 @@ from disconn import (
     InvalidConfig,
     OutOfDomain,
     OutOfRange,
+    Q_I,
     Quaternion,
     TangentVector,
     UnitQuaternion,
@@ -157,6 +158,25 @@ class TestClosedFormStage:
                 _stage_rows(np.zeros((1, 4)), np.ones((1, 3)))
 
 
+class TestProjectionRows:
+    def test_bilinear_form_is_the_projection_derivative(self):
+        q, _ = _stage_inputs(200, 5)
+        w = np.random.default_rng(6).normal(size=(200, 4))
+        w -= q * np.sum(q * w, axis=1, keepdims=True)
+        eps = 1e-3
+        central = (_project_rows(q + eps * w) - _project_rows(q - eps * w)) / (2.0 * eps)
+        derivative = 2.0 * _project_rows(q, w)
+        assert np.abs(derivative - central).max() <= 1e-10
+        # a velocity tangent to the total sphere projects to one tangent to the base
+        assert np.abs(np.sum(derivative * _project_rows(q), axis=1)).max() <= 1e-13
+        assert np.array_equal(_project_rows(q, w), _project_rows(w, q))
+        # the base point keeps the bits of the product written out
+        w0, x, y, z = q.T
+        assert np.array_equal(_project_rows(q), np.stack(
+            [w0 * w0 + x * x - y * y - z * z, 2.0 * (x * y - w0 * z),
+             2.0 * (w0 * y + x * z)], axis=1))
+
+
 class TestHorizontalLift:
     def test_constant_path_fixes_point(self):
         seg = base_geodesic(I_BASE, I_BASE)
@@ -235,9 +255,10 @@ class TestGeodesicForm:
         with pytest.raises(OutOfDomain):
             form.evaluate(ONE, J_POINT)
 
-    def test_single_and_batch_paths_agree(self):
+    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    def test_single_and_batch_paths_agree(self, factory):
         b = hopf()
-        form = riemannian_form(64)
+        form = factory(64)
         pairs = []
         for i in range(20):
             rng = substream(74, i)
@@ -288,6 +309,33 @@ class TestVariantForm:
         angle = form.evaluate(ONE, q1).angle
         assert abs(angle - beta_formula(math.pi / 8.0)) <= 1e-4
         assert abs(angle - BETA_AT_PI_8) <= 1e-4
+
+    def test_fourth_order_convergence(self):
+        b = hopf()
+        q1 = b.act(CircleElement(math.pi / 8.0), HALF_J)
+        gaps = {n: abs(lmw_form(n).evaluate(ONE, q1).angle - beta_formula(math.pi / 8.0))
+                for n in (32, 64, 256)}
+        assert 12.0 <= gaps[32] / gaps[64] <= 20.0, gaps
+        assert gaps[256] <= 1e-10
+
+    def test_matches_closed_form_on_general_pairs(self):
+        # the projected total-space arc lifts to a phase of
+        # psi = (omega / sin omega) <i q0, q1>, omega = arccos <q0, q1>,
+        # which is beta_formula on the witness family
+        b = hopf()
+        form = lmw_form(256)
+        pairs = []
+        i = 0
+        while len(pairs) < 200:
+            rng = substream(76, i)
+            i += 1
+            q0, q1 = b.sample_point(rng), b.sample_point(rng)
+            if form.in_domain(q0, q1):
+                pairs.append((q0, q1))
+        for (q0, q1), g in zip(pairs, form.evaluate_many(pairs)):
+            omega = math.acos(max(-1.0, min(1.0, q0.dot(q1))))
+            psi = (omega / math.sin(omega)) * (Q_I * q0).dot(q1)
+            assert circle_distance(g, CircleElement(psi)) <= 1e-8
 
     def test_same_fiber_pairs_reduce_to_translation(self):
         b = hopf()

@@ -69,6 +69,13 @@ class TestCheckAxioms:
         assert eq.failures > 0
         assert eq.max_violation > 0.05
 
+    def test_low_step_lmw_reports_instead_of_aborting(self):
+        # every sampled endpoint stays inside the fiber guard at 16 steps,
+        # so the run ends in a report that names the failed axioms
+        report = check_axioms(lmw_form(16), SampleConfig(seed=13, n_samples=40))
+        assert report.verdict == "fail"
+        assert report.axiom("equivariance").failures > 0
+
     def test_geodesic_form_passes_at_its_tolerance(self):
         report = check_axioms(riemannian_form(64), SampleConfig(seed=5, n_samples=100))
         assert report.verdict == "pass"
