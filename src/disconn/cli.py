@@ -7,12 +7,12 @@ shared samples), ``sweep`` (counterexample table as CSV) and
 Exit codes: 0 on success/pass, 1 when a verification fails (axiom
 verdict ``fail`` or a probe below threshold), 2 on usage or
 configuration errors, including sizes that would make a run vacuous or
-undefined (``--steps`` or ``--points`` below 1, a negative ``--budget``,
-a non-finite or non-positive ``--box``, ``--dim`` below 1, a theta grid
-of more than 10,000 values).  Reports are strict JSON; an empty probe's
-``min_separation`` is ``null``.  The environment variable DISCONN_SEED
-supplies the default seed.  Identical invocations write byte-identical
-outputs.
+undefined (``--steps``, ``--points`` or ``--budget`` below 1, a
+non-finite or non-positive ``--box``, ``--dim`` below 1, a theta grid of
+more than 10,000 values).  Reports are strict JSON; a probed point that
+compared nothing has ``min_separation`` ``null`` and fails.  The
+environment variable DISCONN_SEED supplies the default seed.  Identical
+invocations write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def _check_sizes(args) -> None:
         raise UsageError(f"--box must be finite and above 0, got {box}")
     if getattr(args, "points", 1) < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
-    if getattr(args, "budget", 0) < 0:
-        raise UsageError(f"--budget must be at least 0, got {args.budget}")
+    if getattr(args, "budget", 1) < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
 
 
 def _cmd_verify(args) -> int:
@@ -252,7 +252,7 @@ def _cmd_slice_probe(args) -> int:
         all_passed = all_passed and report.passed
         results.append({
             "point": bundle.describe_point(point),
-            # an empty probe has no separation to report
+            # a probe that compared nothing has no separation to report
             "min_separation": (report.min_separation
                                if math.isfinite(report.min_separation) else None),
             "slice_samples": report.slice_samples,

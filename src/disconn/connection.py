@@ -44,7 +44,9 @@ class DiscreteConnectionForm:
     ``provenance`` records how the form was built: one of ``closed-form``,
     ``C-built``, ``geodesic-built`` or ``lmw-variant``.  Objects tagged
     ``lmw-variant`` additionally carry ``flagged_non_connection=True``:
-    they are form-shaped but intentionally violate equivariance.
+    they are form-shaped but intentionally violate equivariance.  A batched
+    evaluator (``evaluate_many_fn``) must give each pair the exact bits of a
+    batch of one, since reports keep the violations their batch computed.
     """
 
     def __init__(self, bundle: PrincipalBundle,
@@ -78,11 +80,7 @@ class DiscreteConnectionForm:
         return self._evaluate_fn(q0, q1)
 
     def evaluate_many(self, pairs: Sequence[tuple]) -> list[CircleElement]:
-        """Evaluate a batch of in-domain pairs.
-
-        Geodesic-built forms override this with a vectorized integrator;
-        the default simply loops.
-        """
+        """Evaluate in-domain pairs, each exactly as a batch of one would."""
         for q0, q1 in pairs:
             if not self._in_domain_fn(q0, q1):
                 raise self._out_of_domain_error(
@@ -93,7 +91,10 @@ class DiscreteConnectionForm:
 
 
 class DiscreteHorizontalLift:
-    """Map (q0, r1) to the unique horizontal partner of q0 over r1."""
+    """Map (q0, r1) to the unique horizontal partner of q0 over r1.
+
+    A batched lift (``lift_many_fn``) must lift each item as a batch of one.
+    """
 
     def __init__(self, bundle: PrincipalBundle,
                  lift_fn: Callable,
@@ -428,8 +429,8 @@ def slice_probe(form: DiscreteConnectionForm, q, budget: int,
     Slice points are found by root-solving the group coordinate along
     random fiber directions; orbit points are random group translates of
     q.  Samples inside ``exclusion_radius`` of q are dropped and the
-    minimum cross distance of the rest must exceed ``separation``.
-    A budget of zero yields an empty, vacuously passing report.
+    minimum cross distance of the rest must exceed ``separation``; with
+    no slice sample or no orbit sample kept, the probe does not pass.
     """
     bundle = form.bundle
     rng = substream(seed, 0x511CE)
@@ -463,7 +464,7 @@ def slice_probe(form: DiscreteConnectionForm, q, budget: int,
         excluded=excluded,
         min_separation=min_sep,
         threshold=separation,
-        passed=(budget == 0) or (min_sep > separation),
+        passed=bool(kept_slice and kept_orbit) and min_sep > separation,
     )
 
 

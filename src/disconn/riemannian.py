@@ -325,7 +325,7 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
         vec = segment.velocity(t).vec
         return np.array([[vec.x, vec.y, vec.z]])
 
-    rows = np.array([q0.components()])
+    rows = np.array([q0.components()], dtype=float)
     end, times, path, vels = _integrate_rows(rows, velocity_fn, steps,
                                              collect=store_path)
     endpoint = UnitQuaternion(*end[0])
@@ -386,8 +386,8 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     _check_steps(steps)
 
     def ev_many(pairs) -> list[CircleElement]:
-        q0_rows = np.array([p[0].components() for p in pairs])
-        q1_rows = np.array([p[1].components() for p in pairs])
+        q0_rows = np.array([p[0].components() for p in pairs], dtype=float)
+        q1_rows = np.array([p[1].components() for p in pairs], dtype=float)
         end, _, _, _ = _integrate_rows(q0_rows, base_velocity(q0_rows, q1_rows), steps)
         return _translate_endpoints(end, q1_rows)
 

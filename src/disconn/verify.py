@@ -19,10 +19,9 @@ Runge-Kutta integration.  A form with its own batched evaluator is
 checked in rounds covering every axiom for a block of at most 2048
 samples; any other form gains nothing from merging and is checked one
 axiom per round over all samples.  Each axiom keeps only its failure
-count and its running worst input; a last round re-evaluates the worst
-inputs, one row per axiom, and those values are reported.  Standalone
-re-evaluation (:func:`violation_from_record`) is the same runner on a
-round of one.
+count and its running worst input with the violation its round computed.
+Standalone re-evaluation (:func:`violation_from_record`) is the same
+runner on a round of one.
 
 Sampling uses SplitMix64 streams addressed by (seed, axiom, sample
 index), so reports are byte-identical across runs and independent of
@@ -435,9 +434,8 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     A form with its own batched evaluator is checked in rounds that cover
     every axiom for a block of at most ``_ROUND_SAMPLES`` samples; any other
     form one axiom at a time over all samples.  Each axiom keeps only its
-    failure count and its running worst input, and a last round
-    re-evaluates the worst inputs, one row per axiom, so the recorded
-    violation is computed outside the batch that selected it.
+    failure count and its running worst input, and reports the violation
+    its round computed for that input.
     """
     bundle = form.bundle
     targets = _targets(form)
@@ -469,12 +467,8 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
             # free this round's inputs before the next round draws its own
             del jobs, inputs, violations
 
-    # n_samples >= 1, so every checked axiom has a worst input
-    recheck = [(axiom, [worst[axiom][1]]) for _, axiom in checked]
-    standalone = {axiom: values[0]
-                  for (axiom, _), values in zip(recheck, _run_round(targets, recheck))}
     records = [
-        AxiomRecord(axiom, cfg.n_samples, failures[axiom], standalone[axiom],
+        AxiomRecord(axiom, cfg.n_samples, failures[axiom], worst[axiom][0],
                     _serialize_inputs(bundle, axiom, worst[axiom][1]))
         if axiom in worst else AxiomRecord(axiom, 0, 0, 0.0, None)
         for axiom in AXIOM_IDS

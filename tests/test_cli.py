@@ -118,22 +118,27 @@ class TestUsageErrors:
         assert out == ""
         assert "--steps" in err
 
-    def test_zero_budget_probe_is_a_vacuous_pass(self, capsys):
-        code, out, _ = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
-                           "closed", "--points", "1", "--budget", "0")
-        assert code == 0
-        assert json.loads(out)["verdict"] == "pass"
+    def test_zero_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                             "closed", "--points", "1", "--budget", "0")
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err
 
-    def test_zero_budget_probe_is_strict_json(self, capsys):
+    def test_probe_that_compares_nothing_fails_as_strict_json(self, capsys):
+        # the one orbit sample falls inside the exclusion radius, so the
+        # point has no separation to report and does not pass
         def reject(constant):
             raise ValueError(f"non-finite number {constant}")
 
         code, out, _ = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
-                           "closed", "--points", "1", "--budget", "0")
-        assert code == 0
+                           "geodesic", "--points", "1", "--steps", "128",
+                           "--budget", "1", "--seed", "1764603822")
+        assert code == 1
         data = json.loads(out, parse_constant=reject)
-        assert data["verdict"] == "pass"
+        assert data["verdict"] == "fail"
         assert data["points"][0]["min_separation"] is None
+        assert data["points"][0]["passed"] is False
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_probe_point_count_below_one_rejected(self, capsys, points):

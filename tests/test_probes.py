@@ -41,9 +41,9 @@ class TestSliceProbe:
         # away from q the two stay a positive distance apart
         assert report.min_separation > 1e-2
 
-    def test_zero_budget_is_vacuous(self):
+    def test_zero_budget_compares_nothing_and_fails(self):
         report = slice_probe(hopf_closed_form(), ONE, 0)
-        assert report.passed
+        assert not report.passed
         assert report.slice_samples == 0
         assert report.orbit_samples == 0
         assert report.min_separation == math.inf

@@ -270,6 +270,19 @@ class TestGeodesicForm:
         for (q0, q1), g in zip(pairs, batch):
             assert form.evaluate(q0, q1).angle == g.angle
 
+    def test_integer_anchor_gives_the_float_anchor_bits(self):
+        # rows built from integer components must not keep an integer dtype
+        b = hopf()
+        target = b.act(CircleElement(0.3), HALF_J)
+        seg = base_geodesic(b.project(ONE), b.project(target))
+        results = []
+        for anchor in (UnitQuaternion(1, 0, 0, 0), ONE):
+            end = horizontal_lift_path(seg, anchor, 256).endpoint
+            results.append((riemannian_form(256).evaluate(anchor, target).angle,
+                            lmw_form(256).evaluate(anchor, target).angle,
+                            end.components()))
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_rejected(self, factory, steps):
