@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,14 +48,19 @@ class DiscreteConnectionForm:
     they are form-shaped but intentionally violate equivariance.  A batched
     evaluator (``evaluate_many_fn``) must give each pair the exact bits of a
     batch of one, since reports keep the violations their batch computed.
+
+    ``split(pairs)`` is ``(root, root_pairs, finish)``, with the values
+    ``finish(root(root_pairs))`` and neither map reading the root's answers;
+    a form is its own root unless it has a ``split_fn``.
     """
 
     def __init__(self, bundle: PrincipalBundle,
-                 evaluate_fn: Callable,
+                 evaluate_fn: Optional[Callable],
                  in_domain_fn: Callable,
                  provenance: str,
                  *,
                  evaluate_many_fn: Optional[Callable] = None,
+                 split_fn: Optional[Callable] = None,
                  flagged_non_connection: bool = False,
                  out_of_domain_error: type = OutOfDomain):
         self.bundle = bundle
@@ -63,28 +69,40 @@ class DiscreteConnectionForm:
         self._evaluate_fn = evaluate_fn
         self._in_domain_fn = in_domain_fn
         self._evaluate_many_fn = evaluate_many_fn
+        self._split_fn = split_fn
         self._out_of_domain_error = out_of_domain_error
 
     @property
     def batched(self) -> bool:
-        """True when the form has its own batched evaluator."""
-        return self._evaluate_many_fn is not None
+        """True when the form evaluates a batch in one call."""
+        return self._evaluate_many_fn is not None or self._split_fn is not None
 
     def in_domain(self, q0, q1) -> bool:
         return self._in_domain_fn(q0, q1)
 
+    def split(self, pairs: Sequence[tuple]) -> tuple:
+        if self._split_fn is None:
+            return self.evaluate_many, pairs, list
+        self._check_domain(pairs)
+        return self._split_fn(pairs)
+
     def evaluate(self, q0, q1) -> CircleElement:
-        if not self._in_domain_fn(q0, q1):
-            raise self._out_of_domain_error(
-                f"pair outside the domain of this {self.provenance} form")
-        return self._evaluate_fn(q0, q1)
+        return self._values([(q0, q1)])[0]
 
     def evaluate_many(self, pairs: Sequence[tuple]) -> list[CircleElement]:
         """Evaluate in-domain pairs, each exactly as a batch of one would."""
+        return self._values(pairs)
+
+    def _check_domain(self, pairs) -> None:
         for q0, q1 in pairs:
             if not self._in_domain_fn(q0, q1):
                 raise self._out_of_domain_error(
                     f"pair outside the domain of this {self.provenance} form")
+
+    def _values(self, pairs) -> list[CircleElement]:
+        if self._split_fn is not None:
+            return answer_queries([(self, pairs)])[0]
+        self._check_domain(pairs)
         if self._evaluate_many_fn is not None:
             return self._evaluate_many_fn(pairs)
         return [self._evaluate_fn(q0, q1) for q0, q1 in pairs]
@@ -93,23 +111,28 @@ class DiscreteConnectionForm:
 class DiscreteHorizontalLift:
     """Map (q0, r1) to the unique horizontal partner of q0 over r1.
 
-    A batched lift (``lift_many_fn``) must lift each item as a batch of one.
+    ``split`` is as for :class:`DiscreteConnectionForm`.
     """
 
     def __init__(self, bundle: PrincipalBundle,
-                 lift_fn: Callable,
+                 lift_fn: Optional[Callable],
                  in_domain_fn: Callable,
                  provenance: str,
                  *,
-                 lift_many_fn: Optional[Callable] = None):
+                 split_fn: Optional[Callable] = None):
         self.bundle = bundle
         self.provenance = provenance
         self._lift_fn = lift_fn
         self._in_domain_fn = in_domain_fn
-        self._lift_many_fn = lift_many_fn
+        self._split_fn = split_fn
 
     def in_domain(self, q0, r1) -> bool:
         return self._in_domain_fn(q0, r1)
+
+    def split(self, items: Sequence[tuple]) -> tuple:
+        if self._split_fn is None:
+            return self.lift_many, items, list
+        return self._split_fn(items)
 
     def lift(self, q0, r1):
         """Horizontal partner of q0 over r1.
@@ -118,12 +141,22 @@ class DiscreteHorizontalLift:
         SectionUndefined propagate when r1 falls outside the section chart
         backing a form-derived lift.
         """
-        return self._lift_fn(q0, r1)
+        return self.lift_many([(q0, r1)])[0]
 
     def lift_many(self, items: Sequence[tuple]) -> list:
-        if self._lift_many_fn is not None:
-            return self._lift_many_fn(items)
+        if self._split_fn is not None:
+            return answer_queries([(self, items)])[0]
         return [self._lift_fn(q0, r1) for q0, r1 in items]
+
+
+def answer_queries(queries: Sequence[tuple]) -> list[list]:
+    """Answers to (target, items) queries from one call to their root, if any items."""
+    splits = [target.split(items) for target, items in queries]
+    if len({root for root, _, _ in splits}) > 1:
+        raise ValueError("queries must share one root")
+    root_items = [item for _, part, _ in splits for item in part]
+    answers = iter(splits[0][0](root_items) if root_items else ())
+    return [finish(islice(answers, len(part))) for _, part, finish in splits]
 
 
 @dataclass(frozen=True)
@@ -268,17 +301,15 @@ def lift_from_form(form: DiscreteConnectionForm,
             return False
         return form.in_domain(q0, s)
 
-    def lift_many(items):
+    def split(items):
         sections = [sec(r1) for _, r1 in items]  # SectionUndefined propagates
-        gs = form.evaluate_many([(q0, s) for (q0, _), s in zip(items, sections)])
-        return [bundle.act(bundle.group_inverse(g), s)
-                for g, s in zip(gs, sections)]
+        root, root_pairs, finish = form.split(
+            [(q0, s) for (q0, _), s in zip(items, sections)])
+        return root, root_pairs, lambda answers: [
+            bundle.act(bundle.group_inverse(g), s)
+            for g, s in zip(finish(answers), sections)]
 
-    def lift(q0, r1):
-        return lift_many([(q0, r1)])[0]
-
-    return DiscreteHorizontalLift(bundle, lift, dom, form.provenance,
-                                  lift_many_fn=lift_many)
+    return DiscreteHorizontalLift(bundle, None, dom, form.provenance, split_fn=split)
 
 
 def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
@@ -293,16 +324,14 @@ def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
     def dom(q0, q1) -> bool:
         return lift.in_domain(q0, bundle.project(q1))
 
-    def ev_many(pairs):
-        pts = lift.lift_many([(q0, bundle.project(q1)) for q0, q1 in pairs])
-        return [bundle.fiber_translation(p, q1)
-                for p, (_, q1) in zip(pts, pairs)]
+    def split(pairs):
+        root, root_items, finish = lift.split(
+            [(q0, bundle.project(q1)) for q0, q1 in pairs])
+        return root, root_items, lambda answers: [
+            bundle.fiber_translation(p, q1)
+            for p, (_, q1) in zip(finish(answers), pairs)]
 
-    def ev(q0, q1) -> CircleElement:
-        return ev_many([(q0, q1)])[0]
-
-    return DiscreteConnectionForm(bundle, ev, dom, lift.provenance,
-                                  evaluate_many_fn=ev_many)
+    return DiscreteConnectionForm(bundle, None, dom, lift.provenance, split_fn=split)
 
 
 # ---------------------------------------------------------------------------

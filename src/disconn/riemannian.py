@@ -381,7 +381,7 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
 
     ``base_velocity(q0_rows, q1_rows)`` returns the velocity field of the
-    base paths of a batch.  A single pair is evaluated as a batch of one.
+    base paths of a batch.
     """
     _check_steps(steps)
 
@@ -391,10 +391,7 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
         end, _, _, _ = _integrate_rows(q0_rows, base_velocity(q0_rows, q1_rows), steps)
         return _translate_endpoints(end, q1_rows)
 
-    def ev(q0: UnitQuaternion, q1: UnitQuaternion) -> CircleElement:
-        return ev_many([(q0, q1)])[0]
-
-    return DiscreteConnectionForm(_HOPF, ev, in_domain, provenance,
+    return DiscreteConnectionForm(_HOPF, None, in_domain, provenance,
                                   evaluate_many_fn=ev_many, **flags)
 
 

@@ -12,13 +12,13 @@ Each axiom is one entry of a table: the inputs it draws and a generator
 that states its queries to four targets (the form, the lift induced
 from it, the form recovered from that lift, and the lift induced from
 the recovered form), receives the answers and returns one violation per
-input.  A round merges the queries of all its axioms into one call per
-target, so a round costs at most four evaluations of the form whatever
-the number of axioms; on an integrator-built form each is one
-Runge-Kutta integration.  A form with its own batched evaluator is
-checked in rounds covering every axiom for a block of at most 2048
-samples; any other form gains nothing from merging and is checked one
-axiom per round over all samples.  Each axiom keeps only its failure
+input.  Every target states its items as pairs for the form and a map
+of the form's values, so a round evaluates the form once whatever the
+number of axioms; on an integrator-built form that is one Runge-Kutta
+integration.  A form with its own batched evaluator is checked in rounds
+covering every axiom for a block of at most 512 samples; any other form
+gains nothing from merging and is checked one axiom per round over all
+samples.  Each axiom keeps only its failure
 count and its running worst input with the violation its round computed.
 Standalone re-evaluation (:func:`violation_from_record`) is the same
 runner on a round of one.
@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -48,6 +47,7 @@ from .algebra import CircleElement, Q_J, UnitQuaternion, canonical_angle
 from .bundle import HopfBundle
 from .connection import (
     DiscreteConnectionForm,
+    answer_queries,
     form_from_lift,
     lift_from_form,
 )
@@ -79,7 +79,7 @@ _DEFAULT_TOLERANCES = {
 
 _RESAMPLE_LIMIT = 100
 #: samples per round of a form with its own batched evaluator
-_ROUND_SAMPLES = 2048
+_ROUND_SAMPLES = 512
 _COMPARE_STREAM = 0x10001
 
 
@@ -88,8 +88,8 @@ class SampleConfig:
     """Sampling parameters; identical configs yield byte-identical reports.
 
     Raises InvalidConfig for fewer than one sample, for a box that is not
-    a finite positive half-width and for non-finite tolerances, each of
-    which would make a verdict vacuous or undefined.
+    a finite positive half-width, for non-finite tolerances and for those
+    of unknown axioms, each of which would make a verdict vacuous or wrong.
     A negative tolerance stays allowed: it can only force failures.
     """
 
@@ -104,6 +104,8 @@ class SampleConfig:
         if not (math.isfinite(self.box) and self.box > 0):
             raise InvalidConfig(f"box must be finite and above 0, got {self.box}")
         for axiom_id, tol in (self.tolerances or {}).items():
+            if axiom_id not in AXIOM_IDS:
+                raise InvalidConfig(f"tolerance given for unknown axiom {axiom_id!r}")
             if not math.isfinite(float(tol)):
                 raise InvalidConfig(f"tolerance for {axiom_id} must be finite, got {tol}")
 
@@ -353,25 +355,16 @@ def _targets(form: DiscreteConnectionForm) -> dict:
 
 
 def _run_round(targets: dict, jobs: list) -> list[list[float]]:
-    """Violations of each (axiom, inputs) job, querying every target at most once."""
+    """Violations of each (axiom, inputs) job from one evaluation of the form."""
     form = targets["form"]
     axioms = [_AXIOMS[axiom].violations(form, inputs) for axiom, inputs in jobs]
     requests = [next(axiom) for axiom in axioms]
-    merged = {name: [] for name in targets}
-    for request in requests:
-        for name, items in request:
-            merged[name].extend(items)
-    answers = {}
-    for name, items in merged.items():
-        if items:
-            target = targets[name]
-            values = (target.evaluate_many(items) if name in ("form", "recovered")
-                      else target.lift_many(items))
-            answers[name] = iter(values)
+    answers = iter(answer_queries(
+        [(targets[name], items) for request in requests for name, items in request]))
     violations = []
     for axiom, request in zip(axioms, requests):
         try:
-            axiom.send([list(islice(answers[name], len(items))) for name, items in request])
+            axiom.send([next(answers) for _ in request])
         except StopIteration as done:
             violations.append(done.value)
     return violations
@@ -524,7 +517,7 @@ class FormComparison:
 
 def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm,
                   cfg: SampleConfig) -> FormComparison:
-    """Sample the intersection of two forms' domains and compare their values."""
+    """Compare two forms on every sample, or raise EmptyDomainIntersection."""
     if form_a.bundle != form_b.bundle:
         raise ValueError("forms must live on the same bundle")
     bundle = form_a.bundle
@@ -537,9 +530,9 @@ def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm
             if form_a.in_domain(q0, q1) and form_b.in_domain(q0, q1):
                 pairs.append((q0, q1))
                 break
-    if not pairs:
-        raise EmptyDomainIntersection(
-            "no sampled pair landed in the domains of both forms")
+        else:
+            raise EmptyDomainIntersection(
+                f"no draw for sample {i} landed in the domains of both forms")
     va = form_a.evaluate_many(pairs)
     vb = form_b.evaluate_many(pairs)
     deviations = [bundle.group_distance(a, b) for a, b in zip(va, vb)]

@@ -20,6 +20,7 @@ from disconn import (
     trivial_form_from_C,
     trivial_lift_from_C,
 )
+from disconn.connection import answer_queries
 from disconn.rng import substream
 
 from conftest import HALF_J, I_POINT, J_POINT, K_BASE, ONE
@@ -169,6 +170,21 @@ class TestLiftFormConversions:
         g = recovered.evaluate(line_bundle.point(0.0, CircleElement(0.3)),
                                line_bundle.point(1.0, CircleElement(0.5)))
         assert abs(g.angle - 0.2) < 1e-12
+
+    def test_form_from_direct_lift_matches_c_form(self, line_bundle):
+        # the recovered form's root is the C-built lift itself
+        c_fn = make_c_function("linear", (0.8,), 1)
+        form = trivial_form_from_C(line_bundle, c_fn)
+        recovered = form_from_lift(trivial_lift_from_C(line_bundle, c_fn))
+        pairs = [(line_bundle.sample_point(substream(206, i)),
+                  line_bundle.sample_point(substream(207, i))) for i in range(50)]
+        for g, h in zip(form.evaluate_many(pairs), recovered.evaluate_many(pairs)):
+            assert line_bundle.group_distance(g, h) <= 1e-12
+
+    def test_queries_to_two_roots_rejected(self):
+        pairs = [(ONE, HALF_J)]
+        with pytest.raises(ValueError, match="one root"):
+            answer_queries([(hopf_closed_form(), pairs), (hopf_closed_form(), pairs)])
 
     def test_recovered_diagonal(self, hopf):
         recovered = form_from_lift(lift_from_form(hopf_closed_form()))

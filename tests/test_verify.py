@@ -24,6 +24,7 @@ from disconn import (
     violation_from_record,
 )
 from disconn import riemannian, verify
+from disconn.connection import answer_queries
 from disconn.rng import substream
 from disconn.verify import CSV_HEADER
 
@@ -112,6 +113,11 @@ class TestSampleConfigValidation:
         with pytest.raises(InvalidConfig):
             SampleConfig(tolerances={"equivariance": tol})
 
+    def test_unknown_tolerance_key_rejected(self):
+        # a misspelt id would leave its axiom at the default tolerance
+        with pytest.raises(InvalidConfig, match="normalisation"):
+            SampleConfig(seed=1, n_samples=20, tolerances={"normalisation": -1.0})
+
     def test_nan_tolerance_never_counts_as_pass(self):
         # even a NaN that slipped past validation must fail every sample
         cfg = SampleConfig(seed=3, n_samples=10)
@@ -123,11 +129,44 @@ class TestSampleConfigValidation:
 
 class TestRounds:
     def test_geodesic_check_queries_each_target_once_per_round(self, integrations):
-        # one round over every axiom, querying the form, lift, recovered
-        # form and second lift once; worst inputs are not evaluated again
+        # one round over every axiom: the form, lift, recovered form and
+        # second lift state their queries to one integration of the form;
+        # worst inputs are not evaluated again
         check_axioms(riemannian_form(16), SampleConfig(seed=5, n_samples=32))
-        assert integrations == [128, 160, 32, 32]
-        assert sum(integrations) == 352
+        assert integrations == [352]
+
+    def test_each_block_is_one_integration(self, integrations):
+        # 1100 samples are two blocks of 512 and one of 76
+        check_axioms(riemannian_form(16), SampleConfig(seed=5, n_samples=1100))
+        assert len(integrations) == 3
+
+    def test_violation_from_record_is_one_integration(self, integrations):
+        form = riemannian_form(16)
+        report = check_axioms(form, SampleConfig(seed=5, n_samples=8))
+        del integrations[:]
+        violation_from_record(form, "roundtrip_lift",
+                              report.axiom("roundtrip_lift").worst_input)
+        assert len(integrations) == 1
+
+    def test_targets_answer_alone_as_in_a_merged_round(self, hopf):
+        # a derived target's own evaluate_many / lift_many gives the bits
+        # of its slice of one merged call to the root form
+        targets = verify._targets(riemannian_form(16))
+        rng = substream(9, 0, 0)
+        points = [hopf.sample_point(rng) for _ in range(12)]
+        pairs = [(q0, q1) for q0, q1 in zip(points[:6], points[6:])
+                 if targets["recovered"].in_domain(q0, q1)
+                 and targets["lift2"].in_domain(q0, hopf.project(q1))]
+        items = [(q0, hopf.project(q1)) for q0, q1 in pairs]
+        forms = [(targets["form"], pairs), (targets["recovered"], pairs)]
+        lifts = [(targets["lift"], items), (targets["lift2"], items)]
+        merged = answer_queries(forms + lifts)
+        assert len(pairs) > 3
+        for (form, batch), values in zip(forms, merged[:2]):
+            assert [g.angle for g in form.evaluate_many(batch)] == [g.angle for g in values]
+        for (lift, batch), lifted in zip(lifts, merged[2:]):
+            assert ([p.components() for p in lift.lift_many(batch)]
+                    == [p.components() for p in lifted])
 
     def test_form_without_batched_evaluator_gives_the_same_report(self):
         form = riemannian_form(16)
@@ -339,6 +378,16 @@ class TestCompareForms:
             hopf, lambda q0, q1: None, lambda q0, q1: False, "closed-form")
         with pytest.raises(EmptyDomainIntersection):
             compare_forms(closed, nowhere, SampleConfig(seed=1, n_samples=10))
+
+    def test_partial_intersection_names_the_uncovered_sample(self, hopf):
+        # most samples find a pair in the small cap, but one whose every
+        # draw misses it fails the comparison instead of being dropped
+        closed = hopf_closed_form()
+        cap = DiscreteConnectionForm(
+            hopf, closed.evaluate, lambda q0, q1: closed.in_domain(q0, q1) and q0.w > 0.9,
+            "closed-form")
+        with pytest.raises(EmptyDomainIntersection, match=r"sample \d+"):
+            compare_forms(closed, cap, SampleConfig(seed=1, n_samples=200))
 
 
 class TestSweep:
