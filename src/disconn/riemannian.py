@@ -19,9 +19,13 @@ and v the base velocity,
 The factor u is imaginary and orthogonal to r, so h is tangent to the
 sphere through q and orthogonal to the vertical direction i q for every
 nonzero q, and d(project)(q)[h] = conj(h) i q + conj(q) i h = 2 P x u
-equals v - r <r, v>, which is v for base-tangent velocities.  The stage
-is computed column by column from scalar products and sums, so each
-row's result does not depend on how many rows share the batch.
+equals v - r <r, v>, which is v for base-tangent velocities.
+
+A batch is stored component-major: n quaternions as a (4, n) array whose
+rows are the w, x, y, z components, and n base vectors as (3, n).  Every
+helper works elementwise on those contiguous component rows, so each
+pair's result does not depend on how many pairs share the batch, and a
+non-finite stage is caught once per step on the renormalized state.
 
 Both integrated forms lift from q0 and translate onto q1 under one fiber
 guard, a single pair as a batch of one; they differ in the base velocity
@@ -151,45 +155,46 @@ def base_geodesic(r0: Quaternion, r1: Quaternion) -> GeodesicSegment:
 
 
 # ---------------------------------------------------------------------------
-# vectorized quaternion helpers (rows are w, x, y, z components)
+# vectorized quaternion helpers (component-major: rows are the w, x, y, z
+# components of (4, n) quaternions, or of (3, n) base vectors)
 # ---------------------------------------------------------------------------
 
 def _qmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    w2, x2, y2, z2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
     out = np.empty_like(a)
-    out[:, 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    out[:, 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-    out[:, 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-    out[:, 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    out[0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out[1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
     return out
 
 
 def _conj_rows(a: np.ndarray) -> np.ndarray:
     out = a.copy()
-    out[:, 1:] *= -1.0
+    out[1:] *= -1.0
     return out
 
 
 def _project_rows(q: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise symmetric bilinear B(q, p) with B(q, q) = Im(conj(q) i q).
+    """Column-wise symmetric bilinear B(q, p) with B(q, q) = Im(conj(q) i q).
 
     2 B(q, p) is the derivative of the projection at q along p.  Terms are
     grouped as (a b + b a) - (c d + d c), which is 2 (a b - c d) bit for
     bit when p is q.
     """
     p = q if p is None else p
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    pw, px, py, pz = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    out = np.empty((q.shape[0], 3))
-    out[:, 0] = w * pw + x * px - y * py - z * pz
-    out[:, 1] = (x * py + y * px) - (w * pz + z * pw)
-    out[:, 2] = (w * py + y * pw) + (x * pz + z * px)
+    w, x, y, z = q
+    pw, px, py, pz = p
+    out = np.empty((3, q.shape[1]))
+    out[0] = w * pw + x * px - y * py - z * pz
+    out[1] = (x * py + y * px) - (w * pz + z * pw)
+    out[2] = (w * py + y * pw) + (x * pz + z * px)
     return out
 
 
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
+    return q / np.sqrt(np.add.reduce(q * q, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +202,17 @@ def _normalize_rows(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _stage_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-row horizontal velocity h = q (v x r) / (2 |q|^2) over base velocity v.
+    """Per-column horizontal velocity h = q (v x r) / (2 |q|^2) over base velocity v.
 
-    Written elementwise on the columns, so every row is computed by the
-    same operations whatever the batch size.
+    Written elementwise on the component rows, so every column is computed
+    by the same operations whatever the batch size.  A zero q gives a
+    non-finite h, which the integrator's guard reports.
     """
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
-    norm2 = w * w + x * x + y * y + z * z
-    r0 = (w * w + x * x - y * y - z * z) / norm2
+    w, x, y, z = q
+    v0, v1, v2 = v
+    ww, xx, yy, zz = q * q
+    norm2 = ww + xx + yy + zz
+    r0 = (ww + xx - yy - zz) / norm2
     r1 = 2.0 * (x * y - w * z) / norm2
     r2 = 2.0 * (w * y + x * z) / norm2
     half = 0.5 / norm2
@@ -213,12 +220,10 @@ def _stage_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     u1 = (v2 * r0 - v0 * r2) * half
     u2 = (v0 * r1 - v1 * r0) * half
     h = np.empty_like(q)
-    h[:, 0] = -(x * u0 + y * u1 + z * u2)
-    h[:, 1] = w * u0 + y * u2 - z * u1
-    h[:, 2] = w * u1 - x * u2 + z * u0
-    h[:, 3] = w * u2 + x * u1 - y * u0
-    if not np.all(np.isfinite(h)):
-        raise SolveFailed("non-finite stage velocity in the horizontal lift")
+    h[0] = -(x * u0 + y * u1 + z * u2)
+    h[1] = w * u0 + y * u2 - z * u1
+    h[2] = w * u1 - x * u2 + z * u0
+    h[3] = w * u2 + x * u1 - y * u0
     return h
 
 
@@ -233,17 +238,19 @@ def _integrate_rows(q0: np.ndarray,
                     collect: bool = False):
     """Classical four-stage Runge-Kutta over the unit interval.
 
-    ``velocity_fn(t)`` returns the base velocities (rows) at time t; the
-    state is renormalized to the sphere after every step.  Returns the
-    final rows plus, when ``collect``, the sampled times, states and the
-    first-stage velocities.
+    ``q0`` is a (4, n) batch and ``velocity_fn(t)`` returns the (3, n) base
+    velocities at time t; the state is renormalized to the sphere after
+    every step.  A non-finite stage velocity carries into the renormalized
+    state, which is checked once per step.  Returns the final state plus,
+    when ``collect``, the sampled times, states and the first-stage
+    velocities.
     """
     _check_steps(steps)
-    q = q0.copy()
+    q = q0
     dt = 1.0 / steps
     v_t = velocity_fn(0.0)
     times = [0.0]
-    path = [q.copy()] if collect else None
+    path = [q] if collect else None
     vels = [] if collect else None
     for n in range(steps):
         t = n * dt
@@ -255,40 +262,43 @@ def _integrate_rows(q0: np.ndarray,
         k4 = _stage_rows(q + dt * k3, v_next)
         q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         q = _normalize_rows(q)
+        if not np.isfinite(q).all():
+            raise SolveFailed("non-finite stage velocity in the horizontal lift")
         if collect:
             vels.append(k1)
-            path.append(q.copy())
+            path.append(q)
             times.append((n + 1) * dt)
         v_t = v_next
     return q, times, path, vels
 
 
 def _arc_rows(a: np.ndarray, b: np.ndarray):
-    """Position and velocity fields of the row-wise constant-speed arcs a to b.
+    """Position and velocity fields of the column-wise constant-speed arcs a to b.
 
-    Nearly equal rows follow the chord; antipodal rows raise AntipodalPoints.
+    Nearly equal columns follow the chord; antipodal columns raise
+    AntipodalPoints.
     """
-    dot = np.clip(np.sum(a * b, axis=1), -1.0, 1.0)
+    dot = np.clip(np.sum(a * b, axis=0), -1.0, 1.0)
     if np.any(dot <= -1.0 + ANTIPODAL_DOT_BUFFER):
         raise AntipodalPoints("no unique minimizing arc between antipodal points")
     omega = np.arccos(dot)
     sin_omega = np.sin(omega)
     small = sin_omega < 1e-9
+    any_small = small.any()
     safe = np.where(small, 1.0, sin_omega)
     scale = np.where(small, 0.0, omega / safe)
+    chord = b - a
 
     def position(t: float) -> np.ndarray:
-        p = (np.sin((1.0 - t) * omega) / safe)[:, None] * a \
-            + (np.sin(t * omega) / safe)[:, None] * b
-        if small.any():
-            p[small] = (a + t * (b - a))[small]
+        p = (np.sin((1.0 - t) * omega) / safe) * a + (np.sin(t * omega) / safe) * b
+        if any_small:
+            p[:, small] = (a + t * chord)[:, small]
         return p
 
     def velocity(t: float) -> np.ndarray:
-        v = scale[:, None] * (-np.cos((1.0 - t) * omega)[:, None] * a
-                              + np.cos(t * omega)[:, None] * b)
-        if small.any():
-            v[small] = (b - a)[small]
+        v = scale * (-np.cos((1.0 - t) * omega) * a + np.cos(t * omega) * b)
+        if any_small:
+            v[:, small] = chord[:, small]
         return v
 
     return position, velocity
@@ -323,18 +333,18 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
 
     def velocity_fn(t: float) -> np.ndarray:
         vec = segment.velocity(t).vec
-        return np.array([[vec.x, vec.y, vec.z]])
+        return np.array([[vec.x], [vec.y], [vec.z]])
 
-    rows = np.array([q0.components()], dtype=float)
-    end, times, path, vels = _integrate_rows(rows, velocity_fn, steps,
+    column = np.array([q0.components()], dtype=float).T
+    end, times, path, vels = _integrate_rows(column, velocity_fn, steps,
                                              collect=store_path)
-    endpoint = UnitQuaternion(*end[0])
+    endpoint = UnitQuaternion(*end[:, 0])
     trajectory = None
     velocity_samples = None
     if store_path:
-        trajectory = [(t, UnitQuaternion(*p[0])) for t, p in zip(times, path)]
+        trajectory = [(t, UnitQuaternion(*p[:, 0])) for t, p in zip(times, path)]
         velocity_samples = [
-            TangentVector(trajectory[n][1], Quaternion(*k[0]))
+            TangentVector(trajectory[n][1], Quaternion(*k[:, 0]))
             for n, k in enumerate(vels)
         ]
     return LiftResult(endpoint, trajectory, velocity_samples, steps)
@@ -366,37 +376,40 @@ def hopf_closed_form() -> DiscreteConnectionForm:
     return DiscreteConnectionForm(_HOPF, ev, _hopf_in_domain, "closed-form")
 
 
-def _translate_endpoints(end_rows: np.ndarray, q1_rows: np.ndarray) -> list[CircleElement]:
-    base_err = np.linalg.norm(_project_rows(end_rows) - _project_rows(q1_rows),
-                              axis=1)
+def _translate_endpoints(end: np.ndarray, q1: np.ndarray) -> list[CircleElement]:
+    base_err = np.linalg.norm(_project_rows(end) - _project_rows(q1), axis=0)
     if np.any(base_err > LIFT_FIBER_ATOL):
         raise SolveFailed(
             f"integrated endpoint strayed {base_err.max():.3e} from the target fiber")
-    u = _qmul_rows(q1_rows, _conj_rows(end_rows))
-    return [CircleElement(math.atan2(row[1], row[0])) for row in u]
+    u = _qmul_rows(q1, _conj_rows(end))
+    return [CircleElement(math.atan2(x, w)) for w, x in zip(*u[:2].tolist())]
 
 
 def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
                      provenance: str, **flags) -> DiscreteConnectionForm:
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
 
-    ``base_velocity(q0_rows, q1_rows)`` returns the velocity field of the
-    base paths of a batch.
+    ``base_velocity(q0, q1)`` returns the velocity field of the base paths
+    of a (4, n) batch.
     """
     _check_steps(steps)
 
+    def columns(points) -> np.ndarray:
+        return np.array([q.components() for q in points],
+                        dtype=float).reshape(-1, 4).T.copy()
+
     def ev_many(pairs) -> list[CircleElement]:
-        q0_rows = np.array([p[0].components() for p in pairs], dtype=float)
-        q1_rows = np.array([p[1].components() for p in pairs], dtype=float)
-        end, _, _, _ = _integrate_rows(q0_rows, base_velocity(q0_rows, q1_rows), steps)
-        return _translate_endpoints(end, q1_rows)
+        q0 = columns(p[0] for p in pairs)
+        q1 = columns(p[1] for p in pairs)
+        end, _, _, _ = _integrate_rows(q0, base_velocity(q0, q1), steps)
+        return _translate_endpoints(end, q1)
 
     return DiscreteConnectionForm(_HOPF, None, in_domain, provenance,
                                   evaluate_many_fn=ev_many, **flags)
 
 
-def _base_arc_velocity(q0_rows: np.ndarray, q1_rows: np.ndarray) -> Callable:
-    return _arc_rows(_project_rows(q0_rows), _project_rows(q1_rows))[1]
+def _base_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:
+    return _arc_rows(_project_rows(q0), _project_rows(q1))[1]
 
 
 def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
@@ -415,8 +428,8 @@ def _lmw_in_domain(q0: UnitQuaternion, q1: UnitQuaternion) -> bool:
     return q0.dot(q1) > -1.0 + ANTIPODAL_DOT_BUFFER
 
 
-def _projected_arc_velocity(q0_rows: np.ndarray, q1_rows: np.ndarray) -> Callable:
-    position, velocity = _arc_rows(q0_rows, q1_rows)
+def _projected_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:
+    position, velocity = _arc_rows(q0, q1)
     return lambda t: 2.0 * _project_rows(position(t), velocity(t))
 
 

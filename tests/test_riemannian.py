@@ -24,7 +24,13 @@ from disconn import (
     lmw_form,
     riemannian_form,
 )
-from disconn.riemannian import _conj_rows, _project_rows, _qmul_rows, _stage_rows
+from disconn.riemannian import (
+    _conj_rows,
+    _integrate_rows,
+    _project_rows,
+    _qmul_rows,
+    _stage_rows,
+)
 from disconn.rng import substream
 
 from conftest import HALF_J, I_BASE, I_POINT, J_POINT, K_BASE, ONE
@@ -123,10 +129,29 @@ class TestBaseGeodesic:
 
 
 def _stage_inputs(n, seed, scale=1.0):
+    """Random (4, n) quaternions of norm ``scale`` and (3, n) base velocities."""
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n, 4))
     q = scale * q / np.linalg.norm(q, axis=1, keepdims=True)
-    return q, rng.normal(size=(n, 3))
+    return q.T.copy(), rng.normal(size=(n, 3)).T.copy()
+
+
+def _stage_scalar(q, v):
+    """h = q (v x r) / (2 |q|^2) for one quaternion, one float operation at a time."""
+    w, x, y, z = q
+    v0, v1, v2 = v
+    norm2 = w * w + x * x + y * y + z * z
+    r0 = (w * w + x * x - y * y - z * z) / norm2
+    r1 = 2.0 * (x * y - w * z) / norm2
+    r2 = 2.0 * (w * y + x * z) / norm2
+    half = 0.5 / norm2
+    u0 = (v1 * r2 - v2 * r1) * half
+    u1 = (v2 * r0 - v0 * r2) * half
+    u2 = (v0 * r1 - v1 * r0) * half
+    return [-(x * u0 + y * u1 + z * u2),
+            w * u0 + y * u2 - z * u1,
+            w * u1 - x * u2 + z * u0,
+            w * u2 + x * u1 - y * u0]
 
 
 class TestClosedFormStage:
@@ -134,47 +159,54 @@ class TestClosedFormStage:
     def test_tangent_horizontal_and_base_matching(self, scale):
         q, v = _stage_inputs(200, 3, scale)
         h = _stage_rows(q, v)
-        i_rows = np.tile([0.0, 1.0, 0.0, 0.0], (len(q), 1))
-        iq = _qmul_rows(i_rows, q)
-        assert np.abs(np.sum(h * q, axis=1)).max() <= 1e-14
-        assert np.abs(np.sum(h * iq, axis=1)).max() <= 1e-14
+        i_cols = np.tile([[0.0], [1.0], [0.0], [0.0]], (1, q.shape[1]))
+        iq = _qmul_rows(i_cols, q)
+        assert np.abs(np.sum(h * q, axis=0)).max() <= 1e-14
+        assert np.abs(np.sum(h * iq, axis=0)).max() <= 1e-14
         # d(project)(q)[h] = Im(conj(h) i q + conj(q) i h) = v - r <r, v>
         dpi = (_qmul_rows(_conj_rows(h), iq)
-               + _qmul_rows(_conj_rows(q), _qmul_rows(i_rows, h)))[:, 1:]
-        r = _project_rows(q) / np.sum(q * q, axis=1, keepdims=True)
-        expected = v - r * np.sum(r * v, axis=1, keepdims=True)
+               + _qmul_rows(_conj_rows(q), _qmul_rows(i_cols, h)))[1:]
+        r = _project_rows(q) / np.sum(q * q, axis=0)
+        expected = v - r * np.sum(r * v, axis=0)
         assert np.abs(dpi - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7, 1.3])
+    def test_matches_the_scalar_transcription_bit_for_bit(self, scale):
+        q, v = _stage_inputs(1000, 8, scale)
+        expected = [_stage_scalar(qk, vk) for qk, vk in zip(q.T.tolist(), v.T.tolist())]
+        assert _stage_rows(q, v).T.tolist() == expected
 
     def test_row_does_not_depend_on_batch_size(self):
         q, v = _stage_inputs(64, 4, 1.1)
         batch = _stage_rows(q, v)
         for k in range(64):
-            assert np.array_equal(_stage_rows(q[k:k + 1], v[k:k + 1])[0], batch[k])
+            assert np.array_equal(_stage_rows(q[:, k:k + 1], v[:, k:k + 1])[:, 0], batch[:, k])
 
     def test_non_finite_stage_raises(self):
         from disconn import SolveFailed
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(SolveFailed):
-                _stage_rows(np.zeros((1, 4)), np.ones((1, 3)))
+            assert not np.isfinite(_stage_rows(np.zeros((4, 1)), np.ones((3, 1)))).any()
+            with pytest.raises(SolveFailed, match="non-finite stage velocity"):
+                _integrate_rows(np.zeros((4, 1)), lambda t: np.ones((3, 1)), 4)
 
 
 class TestProjectionRows:
     def test_bilinear_form_is_the_projection_derivative(self):
         q, _ = _stage_inputs(200, 5)
-        w = np.random.default_rng(6).normal(size=(200, 4))
-        w -= q * np.sum(q * w, axis=1, keepdims=True)
+        w = np.random.default_rng(6).normal(size=(200, 4)).T.copy()
+        w -= q * np.sum(q * w, axis=0)
         eps = 1e-3
         central = (_project_rows(q + eps * w) - _project_rows(q - eps * w)) / (2.0 * eps)
         derivative = 2.0 * _project_rows(q, w)
         assert np.abs(derivative - central).max() <= 1e-10
         # a velocity tangent to the total sphere projects to one tangent to the base
-        assert np.abs(np.sum(derivative * _project_rows(q), axis=1)).max() <= 1e-13
+        assert np.abs(np.sum(derivative * _project_rows(q), axis=0)).max() <= 1e-13
         assert np.array_equal(_project_rows(q, w), _project_rows(w, q))
         # the base point keeps the bits of the product written out
-        w0, x, y, z = q.T
+        w0, x, y, z = q
         assert np.array_equal(_project_rows(q), np.stack(
             [w0 * w0 + x * x - y * y - z * z, 2.0 * (x * y - w0 * z),
-             2.0 * (w0 * y + x * z)], axis=1))
+             2.0 * (w0 * y + x * z)]))
 
 
 class TestHorizontalLift:
@@ -269,6 +301,32 @@ class TestGeodesicForm:
         # a single pair is a batch of one, so it gives the same bits
         for (q0, q1), g in zip(pairs, batch):
             assert form.evaluate(q0, q1).angle == g.angle
+
+    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    def test_mixed_batch_with_chord_rows_matches_batches_of_one(self, factory):
+        # (q, q) and same-fiber pairs (q, g q) give arcs with sin(omega) below
+        # 1e-9, which follow the chord; ordinary pairs sit between them
+        b = hopf()
+        form = factory(16)
+        pairs = []
+        for i in range(30):
+            rng = substream(78, i)
+            q, q1 = b.sample_point(rng), b.sample_point(rng)
+            pairs += [(q, q), (q, b.act(b.sample_group(rng), q)), (q, q1)]
+        pairs = [p for p in pairs if form.in_domain(*p)]
+        ends = [np.array([p[k].components() for p in pairs]).T for k in (0, 1)]
+        if factory is riemannian_form:
+            ends = [_project_rows(e) for e in ends]
+        dot = np.clip(np.sum(ends[0] * ends[1], axis=0), -1.0, 1.0)
+        assert np.count_nonzero(np.sin(np.arccos(dot)) < 1e-9) >= 20
+        batch = form.evaluate_many(pairs)
+        assert len(batch) == len(pairs) >= 80
+        for (q0, q1), g in zip(pairs, batch):
+            assert form.evaluate(q0, q1).angle == g.angle
+
+    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    def test_empty_batch(self, factory):
+        assert factory(8).evaluate_many([]) == []
 
     def test_integer_anchor_gives_the_float_anchor_bits(self):
         # rows built from integer components must not keep an integer dtype

@@ -31,12 +31,12 @@ from disconn.verify import CSV_HEADER
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """Row count of every integrator call made while the test runs."""
+    """Pair count of every integrator call made while the test runs."""
     rows = []
     integrate = riemannian._integrate_rows
 
     def counting(q0, *args, **kwargs):
-        rows.append(q0.shape[0])
+        rows.append(q0.shape[1])
         return integrate(q0, *args, **kwargs)
 
     monkeypatch.setattr(riemannian, "_integrate_rows", counting)
