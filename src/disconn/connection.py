@@ -10,7 +10,9 @@ under the product group action.  This module implements:
   function C,
 * the two mutually inverse conversions between forms and lifts,
 * pointwise numerical probes of horizontal slices (separation from the
-  group orbit and transversality of tangents), and
+  group orbit and transversality of tangents), whose slice points are
+  the horizontal partners of the pair decomposition, each re-evaluated
+  to check that it is horizontal, and
 * the reduced-space identification sending a pair to base points plus an
   adjoint-bundle class.
 
@@ -34,9 +36,6 @@ from .rng import SplitMix64, substream
 
 #: a pair is horizontal when its group value has angle magnitude below this
 HORIZONTAL_ANGLE_ATOL = 1e-8
-#: residual below which the slice root solve is accepted
-_ROOT_ATOL = 1e-9
-_ROOT_MAX_ITER = 80
 
 
 class DiscreteConnectionForm:
@@ -387,65 +386,33 @@ class SliceProbeReport:
     passed: bool
 
 
-def _solve_group_angle(form: DiscreteConnectionForm, q, p) -> float:
-    """Angle t such that act(e^{it}, p) lies on the horizontal slice through q.
+def _slice_points(form: DiscreteConnectionForm, q, points: Sequence) -> list:
+    """Point of each p's fiber on the horizontal slice through q, checked.
 
-    Runs a coarse scan followed by bracketed bisection with secant
-    refinement on the group coordinate; raises ProbeFailed when a probed
-    point leaves the form's domain, no bracket is found or the residual
-    does not converge.  The scan angles are evaluated in one batch and
-    each bracket in another; the refinement steps run one at a time.
+    Equivariance gives every pair one vertical-times-horizontal split, so
+    the slice meets the fiber of p at act(A(q, p)^{-1}, p), the partner
+    :func:`decompose_pair` computes.  Both rounds of evaluation are one
+    batch each: the values at (q, p), then the values at the partners,
+    which must be horizontal within ``HORIZONTAL_ANGLE_ATOL``.  Raises
+    ProbeFailed when a pair leaves the form's domain or a partner's
+    residual exceeds that tolerance.
     """
     bundle = form.bundle
 
-    def residuals(thetas: Sequence[float]) -> list[float]:
-        moved = [bundle.act(CircleElement(theta), p) for theta in thetas]
-        if not all(form.in_domain(q, m) for m in moved):
-            raise ProbeFailed("probe left the form's domain while scanning the fiber")
-        return [g.angle for g in form.evaluate_many([(q, m) for m in moved])]
+    def values(ps):
+        if not all(form.in_domain(q, p) for p in ps):
+            raise ProbeFailed("probe left the form's domain")
+        return form.evaluate_many([(q, p) for p in ps])
 
-    n_scan = 24
-    spacing = math.tau / n_scan
-    thetas = [-math.pi + (k + 0.5) * spacing for k in range(n_scan)]
-    values = residuals(thetas)
-    best = min(range(n_scan), key=lambda k: abs(values[k]))
-
-    half = spacing
-    a, b = thetas[best] - half, thetas[best] + half
-    fa, fb = residuals((a, b))
-    widened = 0
-    while fa * fb > 0.0 and widened < 2:
-        half *= 2.0
-        a, b = thetas[best] - half, thetas[best] + half
-        fa, fb = residuals((a, b))
-        widened += 1
-    if fa * fb > 0.0:
-        raise ProbeFailed("no sign change bracketing the slice equation root")
-
-    best_theta, best_val = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    for _ in range(_ROOT_MAX_ITER):
-        if abs(best_val) <= _ROOT_ATOL or (b - a) < 1e-14:
-            break
-        x = None
-        if fb != fa:
-            x = b - fb * (b - a) / (fb - fa)  # secant candidate
-        if x is None or not (a < x < b) or not math.isfinite(x):
-            x = 0.5 * (a + b)
-        (fx,) = residuals((x,))
-        if abs(fx) < abs(best_val):
-            best_theta, best_val = x, fx
-        if fa * fx <= 0.0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    if abs(best_val) > 1e-8:
-        raise ProbeFailed(f"slice equation residual {best_val:.3e} did not converge")
-    return best_theta
-
-
-def _slice_point(form: DiscreteConnectionForm, q, p):
-    theta = _solve_group_angle(form, q, p)
-    return form.bundle.act(CircleElement(theta), p)
+    partners = [bundle.act(bundle.group_inverse(g), p)
+                for g, p in zip(values(points), points)]
+    for g in values(partners):
+        if not abs(g.angle) <= HORIZONTAL_ANGLE_ATOL:
+            raise ProbeFailed(
+                f"slice point residual {abs(g.angle):.3e} exceeds "
+                f"{HORIZONTAL_ANGLE_ATOL:.0e}: the form is not equivariant "
+                f"along that fiber")
+    return partners
 
 
 def slice_probe(form: DiscreteConnectionForm, q, budget: int,
@@ -455,15 +422,17 @@ def slice_probe(form: DiscreteConnectionForm, q, budget: int,
                 box: float = 2.0) -> SliceProbeReport:
     """Sample the horizontal slice through q and the orbit of q; measure separation.
 
-    Slice points are found by root-solving the group coordinate along
-    random fiber directions; orbit points are random group translates of
-    q.  Samples inside ``exclusion_radius`` of q are dropped and the
-    minimum cross distance of the rest must exceed ``separation``; with
-    no slice sample or no orbit sample kept, the probe does not pass.
+    Slice points are the horizontal partners of random points p, each
+    checked to be horizontal (see :func:`_slice_points`); orbit points are
+    random group translates of q.  All draws come first; computing the
+    slice points draws nothing.  Samples inside ``exclusion_radius`` of q
+    are dropped and the minimum cross distance of the rest must exceed
+    ``separation``; with no slice sample or no orbit sample kept, the
+    probe does not pass.
     """
     bundle = form.bundle
     rng = substream(seed, 0x511CE)
-    slice_pts = []
+    fiber_pts = []
     orbit_pts = []
     for _ in range(budget):
         p = bundle.sample_point(rng, box=box)
@@ -473,8 +442,9 @@ def slice_probe(form: DiscreteConnectionForm, q, budget: int,
             attempts += 1
             if attempts > 100:
                 raise ProbeFailed("could not sample a fiber direction in the domain")
-        slice_pts.append(_slice_point(form, q, p))
+        fiber_pts.append(p)
         orbit_pts.append(bundle.act(bundle.sample_group(rng), q))
+    slice_pts = _slice_points(form, q, fiber_pts)
 
     kept_slice = [p for p in slice_pts if bundle.distance(p, q) > exclusion_radius]
     kept_orbit = [p for p in orbit_pts if bundle.distance(p, q) > exclusion_radius]
@@ -504,17 +474,17 @@ def tangent_split_check(form: DiscreteConnectionForm, q,
     """Check that slice and orbit tangents at q together span the total tangent space.
 
     Slice tangents come from central finite differences of the slice
-    parametrization over base directions; the orbit tangent from the
+    parametrization over base directions, all 2 * dim_base slice points
+    from one :func:`_slice_points` call; the orbit tangent from the
     derivative of the group action at the identity.  The combined matrix
     must have numerical rank dim_total (or dim_total - dim_group when the
     orbit column is dropped, which checks the dimension count).
     """
     bundle = form.bundle
-    columns = []
-    for curve in bundle.base_direction_curves(q):
-        plus = _slice_point(form, q, curve(fd_step))
-        minus = _slice_point(form, q, curve(-fd_step))
-        columns.append(bundle.embed_difference(plus, minus) / (2.0 * fd_step))
+    ends = _slice_points(form, q, [curve(t) for curve in bundle.base_direction_curves(q)
+                                   for t in (fd_step, -fd_step)])
+    columns = [bundle.embed_difference(plus, minus) / (2.0 * fd_step)
+               for plus, minus in zip(ends[::2], ends[1::2])]
     if not drop_orbit:
         gp = CircleElement(fd_step)
         plus = bundle.act(gp, q)

@@ -242,6 +242,14 @@ class TestSliceProbeCommand:
         assert data["verdict"] == "pass"
         assert len(data["points"]) == 3
 
+    def test_variant_cannot_be_probed(self, capsys):
+        code, out, err = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                             "lmw", "--points", "1", "--steps", "64", "--budget", "4",
+                             "--seed", "3")
+        assert code == 2
+        assert out == ""
+        assert "not equivariant along that fiber" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "slice-probe", "--bundle", "trivial", "--form",
                            "trivial-c", "--points", "2", "--budget", "8",

@@ -9,11 +9,14 @@ from disconn import (
     ProbeFailed,
     TrivialBundle,
     hopf_closed_form,
+    lmw_form,
     make_c_function,
+    riemannian_form,
     slice_probe,
     tangent_split_check,
     trivial_form_from_C,
 )
+from disconn.connection import HORIZONTAL_ANGLE_ATOL, _slice_points
 from disconn.rng import substream
 
 from conftest import ONE
@@ -59,17 +62,42 @@ class TestSliceProbe:
             slice_probe(broken, ONE, 4, seed=2)
 
 
-    def test_scan_leaving_the_domain_raises(self, hopf):
-        # the domain keeps only pairs whose closed-form phase is below 2, so
-        # every fiber scan crosses its boundary
+    def test_partner_leaving_the_domain_raises(self, hopf):
+        # the domain keeps only pairs whose closed-form phase exceeds 0.5 in
+        # magnitude, so it excludes every horizontal partner
         closed = hopf_closed_form()
 
         def dom(q0, q1):
-            return closed.in_domain(q0, q1) and abs(closed.evaluate(q0, q1).angle) < 2.0
+            return closed.in_domain(q0, q1) and abs(closed.evaluate(q0, q1).angle) > 0.5
 
         narrow = DiscreteConnectionForm(hopf, closed.evaluate, dom, "closed-form")
         with pytest.raises(ProbeFailed, match="left the form's domain"):
             slice_probe(narrow, ONE, 4, seed=2)
+
+    def test_variant_is_not_equivariant_along_the_fiber(self, hopf):
+        q = hopf.sample_point(substream(65, 0))
+        with pytest.raises(ProbeFailed, match="not equivariant along that fiber"):
+            slice_probe(lmw_form(64), q, 4, seed=3)
+
+
+@pytest.mark.parametrize("form", [
+    pytest.param(hopf_closed_form(), id="closed"),
+    pytest.param(riemannian_form(32), id="geodesic"),
+    pytest.param(trivial_form_from_C(TrivialBundle(2),
+                                     make_c_function("linear", (0.7, -0.4), 2)),
+                 id="linear"),
+])
+def test_slice_points_are_horizontal_partners_on_the_fiber(form):
+    bundle = form.bundle
+    rng = substream(66, 0)
+    for i in range(3):
+        q = bundle.sample_point(substream(67, i))
+        points = [bundle.sample_point(rng) for _ in range(8)]
+        points = [p for p in points if form.in_domain(q, p)]
+        assert points
+        for p, h in zip(points, _slice_points(form, q, points)):
+            assert abs(form.evaluate(q, h).angle) <= HORIZONTAL_ANGLE_ATOL
+            bundle.fiber_translation(p, h)  # raises NotSameFiber off the fiber
 
 
 class TestTangentSplit:
