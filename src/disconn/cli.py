@@ -8,8 +8,9 @@ Exit codes: 0 on success/pass, 1 when a verification fails (axiom
 verdict ``fail`` or a probe below threshold), 2 on usage or
 configuration errors, including sizes that would make a run vacuous or
 undefined (``--steps``, ``--points`` or ``--budget`` below 1, a
-non-finite or non-positive ``--box``, ``--dim`` below 1, a theta grid of
-more than 10,000 values).  Reports are strict JSON; a probed point that
+non-finite or non-positive ``--box`` or ``--separation``, ``--dim``
+below 1, a non-finite ``--c-params`` weight, a theta grid of more than
+10,000 values).  Reports are strict JSON; a probed point that
 compared nothing has ``min_separation`` ``null`` and fails.  The
 environment variable DISCONN_SEED supplies the default seed.  Identical
 invocations write byte-identical outputs.
@@ -184,7 +185,8 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def _check_sizes(args) -> None:
-    """Reject a step count, box, probe count or budget that makes a run vacuous."""
+    """Reject a step count, box, probe count, budget or separation that would
+    make a run vacuous or undefined."""
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
     box = getattr(args, "box", 1.0)
@@ -194,6 +196,9 @@ def _check_sizes(args) -> None:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     if getattr(args, "budget", 1) < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
+    separation = getattr(args, "separation", 1.0)
+    if not (math.isfinite(separation) and separation > 0):
+        raise UsageError(f"--separation must be finite and above 0, got {separation}")
 
 
 def _cmd_verify(args) -> int:

@@ -36,6 +36,8 @@ from .rng import SplitMix64, substream
 
 #: a pair is horizontal when its group value has angle magnitude below this
 HORIZONTAL_ANGLE_ATOL = 1e-8
+#: candidates drawn for one sample before its domain counts as unreachable
+_RESAMPLE_LIMIT = 100
 
 
 class DiscreteConnectionForm:
@@ -217,7 +219,7 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
 
     ``constant`` ignores its parameters and always returns the identity.
     ``linear`` returns exp(i * sum_k w_k (r1_k - r0_k)) with weights taken
-    from ``params`` (default: all ones).
+    from ``params`` (default: all ones), which must be finite.
     """
     if family == "constant":
         return lambda r0, r1: CIRCLE_IDENTITY
@@ -225,6 +227,8 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
         weights = tuple(float(p) for p in params) if params else (1.0,) * dim
         if len(weights) != dim:
             raise InvalidC(f"linear family needs {dim} weights, got {len(weights)}")
+        if not all(math.isfinite(w) for w in weights):
+            raise InvalidC(f"linear family weights must be finite, got {weights}")
 
         def linear(r0, r1):
             return CircleElement(sum(w * (b - a) for w, a, b in zip(weights, r0, r1)))
@@ -435,13 +439,12 @@ def slice_probe(form: DiscreteConnectionForm, q, budget: int,
     fiber_pts = []
     orbit_pts = []
     for _ in range(budget):
-        p = bundle.sample_point(rng, box=box)
-        attempts = 0
-        while not form.in_domain(q, p):
+        for _ in range(_RESAMPLE_LIMIT):
             p = bundle.sample_point(rng, box=box)
-            attempts += 1
-            if attempts > 100:
-                raise ProbeFailed("could not sample a fiber direction in the domain")
+            if form.in_domain(q, p):
+                break
+        else:
+            raise ProbeFailed("could not sample a fiber direction in the domain")
         fiber_pts.append(p)
         orbit_pts.append(bundle.act(bundle.sample_group(rng), q))
     slice_pts = _slice_points(form, q, fiber_pts)

@@ -28,10 +28,10 @@ pair's result does not depend on how many pairs share the batch, and a
 non-finite stage is caught once per step on the renormalized state.
 
 Both integrated forms lift from q0 and translate onto q1 under one fiber
-guard, a single pair as a batch of one; they differ in the base velocity
-only: the minimizing base arc's, or the variant's exact 2 B(g, g') along
-the projected total-space arc g, with B symmetric and B(q, q) the base
-point of q.  All constructions are pure; forms built here are immutable
+guard and one antipodal guard, a single pair as a batch of one; they
+differ in the base velocity only: the minimizing base arc's, or the
+variant's exact 2 B(g, g') along the projected total-space arc g, with B
+symmetric and B(q, q) the base point of q.  All constructions are pure; forms built here are immutable
 and safe for concurrent evaluation.
 """
 
@@ -125,39 +125,31 @@ class GeodesicSegment:
 def base_geodesic(r0: Quaternion, r1: Quaternion) -> GeodesicSegment:
     """Great-circle arc between non-antipodal base points, unit-interval parametrized.
 
-    Arcs are invariant under rescaling the round metric, so lengths are
-    reported in the plain round metric.
+    The one-column view of :func:`_arc_rows`.  Arcs are invariant under
+    rescaling the round metric, so lengths are reported in the plain round
+    metric.
     """
-    dot = r0.dot(r1)
-    if dot <= -1.0 + ANTIPODAL_DOT_BUFFER:
-        raise AntipodalPoints("no unique minimizing arc between antipodal base points")
-    omega = math.acos(min(1.0, max(-1.0, dot)))
-    sin_omega = math.sin(omega)
+    position, velocity, omega = _arc_rows(_columns([r0]), _columns([r1]))
 
-    if sin_omega < 1e-9:
-        def evaluator(t: float) -> Quaternion:
-            p = r0 + t * (r1 - r0)
-            return p.normalized()
+    def evaluator(t: float) -> Quaternion:
+        return Quaternion(*position(t)[:, 0].tolist())
 
-        def velocity(t: float) -> TangentVector:
-            return TangentVector(evaluator(t), r1 - r0)
-    else:
-        def evaluator(t: float) -> Quaternion:
-            return (math.sin((1.0 - t) * omega) / sin_omega) * r0 \
-                + (math.sin(t * omega) / sin_omega) * r1
+    def tangent(t: float) -> TangentVector:
+        return TangentVector(evaluator(t), Quaternion(*velocity(t)[:, 0].tolist()))
 
-        def velocity(t: float) -> TangentVector:
-            vec = (omega / sin_omega) * (
-                (-math.cos((1.0 - t) * omega)) * r0 + math.cos(t * omega) * r1)
-            return TangentVector(evaluator(t), vec)
-
-    return GeodesicSegment(r0, r1, evaluator, velocity, omega)
+    return GeodesicSegment(r0, r1, evaluator, tangent, float(omega[0]))
 
 
 # ---------------------------------------------------------------------------
 # vectorized quaternion helpers (component-major: rows are the w, x, y, z
 # components of (4, n) quaternions, or of (3, n) base vectors)
 # ---------------------------------------------------------------------------
+
+def _columns(points) -> np.ndarray:
+    """Quaternions as the columns of a contiguous (4, n) array."""
+    return np.array([q.components() for q in points],
+                    dtype=float).reshape(-1, 4).T.copy()
+
 
 def _qmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     w1, x1, y1, z1 = a
@@ -272,14 +264,20 @@ def _integrate_rows(q0: np.ndarray,
     return q, times, path, vels
 
 
+def _arc_exists(dot):
+    """True where points with inner product ``dot`` have a unique minimizing arc."""
+    return dot > -1.0 + ANTIPODAL_DOT_BUFFER
+
+
 def _arc_rows(a: np.ndarray, b: np.ndarray):
     """Position and velocity fields of the column-wise constant-speed arcs a to b.
 
-    Nearly equal columns follow the chord; antipodal columns raise
+    Returns the two fields and the arc lengths omega.  Nearly equal
+    columns follow the chord; a column without a unique arc raises
     AntipodalPoints.
     """
     dot = np.clip(np.sum(a * b, axis=0), -1.0, 1.0)
-    if np.any(dot <= -1.0 + ANTIPODAL_DOT_BUFFER):
+    if not _arc_exists(dot).all():
         raise AntipodalPoints("no unique minimizing arc between antipodal points")
     omega = np.arccos(dot)
     sin_omega = np.sin(omega)
@@ -301,7 +299,7 @@ def _arc_rows(a: np.ndarray, b: np.ndarray):
             v[:, small] = chord[:, small]
         return v
 
-    return position, velocity
+    return position, velocity, omega
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +318,18 @@ class LiftResult:
 
 def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
                          steps: int, *, store_path: bool = False) -> LiftResult:
-    """Horizontal lift of a base arc starting at q0.
+    """Horizontal lift of the minimizing base arc of a segment, starting at q0.
 
     The start of the segment must be the base point of q0 (within 1e-9).
     With ``store_path`` the sampled trajectory and the per-step stage
     velocities are retained; each stored velocity is horizontal by
     construction, which the trajectory invariants test.
     """
-    r_start = _HOPF.project(q0)
-    if _HOPF.base_distance(r_start, segment.evaluator(0.0)) > 1e-9:
+    if _HOPF.base_distance(_HOPF.project(q0), segment.start) > 1e-9:
         raise ValueError("q0 does not lie over the start of the base segment")
-
-    def velocity_fn(t: float) -> np.ndarray:
-        vec = segment.velocity(t).vec
-        return np.array([[vec.x], [vec.y], [vec.z]])
-
-    column = np.array([q0.components()], dtype=float).T
-    end, times, path, vels = _integrate_rows(column, velocity_fn, steps,
-                                             collect=store_path)
+    velocity = _arc_rows(_columns([segment.start]), _columns([segment.end]))[1]
+    end, times, path, vels = _integrate_rows(_columns([q0]), lambda t: velocity(t)[1:],
+                                             steps, collect=store_path)
     endpoint = UnitQuaternion(*end[:, 0])
     trajectory = None
     velocity_samples = None
@@ -390,26 +382,29 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
 
     ``base_velocity(q0, q1)`` returns the velocity field of the base paths
-    of a (4, n) batch.
+    of a (4, n) batch.  ``in_domain`` is where the path's arc exists, so a
+    pair outside it raises AntipodalPoints.
     """
     _check_steps(steps)
 
-    def columns(points) -> np.ndarray:
-        return np.array([q.components() for q in points],
-                        dtype=float).reshape(-1, 4).T.copy()
-
     def ev_many(pairs) -> list[CircleElement]:
-        q0 = columns(p[0] for p in pairs)
-        q1 = columns(p[1] for p in pairs)
+        q0 = _columns(p[0] for p in pairs)
+        q1 = _columns(p[1] for p in pairs)
         end, _, _, _ = _integrate_rows(q0, base_velocity(q0, q1), steps)
         return _translate_endpoints(end, q1)
 
     return DiscreteConnectionForm(_HOPF, None, in_domain, provenance,
-                                  evaluate_many_fn=ev_many, **flags)
+                                  evaluate_many_fn=ev_many,
+                                  out_of_domain_error=AntipodalPoints, **flags)
 
 
 def _base_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:
     return _arc_rows(_project_rows(q0), _project_rows(q1))[1]
+
+
+def _base_arc_in_domain(q0: UnitQuaternion, q1: UnitQuaternion) -> bool:
+    # the base points of q0 and q1 have inner product 2 s - 1
+    return _arc_exists(2.0 * _phase_square_sum(q0, q1) - 1.0)
 
 
 def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
@@ -417,19 +412,20 @@ def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
 
     evaluate(q0, q1) lifts the minimizing base arc between the projections
     of q0 and q1, starting at q0, with ``steps`` Runge-Kutta steps, then
-    translates the endpoint onto q1.  Raises InvalidConfig when ``steps``
-    is below one.
+    translates the endpoint onto q1.  The domain is the pairs whose base
+    points have a unique minimizing arc, s > 5e-10 for s = u.w^2 + u.x^2,
+    u = q1 q0^{-1}.  Raises InvalidConfig when ``steps`` is below one.
     """
-    return _integrated_form(steps, _base_arc_velocity, _hopf_in_domain,
+    return _integrated_form(steps, _base_arc_velocity, _base_arc_in_domain,
                             "geodesic-built")
 
 
 def _lmw_in_domain(q0: UnitQuaternion, q1: UnitQuaternion) -> bool:
-    return q0.dot(q1) > -1.0 + ANTIPODAL_DOT_BUFFER
+    return _arc_exists(q0.dot(q1))
 
 
 def _projected_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:
-    position, velocity = _arc_rows(q0, q1)
+    position, velocity, _ = _arc_rows(q0, q1)
     return lambda t: 2.0 * _project_rows(position(t), velocity(t))
 
 
@@ -445,8 +441,7 @@ def lmw_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
     a non-connection.  Raises InvalidConfig when ``steps`` is below one.
     """
     return _integrated_form(steps, _projected_arc_velocity, _lmw_in_domain,
-                            "lmw-variant", flagged_non_connection=True,
-                            out_of_domain_error=AntipodalPoints)
+                            "lmw-variant", flagged_non_connection=True)
 
 
 def beta_formula(theta: float) -> float:

@@ -46,6 +46,7 @@ from . import __version__
 from .algebra import CircleElement, Q_J, UnitQuaternion, canonical_angle
 from .bundle import HopfBundle
 from .connection import (
+    _RESAMPLE_LIMIT,
     DiscreteConnectionForm,
     answer_queries,
     form_from_lift,
@@ -77,7 +78,6 @@ _DEFAULT_TOLERANCES = {
     "lmw-variant": 1e-6,
 }
 
-_RESAMPLE_LIMIT = 100
 #: samples per round of a form with its own batched evaluator
 _ROUND_SAMPLES = 512
 _COMPARE_STREAM = 0x10001

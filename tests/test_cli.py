@@ -171,6 +171,26 @@ class TestUsageErrors:
         assert out == ""
         assert "--box" in err
 
+    @pytest.mark.parametrize("separation", ["nan", "inf", "0", "-1"])
+    def test_probe_separation_not_finite_and_positive_rejected(self, capsys, separation):
+        # nan and inf cannot be written as strict JSON; a threshold of zero
+        # or below passes every probe
+        code, out, err = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                             "closed", "--points", "1", "--budget", "2",
+                             "--separation", separation)
+        assert code == 2
+        assert out == ""
+        assert "--separation" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_c_weight_rejected(self, capsys, weight):
+        code, out, err = run(capsys, "verify", "--bundle", "trivial", "--form",
+                             "trivial-c", "--c-family", "linear", "--c-params", weight,
+                             "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_probe_box_rejected(self, capsys):
         code, _, err = run(capsys, "slice-probe", "--bundle", "trivial", "--form",
                            "trivial-c", "--points", "1", "--box", "nan")

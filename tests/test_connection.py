@@ -101,6 +101,9 @@ class TestTrivialConstructions:
             make_c_function("nope")
         with pytest.raises(InvalidC):
             make_c_function("linear", (1.0, 2.0), 1)
+        for weight in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidC, match="finite"):
+                make_c_function("linear", (1.0, weight), 2)
 
     def test_lift_linear_family(self, line_bundle):
         lift = trivial_lift_from_C(line_bundle, make_c_function("linear", (1.0,), 1))

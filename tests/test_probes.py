@@ -16,7 +16,7 @@ from disconn import (
     tangent_split_check,
     trivial_form_from_C,
 )
-from disconn.connection import HORIZONTAL_ANGLE_ATOL, _slice_points
+from disconn.connection import HORIZONTAL_ANGLE_ATOL, _RESAMPLE_LIMIT, _slice_points
 from disconn.rng import substream
 
 from conftest import ONE
@@ -61,6 +61,20 @@ class TestSliceProbe:
         with pytest.raises(ProbeFailed):
             slice_probe(broken, ONE, 4, seed=2)
 
+
+    def test_fiber_direction_draw_tries_the_resample_limit(self, hopf):
+        # a domain holding nothing off the diagonal: every candidate is
+        # checked once, and the probe gives up after the shared budget
+        checked = []
+
+        def dom(q0, q1):
+            checked.append(q1)
+            return False
+
+        empty = DiscreteConnectionForm(hopf, None, dom, "closed-form")
+        with pytest.raises(ProbeFailed, match="fiber direction"):
+            slice_probe(empty, ONE, 4, seed=2)
+        assert len(checked) == _RESAMPLE_LIMIT
 
     def test_partner_leaving_the_domain_raises(self, hopf):
         # the domain keeps only pairs whose closed-form phase exceeds 0.5 in

@@ -328,6 +328,35 @@ class TestGeodesicForm:
     def test_empty_batch(self, factory):
         assert factory(8).evaluate_many([]) == []
 
+    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    def test_domain_is_where_the_form_evaluates(self, factory):
+        # q1 = u q0 approaches the edge of the form's arc log-uniformly in e:
+        # for the geodesic form e = u.w^2 + u.x^2 (base inner product
+        # 2 e - 1), for the variant e = 1 + <q0, q1>
+        b = hopf()
+        form = factory(32)
+        inside, outside = [], []
+        for i in range(200):
+            rng = substream(79, i)
+            e = 10.0 ** rng.uniform_in(-13.0, 0.0)
+            q0 = b.sample_point(rng)
+            if factory is riemannian_form:
+                phi, psi = rng.angle(), rng.angle()
+                c, d = math.sqrt(e), math.sqrt(1.0 - e)
+                u = Quaternion(c * math.cos(phi), c * math.sin(phi),
+                               d * math.cos(psi), d * math.sin(psi))
+            else:
+                axis = b.project(b.sample_point(rng))
+                u = Quaternion(e - 1.0, 0.0, 0.0, 0.0) + math.sqrt(e * (2.0 - e)) * axis
+            q1 = UnitQuaternion.from_quaternion(u * q0)
+            (inside if form.in_domain(q0, q1) else outside).append((q0, q1))
+        assert inside and outside
+        # every admitted pair evaluates, each as in a batch of one
+        assert len(form.evaluate_many(inside)) == len(inside)
+        for q0, q1 in outside:
+            with pytest.raises(AntipodalPoints):
+                form.evaluate(q0, q1)
+
     def test_integer_anchor_gives_the_float_anchor_bits(self):
         # rows built from integer components must not keep an integer dtype
         b = hopf()
