@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 #: construction drift below which unit quaternions renormalize silently
 RENORMALIZE_LIMIT = 1e-6
-#: enforced bound on | ||q|| - 1 | after construction
-UNIT_NORM_ATOL = 1e-9
 
 
 def canonical_angle(theta: float) -> float:

@@ -28,7 +28,7 @@ from typing import Optional
 from . import __version__
 from .bundle import HopfBundle, TrivialBundle
 from .connection import make_c_function, slice_probe, trivial_form_from_C
-from .errors import DisconnError, InvalidC
+from .errors import DisconnError
 from .riemannian import hopf_closed_form, lmw_form, riemannian_form
 from .rng import substream
 from .verify import SampleConfig, check_axioms, compare_forms, counterexample_sweep
@@ -82,11 +82,7 @@ def _build_form(args, bundle, which: str = ""):
         return lmw_form(args.steps)
     if form_name not in _TRIVIAL_FORMS:
         raise UsageError(f"form {form_name!r} is not available on trivial bundles")
-    try:
-        c_fn = make_c_function(family, params, bundle.dim)
-        return trivial_form_from_C(bundle, c_fn)
-    except InvalidC as exc:
-        raise UsageError(str(exc)) from None
+    return trivial_form_from_C(bundle, make_c_function(family, params, bundle.dim))
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -323,10 +319,7 @@ def run_cli(argv: Optional[list] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_slice_probe(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except DisconnError as exc:
+    except (UsageError, DisconnError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

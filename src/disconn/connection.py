@@ -4,7 +4,9 @@ A discrete connection form assigns a group element to pairs of nearby
 total points, vanishing on the diagonal and transforming equivariantly
 under the product group action.  This module implements:
 
-* the form / lift objects with explicit domain predicates,
+* the form / lift objects with explicit domain predicates, each pair's
+  domain checked once, where it comes in (a public call or a draw), never
+  again on its way to the root target that answers it,
 * the unique vertical-times-horizontal decomposition of a pair,
 * constructions of forms and lifts on trivial bundles from a base-pair
   function C,
@@ -40,20 +42,61 @@ HORIZONTAL_ANGLE_ATOL = 1e-8
 _RESAMPLE_LIMIT = 100
 
 
-class DiscreteConnectionForm:
+class _Target:
+    """What forms and lifts share: values on pairs with an explicit domain.
+
+    A pair's domain is checked once, by whatever brings it in from outside:
+    the public calls check every pair, while ``split`` and
+    :func:`answer_queries` serve pairs already checked and never check.  A
+    batched evaluator must give each pair the exact bits of a batch of one,
+    since reports keep the values their batch computed.
+
+    ``split(items)`` is ``(root, root_items, finish)``, with the values
+    ``finish(root(root_items))`` and neither map reading the root's answers;
+    a target is its own root unless it has a ``split_fn``.
+    """
+
+    _out_of_domain_error = OutOfDomain
+
+    def __init__(self, bundle: PrincipalBundle,
+                 fn: Optional[Callable],
+                 in_domain_fn: Callable,
+                 provenance: str,
+                 *,
+                 split_fn: Optional[Callable] = None):
+        self.bundle = bundle
+        self.provenance = provenance
+        self._values_fn = lambda items: [fn(a, b) for a, b in items]
+        self._in_domain_fn = in_domain_fn
+        self._split_fn = split_fn
+
+    def in_domain(self, a, b) -> bool:
+        return self._in_domain_fn(a, b)
+
+    def split(self, items: Sequence[tuple]) -> tuple:
+        if self._split_fn is None:
+            return self._values_fn, items, list
+        return self._split_fn(items)
+
+    def _checked_values(self, items: Sequence[tuple]) -> list:
+        for a, b in items:
+            if not self._in_domain_fn(a, b):
+                raise self._out_of_domain_error(
+                    f"pair outside the domain of this {self.provenance} {self._noun}")
+        return answer_queries([(self, items)])[0]
+
+
+class DiscreteConnectionForm(_Target):
     """Group-valued map on pairs of total points with an explicit domain.
 
     ``provenance`` records how the form was built: one of ``closed-form``,
-    ``C-built``, ``geodesic-built`` or ``lmw-variant``.  Objects tagged
-    ``lmw-variant`` additionally carry ``flagged_non_connection=True``:
-    they are form-shaped but intentionally violate equivariance.  A batched
-    evaluator (``evaluate_many_fn``) must give each pair the exact bits of a
-    batch of one, since reports keep the violations their batch computed.
-
-    ``split(pairs)`` is ``(root, root_pairs, finish)``, with the values
-    ``finish(root(root_pairs))`` and neither map reading the root's answers;
-    a form is its own root unless it has a ``split_fn``.
+    ``C-built``, ``geodesic-built`` or ``lmw-variant``.  ``batched`` is true
+    when the form evaluates a batch in one call (``evaluate_many_fn``, or a
+    ``split_fn`` to its root).  Domain checks and ``split`` are as for every
+    target (see :class:`_Target`).
     """
+
+    _noun = "form"
 
     def __init__(self, bundle: PrincipalBundle,
                  evaluate_fn: Optional[Callable],
@@ -62,96 +105,51 @@ class DiscreteConnectionForm:
                  *,
                  evaluate_many_fn: Optional[Callable] = None,
                  split_fn: Optional[Callable] = None,
-                 flagged_non_connection: bool = False,
                  out_of_domain_error: type = OutOfDomain):
-        self.bundle = bundle
-        self.provenance = provenance
-        self.flagged_non_connection = flagged_non_connection
-        self._evaluate_fn = evaluate_fn
-        self._in_domain_fn = in_domain_fn
-        self._evaluate_many_fn = evaluate_many_fn
-        self._split_fn = split_fn
+        super().__init__(bundle, evaluate_fn, in_domain_fn, provenance, split_fn=split_fn)
+        self._values_fn = evaluate_many_fn or self._values_fn
         self._out_of_domain_error = out_of_domain_error
+        self.batched = evaluate_many_fn is not None or split_fn is not None
 
     @property
-    def batched(self) -> bool:
-        """True when the form evaluates a batch in one call."""
-        return self._evaluate_many_fn is not None or self._split_fn is not None
-
-    def in_domain(self, q0, q1) -> bool:
-        return self._in_domain_fn(q0, q1)
-
-    def split(self, pairs: Sequence[tuple]) -> tuple:
-        if self._split_fn is None:
-            return self.evaluate_many, pairs, list
-        self._check_domain(pairs)
-        return self._split_fn(pairs)
+    def flagged_non_connection(self) -> bool:
+        """True for the variant: form-shaped, but it violates equivariance."""
+        return self.provenance == "lmw-variant"
 
     def evaluate(self, q0, q1) -> CircleElement:
-        return self._values([(q0, q1)])[0]
+        return self._checked_values([(q0, q1)])[0]
 
     def evaluate_many(self, pairs: Sequence[tuple]) -> list[CircleElement]:
         """Evaluate in-domain pairs, each exactly as a batch of one would."""
-        return self._values(pairs)
-
-    def _check_domain(self, pairs) -> None:
-        for q0, q1 in pairs:
-            if not self._in_domain_fn(q0, q1):
-                raise self._out_of_domain_error(
-                    f"pair outside the domain of this {self.provenance} form")
-
-    def _values(self, pairs) -> list[CircleElement]:
-        if self._split_fn is not None:
-            return answer_queries([(self, pairs)])[0]
-        self._check_domain(pairs)
-        if self._evaluate_many_fn is not None:
-            return self._evaluate_many_fn(pairs)
-        return [self._evaluate_fn(q0, q1) for q0, q1 in pairs]
+        return self._checked_values(pairs)
 
 
-class DiscreteHorizontalLift:
+class DiscreteHorizontalLift(_Target):
     """Map (q0, r1) to the unique horizontal partner of q0 over r1.
 
-    ``split`` is as for :class:`DiscreteConnectionForm`.
+    Built from a pointwise ``fn(q0, r1)`` like a form from its
+    ``evaluate_fn``; domain checks and ``split`` are as for every target.
     """
 
-    def __init__(self, bundle: PrincipalBundle,
-                 lift_fn: Optional[Callable],
-                 in_domain_fn: Callable,
-                 provenance: str,
-                 *,
-                 split_fn: Optional[Callable] = None):
-        self.bundle = bundle
-        self.provenance = provenance
-        self._lift_fn = lift_fn
-        self._in_domain_fn = in_domain_fn
-        self._split_fn = split_fn
-
-    def in_domain(self, q0, r1) -> bool:
-        return self._in_domain_fn(q0, r1)
-
-    def split(self, items: Sequence[tuple]) -> tuple:
-        if self._split_fn is None:
-            return self.lift_many, items, list
-        return self._split_fn(items)
+    _noun = "lift"
 
     def lift(self, q0, r1):
         """Horizontal partner of q0 over r1.
 
-        Raises OutOfDomain for pairs outside the lift's domain and lets
-        SectionUndefined propagate when r1 falls outside the section chart
-        backing a form-derived lift.
+        Raises OutOfDomain for pairs outside the lift's domain, which for a
+        form-derived lift excludes every r1 outside its section chart.
         """
-        return self.lift_many([(q0, r1)])[0]
+        return self._checked_values([(q0, r1)])[0]
 
     def lift_many(self, items: Sequence[tuple]) -> list:
-        if self._split_fn is not None:
-            return answer_queries([(self, items)])[0]
-        return [self._lift_fn(q0, r1) for q0, r1 in items]
+        return self._checked_values(items)
 
 
 def answer_queries(queries: Sequence[tuple]) -> list[list]:
-    """Answers to (target, items) queries from one call to their root, if any items."""
+    """Answers to (target, items) queries from one call to their root, if any items.
+
+    The items must lie in their targets' domains; nothing here checks them.
+    """
     splits = [target.split(items) for target, items in queries]
     if len({root for root, _, _ in splits}) > 1:
         raise ValueError("queries must share one root")
@@ -219,7 +217,8 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
 
     ``constant`` ignores its parameters and always returns the identity.
     ``linear`` returns exp(i * sum_k w_k (r1_k - r0_k)) with weights taken
-    from ``params`` (default: all ones), which must be finite.
+    from ``params`` (default: all ones), which must be finite; a pair at
+    which that angle overflows raises InvalidC.
     """
     if family == "constant":
         return lambda r0, r1: CIRCLE_IDENTITY
@@ -231,7 +230,10 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
             raise InvalidC(f"linear family weights must be finite, got {weights}")
 
         def linear(r0, r1):
-            return CircleElement(sum(w * (b - a) for w, a, b in zip(weights, r0, r1)))
+            angle = sum(w * (b - a) for w, a, b in zip(weights, r0, r1))
+            if not math.isfinite(angle):
+                raise InvalidC(f"linear family angle at {r0}, {r1} is not finite: {angle}")
+            return CircleElement(angle)
 
         return linear
     raise InvalidC(f"unknown C family {family!r} (available: {', '.join(C_FAMILIES)})")
@@ -275,8 +277,6 @@ def trivial_lift_from_C(bundle: TrivialBundle, c_fn: Callable,
         return base_domain is None or base_domain(q0.r, tuple(r1))
 
     def lift(q0: TrivialPoint, r1) -> TrivialPoint:
-        if not dom(q0, r1):
-            raise OutOfDomain("base pair outside the C function's domain")
         return TrivialPoint(tuple(r1), q0.g * c_fn(q0.r, tuple(r1)).inverse())
 
     return DiscreteHorizontalLift(bundle, lift, dom, "C-built")
@@ -305,7 +305,7 @@ def lift_from_form(form: DiscreteConnectionForm,
         return form.in_domain(q0, s)
 
     def split(items):
-        sections = [sec(r1) for _, r1 in items]  # SectionUndefined propagates
+        sections = [sec(r1) for _, r1 in items]
         root, root_pairs, finish = form.split(
             [(q0, s) for (q0, _), s in zip(items, sections)])
         return root, root_pairs, lambda answers: [
@@ -406,7 +406,7 @@ def _slice_points(form: DiscreteConnectionForm, q, points: Sequence) -> list:
     def values(ps):
         if not all(form.in_domain(q, p) for p in ps):
             raise ProbeFailed("probe left the form's domain")
-        return form.evaluate_many([(q, p) for p in ps])
+        return answer_queries([(form, [(q, p) for p in ps])])[0]
 
     partners = [bundle.act(bundle.group_inverse(g), p)
                 for g, p in zip(values(points), points)]

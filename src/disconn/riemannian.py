@@ -378,7 +378,7 @@ def _translate_endpoints(end: np.ndarray, q1: np.ndarray) -> list[CircleElement]
 
 
 def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
-                     provenance: str, **flags) -> DiscreteConnectionForm:
+                     provenance: str) -> DiscreteConnectionForm:
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
 
     ``base_velocity(q0, q1)`` returns the velocity field of the base paths
@@ -395,7 +395,7 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
 
     return DiscreteConnectionForm(_HOPF, None, in_domain, provenance,
                                   evaluate_many_fn=ev_many,
-                                  out_of_domain_error=AntipodalPoints, **flags)
+                                  out_of_domain_error=AntipodalPoints)
 
 
 def _base_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:
@@ -437,11 +437,11 @@ def lmw_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
     there), the projected path is lifted horizontally from q0 using its
     exact velocity 2 B(gamma, gamma'), the derivative of the projection
     along the arc, and the endpoint is translated onto q1.  The result
-    intentionally fails equivariance, so the returned object is flagged as
-    a non-connection.  Raises InvalidConfig when ``steps`` is below one.
+    intentionally fails equivariance; its provenance ``lmw-variant`` flags
+    it as a non-connection.  Raises InvalidConfig when ``steps`` < 1.
     """
     return _integrated_form(steps, _projected_arc_velocity, _lmw_in_domain,
-                            "lmw-variant", flagged_non_connection=True)
+                            "lmw-variant")
 
 
 def beta_formula(theta: float) -> float:

@@ -32,7 +32,9 @@ elements.  An axiom's entry lists its inputs in draw order, each a kind
 (total point, base point or group element) with the domain check that
 runs once that input is drawn.  One loop draws for every axiom: a
 failed check counts one rejection in the report and restarts the
-sample, up to 100 attempts per sample.
+sample, up to 100 attempts per sample.  These are a run's only domain
+checks: rounds never check again, and a restored worst input passes the
+same checks before its round of one.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .connection import (
     form_from_lift,
     lift_from_form,
 )
-from .errors import EmptyDomainIntersection, InvalidConfig, OutOfRange, ProbeFailed
+from .errors import EmptyDomainIntersection, InvalidConfig, OutOfDomain, OutOfRange, ProbeFailed
 from .riemannian import beta_formula, lmw_form
 from .rng import SplitMix64, substream
 
@@ -274,10 +276,11 @@ class _Axiom(NamedTuple):
 
 
 def _pair_in(*names):
-    """Check that the first two inputs drawn lie in each named target's domain."""
+    """Check that the first and the latest input drawn, as a pair, lie in
+    each named target's domain; with one input drawn that pair is (q, q)."""
     def check(targets, drawn):
         for name in names:
-            if not targets[name].in_domain(drawn[0], drawn[1]):
+            if not targets[name].in_domain(drawn[0], drawn[-1]):
                 return False
         return True
     return check
@@ -303,7 +306,7 @@ def _own_fiber_in_lift(targets, drawn):
 _POINT, _BASE, _GROUP = ("point", None), ("base", None), ("group", None)
 
 _AXIOMS = {
-    "normalization": _Axiom((_POINT,), _normalization),
+    "normalization": _Axiom((("point", _pair_in("form")),), _normalization),
     "equivariance": _Axiom(
         (_POINT, ("point", _pair_in("form")), _GROUP, ("group", _moved_pair_in_form)),
         _equivariance),
@@ -403,11 +406,16 @@ def violation_from_record(form: DiscreteConnectionForm, axiom_id: str,
                           worst_input: dict) -> float:
     """Re-evaluate a recorded worst input standalone, as a round of one.
 
+    Raises OutOfDomain unless the input passes its axiom's draw checks.
     The returned violation reproduces the report's ``max_violation`` for
     that axiom, which is what makes failure reports auditable.
     """
     inputs = _restore_inputs(form.bundle, axiom_id, worst_input)
-    ((violation,),) = _run_round(_targets(form), [(axiom_id, [inputs])])
+    targets = _targets(form)
+    for drawn, (_, check) in enumerate(_AXIOMS[axiom_id].steps, 1):
+        if check is not None and not check(targets, inputs[:drawn]):
+            raise OutOfDomain(f"recorded {axiom_id} input outside the domain it is drawn from")
+    ((violation,),) = _run_round(targets, [(axiom_id, [inputs])])
     return violation
 
 
@@ -533,8 +541,8 @@ def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm
         else:
             raise EmptyDomainIntersection(
                 f"no draw for sample {i} landed in the domains of both forms")
-    va = form_a.evaluate_many(pairs)
-    vb = form_b.evaluate_many(pairs)
+    # the draw checked both domains
+    va, vb = (answer_queries([(form, pairs)])[0] for form in (form_a, form_b))
     deviations = [bundle.group_distance(a, b) for a, b in zip(va, vb)]
     worst = max(range(len(deviations)), key=lambda k: deviations[k])
     return FormComparison(

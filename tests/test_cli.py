@@ -182,7 +182,7 @@ class TestUsageErrors:
         assert out == ""
         assert "--separation" in err
 
-    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    @pytest.mark.parametrize("weight", ["nan", "inf", "1e308"])
     def test_non_finite_c_weight_rejected(self, capsys, weight):
         code, out, err = run(capsys, "verify", "--bundle", "trivial", "--form",
                              "trivial-c", "--c-family", "linear", "--c-params", weight,

@@ -4,6 +4,7 @@ import pytest
 
 from disconn import (
     CircleElement,
+    DiscreteConnectionForm,
     InvalidC,
     OutOfDomain,
     Quaternion,
@@ -188,6 +189,54 @@ class TestLiftFormConversions:
         pairs = [(ONE, HALF_J)]
         with pytest.raises(ValueError, match="one root"):
             answer_queries([(hopf_closed_form(), pairs), (hopf_closed_form(), pairs)])
+
+    def test_rounds_never_check_a_domain(self, hopf):
+        # a round serves pairs that a draw already checked: it answers all
+        # four targets without calling the domain function, with the bits
+        # of each target's public call, and those public calls still check
+        closed = hopf_closed_form()
+        in_round = []
+
+        def dom(q0, q1):
+            if in_round:
+                raise AssertionError("a round checked a domain")
+            return closed.in_domain(q0, q1)
+
+        form = DiscreteConnectionForm(hopf, closed.evaluate, dom, "closed-form")
+        lift = lift_from_form(form)
+        recovered = form_from_lift(lift)
+        lift2 = lift_from_form(recovered)
+        pairs = [sample_hopf_pair(hopf, recovered, 205, i)[:2] for i in range(8)]
+        items = [(q0, hopf.project(q1)) for q0, q1 in pairs]
+        assert all(lift2.in_domain(*item) for item in items)
+        calls = [(form.evaluate_many, pairs), (lift.lift_many, items),
+                 (recovered.evaluate_many, pairs), (lift2.lift_many, items)]
+        in_round.append(True)
+        answers = answer_queries([(call.__self__, batch) for call, batch in calls])
+        in_round.clear()
+        for (call, batch), answer in zip(calls, answers):
+            assert repr(call(batch)) == repr(answer)
+            outside = (ONE, J_POINT if batch is pairs else hopf.project(J_POINT))
+            with pytest.raises(OutOfDomain):
+                call([outside])
+
+    def test_c_built_lift_checks_only_at_its_public_call(self, line_bundle):
+        in_round = []
+
+        def near(r0, r1):
+            if in_round:
+                raise AssertionError("a round checked a domain")
+            return abs(r0[0] - r1[0]) < 1.0
+
+        lift = trivial_lift_from_C(line_bundle, make_c_function("linear", (0.7,), 1),
+                                   base_domain=near)
+        q0 = line_bundle.point(0.1, CircleElement(0.2))
+        in_round.append(True)
+        (lifted,) = answer_queries([(lift, [(q0, (0.5,))])])
+        in_round.clear()
+        assert repr(lifted) == repr(lift.lift_many([(q0, (0.5,))]))
+        with pytest.raises(OutOfDomain):
+            lift.lift(q0, (3.0,))
 
     def test_recovered_diagonal(self, hopf):
         recovered = form_from_lift(lift_from_form(hopf_closed_form()))

@@ -9,6 +9,7 @@ from disconn import (
     DiscreteConnectionForm,
     EmptyDomainIntersection,
     InvalidConfig,
+    OutOfDomain,
     OutOfRange,
     ProbeFailed,
     SampleConfig,
@@ -27,6 +28,8 @@ from disconn import riemannian, verify
 from disconn.connection import answer_queries
 from disconn.rng import substream
 from disconn.verify import CSV_HEADER
+
+from conftest import I_BASE, J_POINT, ONE
 
 
 @pytest.fixture
@@ -343,6 +346,41 @@ class TestSoundness:
                 continue
             again = violation_from_record(form, axiom["id"], axiom["worst_input"])
             assert abs(again - axiom["max_violation"]) <= 1e-12
+
+
+def _closed_on(extra):
+    """The closed form on the part of its domain where ``extra`` holds."""
+    closed = hopf_closed_form()
+    return DiscreteConnectionForm(
+        closed.bundle, closed.evaluate,
+        lambda q0, q1: closed.in_domain(q0, q1) and extra(q0, q1), "closed-form")
+
+
+class TestDomainControls:
+    def test_non_invariant_domain_reports_its_failures(self):
+        # the diagonal (q, q) with q.w <= -0.9 is outside: normalization's
+        # draw check redraws it, and the two domain axioms count it
+        form = _closed_on(lambda q0, q1: q1.w > -0.9)
+        report = check_axioms(form, SampleConfig(seed=1, n_samples=300))
+        assert report.verdict == "fail"
+        assert {a.axiom_id: a.failures for a in report.axioms if a.failures} == {
+            "diagonal_domain": 11, "domain_invariance": 5}
+
+    def test_diagonal_excluding_domain_exhausts_the_normalization_draw(self):
+        form = _closed_on(lambda q0, q1: q0 != q1)
+        with pytest.raises(ProbeFailed, match=re.escape("(normalization)")):
+            check_axioms(form, SampleConfig(seed=1, n_samples=10))
+
+    @pytest.mark.parametrize("extra,axiom,inputs", [
+        (lambda q0, q1: True, "roundtrip_form", (ONE, J_POINT)),
+        # -i is the base point of j, the one the section chart excludes
+        (lambda q0, q1: True, "lift_section", (ONE, -I_BASE)),
+        (lambda q0, q1: q0 != q1, "normalization", (ONE,)),
+    ])
+    def test_recorded_input_outside_the_domain_raises(self, hopf, extra, axiom, inputs):
+        record = verify._serialize_inputs(hopf, axiom, inputs)
+        with pytest.raises(OutOfDomain, match=f"recorded {axiom} input"):
+            violation_from_record(_closed_on(extra), axiom, record)
 
 
 class TestCompareForms:
