@@ -22,11 +22,12 @@ import numpy as np
 from .algebra import (
     CIRCLE_IDENTITY,
     CircleElement,
-    Q_I,
     Quaternion,
     UnitQuaternion,
     canonical_angle,
     circle_distance,
+    hamilton,
+    unit_components,
 )
 from .errors import InvalidConfig, NotSameFiber, SectionUndefined
 from .rng import SplitMix64
@@ -160,6 +161,22 @@ class TrivialPoint:
     g: CircleElement
 
 
+def _base_components(w, x, y, z) -> tuple:
+    """Components of conj(q) * (i * q) for q = w + x i + y j + z k."""
+    return hamilton(w, -x, -y, -z, *hamilton(0.0, 1.0, 0.0, 0.0, w, x, y, z))
+
+
+def _gap(aw, ax, ay, az, bw, bx, by, bz) -> float:
+    """Euclidean norm of a - b, summed in the order of ``Quaternion.norm``."""
+    dw, dx, dy, dz = aw - bw, ax - bx, ay - by, az - bz
+    return math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
+
+
+def phase_components(q0: Quaternion, q1: Quaternion) -> tuple:
+    """The 1 and i components of q1 * conj(q0), whose phase carries q0 to q1."""
+    return hamilton(q1.w, q1.x, q1.y, q1.z, q0.w, -q0.x, -q0.y, -q0.z)[:2]
+
+
 @dataclass(frozen=True, eq=False)
 class HopfBundle(PrincipalBundle):
     """Unit quaternions fibered over unit imaginary quaternions.
@@ -168,6 +185,8 @@ class HopfBundle(PrincipalBundle):
     project(q) = conj(q) * i * q, and the circle acts by left
     multiplication with cos(t) + sin(t) i.  Total points are
     UnitQuaternion, base points are imaginary unit Quaternion values.
+    Each operation computes on components through ``hamilton``, in the float
+    order of those expressions, and builds only its result.
     """
 
     dim_total: int = 3
@@ -182,34 +201,35 @@ class HopfBundle(PrincipalBundle):
         return hash("hopf")
 
     def project(self, q: UnitQuaternion) -> Quaternion:
-        return q.conj() * (Q_I * q)
+        return Quaternion(*_base_components(q.w, q.x, q.y, q.z))
 
     def act(self, g: CircleElement, q: UnitQuaternion) -> UnitQuaternion:
-        rot = Quaternion(math.cos(g.angle), math.sin(g.angle), 0.0, 0.0)
-        return UnitQuaternion.from_quaternion(rot * q)
+        return UnitQuaternion(*hamilton(math.cos(g.angle), math.sin(g.angle), 0.0, 0.0,
+                                        q.w, q.x, q.y, q.z))
 
     def fiber_translation(self, q0, q1) -> CircleElement:
-        d = self.base_distance(self.project(q0), self.project(q1))
+        d = _gap(*_base_components(q0.w, q0.x, q0.y, q0.z),
+                 *_base_components(q1.w, q1.x, q1.y, q1.z))
         if d > FIBER_ATOL:
             raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
-        u = q1 * q0.conj()
-        return CircleElement(math.atan2(u.x, u.w))
+        w, x = phase_components(q0, q1)
+        return CircleElement(math.atan2(x, w))
 
     def local_section(self, r: Quaternion) -> UnitQuaternion:
         if not self.section_defined(r):
             raise SectionUndefined("section chart excludes the base antipode of i")
-        s = Quaternion(-1.0, 0.0, 0.0, 0.0) + Q_I * r
-        return UnitQuaternion.from_quaternion(s.normalized())
+        w, x, y, z = hamilton(0.0, 1.0, 0.0, 0.0, r.w, r.x, r.y, r.z)
+        return UnitQuaternion(*unit_components(-1.0 + w, 0.0 + x, 0.0 + y, 0.0 + z))
 
     def section_defined(self, r: Quaternion) -> bool:
-        south = Quaternion(0.0, -1.0, 0.0, 0.0)
-        return self.base_distance(r, south) > SECTION_CHART_ATOL
+        # distance to the excluded base point -i
+        return _gap(r.w, r.x, r.y, r.z, 0.0, -1.0, 0.0, 0.0) > SECTION_CHART_ATOL
 
     def distance(self, q0: Quaternion, q1: Quaternion) -> float:
-        return (q0 - q1).norm()
+        return _gap(q0.w, q0.x, q0.y, q0.z, q1.w, q1.x, q1.y, q1.z)
 
     def base_distance(self, r0: Quaternion, r1: Quaternion) -> float:
-        return (r0 - r1).norm()
+        return _gap(r0.w, r0.x, r0.y, r0.z, r1.w, r1.x, r1.y, r1.z)
 
     def embed(self, q: Quaternion) -> np.ndarray:
         return np.array(q.components())
@@ -229,7 +249,7 @@ class HopfBundle(PrincipalBundle):
     def sample_point(self, rng: SplitMix64, *, box: float = 2.0) -> UnitQuaternion:
         w, x = rng.normal_pair()
         y, z = rng.normal_pair()
-        return UnitQuaternion.from_quaternion(Quaternion(w, x, y, z).normalized())
+        return UnitQuaternion(*unit_components(w, x, y, z))
 
     def describe_point(self, q: UnitQuaternion):
         return list(q.components())

@@ -8,12 +8,13 @@ Exit codes: 0 on success/pass, 1 when a verification fails (axiom
 verdict ``fail`` or a probe below threshold), 2 on usage or
 configuration errors, including sizes that would make a run vacuous or
 undefined (``--steps``, ``--points`` or ``--budget`` below 1, a
-non-finite or non-positive ``--box`` or ``--separation``, ``--dim``
-below 1, a non-finite ``--c-params`` weight, a theta grid of more than
-10,000 values).  Reports are strict JSON; a probed point that
-compared nothing has ``min_separation`` ``null`` and fails.  The
-environment variable DISCONN_SEED supplies the default seed.  Identical
-invocations write byte-identical outputs.
+``--box`` not above 0 or whose squared diameter (2 box)^2 dim overflows,
+a non-finite or non-positive ``--separation``, ``--dim`` below 1, a
+non-finite ``--c-params`` weight, a theta grid of more than 10,000
+values or of a non-finite step count).  Reports are strict JSON; a
+probed point that compared nothing has ``min_separation`` ``null`` and
+fails.  The environment variable DISCONN_SEED supplies the default seed.
+Identical invocations write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -168,10 +169,10 @@ def _parse_grid(raw: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid must contain numbers, got {raw!r}") from None
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise UsageError(f"grid must contain finite numbers, got {raw!r}")
     if step <= 0:
         raise UsageError("grid step must be positive")
+    if not all(math.isfinite(v) for v in (start, stop, step, (stop - start) / step)):
+        raise UsageError(f"grid bounds, step and step count must be finite, got {raw!r}")
     span = round((stop - start) / step)
     if span < 0:
         raise UsageError("grid is empty")
@@ -186,8 +187,13 @@ def _check_sizes(args) -> None:
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
     box = getattr(args, "box", 1.0)
-    if not (math.isfinite(box) and box > 0):
-        raise UsageError(f"--box must be finite and above 0, got {box}")
+    try:  # products, so that a float overflow reads inf instead of raising
+        squared_diameter = (2.0 * box) * (2.0 * box) * getattr(args, "dim", 1)
+    except OverflowError:  # a --dim too large to convert to a float
+        squared_diameter = math.inf
+    if not (math.isfinite(squared_diameter) and box > 0):
+        raise UsageError(f"--box must be above 0 with a finite squared diameter "
+                         f"(2 box)^2 dim, got {box}")
     if getattr(args, "points", 1) < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     if getattr(args, "budget", 1) < 1:

@@ -43,8 +43,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CircleElement, Q_I, Quaternion, UnitQuaternion
-from .bundle import HopfBundle
+from .algebra import CircleElement, Q_I, Quaternion, UnitQuaternion, hamilton
+from .bundle import HopfBundle, phase_components
 from .connection import DiscreteConnectionForm
 from .errors import AntipodalPoints, InvalidConfig, OutOfRange, SolveFailed
 
@@ -152,14 +152,7 @@ def _columns(points) -> np.ndarray:
 
 
 def _qmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    out = np.empty_like(a)
-    out[0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    out[1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-    out[2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-    out[3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
-    return out
+    return np.array(hamilton(*a, *b))
 
 
 def _conj_rows(a: np.ndarray) -> np.ndarray:
@@ -347,8 +340,8 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
 # ---------------------------------------------------------------------------
 
 def _phase_square_sum(q0: UnitQuaternion, q1: UnitQuaternion) -> float:
-    u = q1 * q0.conj()
-    return u.w * u.w + u.x * u.x
+    w, x = phase_components(q0, q1)
+    return w * w + x * x
 
 
 def _hopf_in_domain(q0, q1) -> bool:
@@ -362,8 +355,8 @@ def hopf_closed_form() -> DiscreteConnectionForm:
     q1 * conj(q0), defined whenever that part is nonzero.
     """
     def ev(q0: UnitQuaternion, q1: UnitQuaternion) -> CircleElement:
-        u = q1 * q0.conj()
-        return CircleElement(math.atan2(u.x, u.w))
+        w, x = phase_components(q0, q1)
+        return CircleElement(math.atan2(x, w))
 
     return DiscreteConnectionForm(_HOPF, ev, _hopf_in_domain, "closed-form")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .algebra import CircleElement, Q_J, UnitQuaternion, canonical_angle
+from .algebra import CircleElement, UnitQuaternion, canonical_angle, hamilton
 from .bundle import HopfBundle
 from .connection import (
     _RESAMPLE_LIMIT,
@@ -259,7 +259,7 @@ def _roundtrip_lift(form, inputs):
 
 def _antipodal_partner(bundle, q0, g):
     """Group translate of j*q0, which lies over the base antipode of q0."""
-    return bundle.act(g, UnitQuaternion.from_quaternion(Q_J * q0))
+    return bundle.act(g, UnitQuaternion(*hamilton(0.0, 0.0, 1.0, 0.0, *q0.components())))
 
 
 def _domain_properness(form, inputs):

@@ -162,11 +162,18 @@ class TestUsageErrors:
         assert out == ""
         assert "dimension" in err
 
-    @pytest.mark.parametrize("box", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("box", ["nan", "inf", "0", "-1", "1e308"])
     def test_box_not_finite_and_positive_rejected(self, capsys, box):
         code, out, err = run(capsys, "verify", "--bundle", "trivial", "--form",
                              "trivial-c", "--c-family", "linear", "--box", box,
                              "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert "--box" in err
+
+    def test_dimension_too_large_for_a_float_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--bundle", "trivial", "--form",
+                             "trivial-c", "--dim", str(10 ** 400), "--samples", "5")
         assert code == 2
         assert out == ""
         assert "--box" in err
@@ -191,9 +198,10 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
-    def test_probe_box_rejected(self, capsys):
+    @pytest.mark.parametrize("box", ["nan", "1e160"])
+    def test_probe_box_rejected(self, capsys, box):
         code, _, err = run(capsys, "slice-probe", "--bundle", "trivial", "--form",
-                           "trivial-c", "--points", "1", "--box", "nan")
+                           "trivial-c", "--points", "1", "--budget", "2", "--box", box)
         assert code == 2
         assert "--box" in err
 
@@ -203,8 +211,9 @@ class TestUsageErrors:
         assert out == ""
         assert "more than" in err
 
-    def test_non_finite_grid_rejected(self, capsys):
-        code, _, err = run(capsys, "sweep", "--grid", "0:inf:1")
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:0.5:1e-320", "-1e308:1e308:1"])
+    def test_non_finite_grid_rejected(self, capsys, grid):
+        code, _, err = run(capsys, "sweep", "--grid", grid)
         assert code == 2
         assert "finite" in err
 
