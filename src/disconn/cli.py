@@ -6,15 +6,15 @@ shared samples), ``sweep`` (counterexample table as CSV) and
 
 Exit codes: 0 on success/pass, 1 when a verification fails (axiom
 verdict ``fail`` or a probe below threshold), 2 on usage or
-configuration errors, including sizes that would make a run vacuous or
-undefined (``--steps``, ``--points`` or ``--budget`` below 1, a
-``--box`` not above 0 or whose squared diameter (2 box)^2 dim overflows,
-a non-finite or non-positive ``--separation``, ``--dim`` below 1, a
-non-finite ``--c-params`` weight, a theta grid of more than 10,000
-values or of a non-finite step count).  Reports are strict JSON; a
-probed point that compared nothing has ``min_separation`` ``null`` and
-fails.  The environment variable DISCONN_SEED supplies the default seed.
-Identical invocations write byte-identical outputs.
+configuration errors, including sizes that would make a run vacuous,
+undefined or unbounded (``--steps``, ``--points`` or ``--budget`` below
+1, a ``--box`` not above 0 or whose squared diameter (2 box)^2 dim
+overflows, a non-finite or non-positive ``--separation``, ``--dim``
+below 1 or above 1,000, a non-finite ``--c-params`` weight, a theta grid
+of more than 10,000 values or of a non-finite step count).  Reports are
+strict JSON; a probed point that compared nothing has ``min_separation``
+``null`` and fails.  The environment variable DISCONN_SEED supplies the
+default seed.  Identical invocations write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import __version__
 from .bundle import HopfBundle, TrivialBundle
-from .connection import make_c_function, slice_probe, trivial_form_from_C
+from .connection import make_c_function, slice_probes, trivial_form_from_C
 from .errors import DisconnError
 from .riemannian import hopf_closed_form, lmw_form, riemannian_form
 from .rng import substream
@@ -38,6 +38,8 @@ _HOPF_FORMS = ("closed", "geodesic", "lmw")
 _TRIVIAL_FORMS = ("trivial-c",)
 #: longest theta grid ``sweep`` accepts
 _MAX_GRID_POINTS = 10_000
+#: largest ``--dim`` accepted: every sampled trivial-bundle point holds dim coordinates
+_MAX_DIM = 1_000
 
 
 class UsageError(Exception):
@@ -182,8 +184,8 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def _check_sizes(args) -> None:
-    """Reject a step count, box, probe count, budget or separation that would
-    make a run vacuous or undefined."""
+    """Reject a step count, box, dimension, probe count, budget or separation
+    that would make a run vacuous, undefined or unbounded."""
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
     box = getattr(args, "box", 1.0)
@@ -194,6 +196,8 @@ def _check_sizes(args) -> None:
     if not (math.isfinite(squared_diameter) and box > 0):
         raise UsageError(f"--box must be above 0 with a finite squared diameter "
                          f"(2 box)^2 dim, got {box}")
+    if getattr(args, "dim", 1) > _MAX_DIM:
+        raise UsageError(f"--dim must be at most {_MAX_DIM}, got {args.dim}")
     if getattr(args, "points", 1) < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     if getattr(args, "budget", 1) < 1:
@@ -249,23 +253,18 @@ def _cmd_slice_probe(args) -> int:
     bundle = _build_bundle(args)
     form = _build_form(args, bundle)
     rng = substream(args.seed, 0x9048)
-    results = []
-    all_passed = True
-    for index in range(args.points):
-        point = bundle.sample_point(rng, box=args.box)
-        report = slice_probe(form, point, args.budget,
-                             separation=args.separation,
-                             seed=args.seed + index, box=args.box)
-        all_passed = all_passed and report.passed
-        results.append({
-            "point": bundle.describe_point(point),
-            # a probe that compared nothing has no separation to report
-            "min_separation": (report.min_separation
-                               if math.isfinite(report.min_separation) else None),
-            "slice_samples": report.slice_samples,
-            "orbit_samples": report.orbit_samples,
-            "passed": report.passed,
-        })
+    points = [bundle.sample_point(rng, box=args.box) for _ in range(args.points)]
+    reports = slice_probes(form, points, args.budget, separation=args.separation,
+                           seed=args.seed, box=args.box)
+    results = [{
+        "point": bundle.describe_point(point),
+        # a probe that compared nothing has no separation to report
+        "min_separation": (report.min_separation
+                           if math.isfinite(report.min_separation) else None),
+        "slice_samples": report.slice_samples,
+        "orbit_samples": report.orbit_samples,
+        "passed": report.passed,
+    } for point, report in zip(points, reports)]
     payload = {
         "artifact_version": __version__,
         "bundle": bundle.name,
@@ -274,34 +273,26 @@ def _cmd_slice_probe(args) -> int:
         "budget": args.budget,
         "separation": args.separation,
         "points": results,
-        "verdict": "pass" if all_passed else "fail",
+        "verdict": "pass" if all(report.passed for report in reports) else "fail",
     }
     if args.format == "json":
         _emit(json.dumps(payload, indent=2, allow_nan=False), args.output)
     else:
         lines = [f"bundle={bundle.name} form={form.provenance} seed={args.seed}"]
-        for r in results:
-            lines.append(f"  min_separation={r['min_separation']!r} "
-                         f"passed={r['passed']}")
+        lines += [f"  min_separation={r['min_separation']!r} passed={r['passed']}"
+                  for r in results]
         lines.append(f"verdict: {payload['verdict']}")
         _emit("\n".join(lines), args.output)
-    return 0 if all_passed else 1
+    return 0 if payload["verdict"] == "pass" else 1
 
 
 def _merge_grid_value(argv: list) -> list:
     # argparse mistakes a leading-dash grid like "-0.7:0.7:0.05" for an
     # option; splice it into --grid=... form
-    out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--grid" and i + 1 < len(argv):
-            out.append(f"--grid={argv[i + 1]}")
-            skip = True
-        else:
-            out.append(token)
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--grid" else None
+        out.append(token if value is None else f"--grid={value}")
     return out
 
 

@@ -47,9 +47,9 @@ class _Target:
 
     A pair's domain is checked once, by whatever brings it in from outside:
     the public calls check every pair, while ``split`` and
-    :func:`answer_queries` serve pairs already checked and never check.  A
-    batched evaluator must give each pair the exact bits of a batch of one,
-    since reports keep the values their batch computed.
+    :func:`answer_queries` serve pairs already checked and never check.  An
+    evaluator of many pairs must give each pair the exact bits of a batch of
+    one, since reports keep the values their batch computed.
 
     ``split(items)`` is ``(root, root_items, finish)``, with the values
     ``finish(root(root_items))`` and neither map reading the root's answers;
@@ -90,10 +90,11 @@ class DiscreteConnectionForm(_Target):
     """Group-valued map on pairs of total points with an explicit domain.
 
     ``provenance`` records how the form was built: one of ``closed-form``,
-    ``C-built``, ``geodesic-built`` or ``lmw-variant``.  ``batched`` is true
-    when the form evaluates a batch in one call (``evaluate_many_fn``, or a
-    ``split_fn`` to its root).  Domain checks and ``split`` are as for every
-    target (see :class:`_Target`).
+    ``C-built``, ``geodesic-built`` or ``lmw-variant``.  It is built from
+    a per-pair ``evaluate_fn``, an ``evaluate_many_fn`` on a list of pairs
+    or a ``split_fn`` to its root, and every caller evaluates it the same
+    way.  Domain checks and ``split`` are as for every target (see
+    :class:`_Target`).
     """
 
     _noun = "form"
@@ -109,7 +110,6 @@ class DiscreteConnectionForm(_Target):
         super().__init__(bundle, evaluate_fn, in_domain_fn, provenance, split_fn=split_fn)
         self._values_fn = evaluate_many_fn or self._values_fn
         self._out_of_domain_error = out_of_domain_error
-        self.batched = evaluate_many_fn is not None or split_fn is not None
 
     @property
     def flagged_non_connection(self) -> bool:
@@ -390,27 +390,27 @@ class SliceProbeReport:
     passed: bool
 
 
-def _slice_points(form: DiscreteConnectionForm, q, points: Sequence) -> list:
-    """Point of each p's fiber on the horizontal slice through q, checked.
+def _slice_points(form: DiscreteConnectionForm, pairs: Sequence[tuple]) -> list:
+    """Point of each p's fiber on the horizontal slice through q, per (q, p), checked.
 
     Equivariance gives every pair one vertical-times-horizontal split, so
-    the slice meets the fiber of p at act(A(q, p)^{-1}, p), the partner
-    :func:`decompose_pair` computes.  Both rounds of evaluation are one
-    batch each: the values at (q, p), then the values at the partners,
+    the slice through q meets the fiber of p at act(A(q, p)^{-1}, p), the
+    partner :func:`decompose_pair` computes.  Both rounds of evaluation are
+    one batch each: the values at (q, p), then the values at the partners,
     which must be horizontal within ``HORIZONTAL_ANGLE_ATOL``.  Raises
     ProbeFailed when a pair leaves the form's domain or a partner's
     residual exceeds that tolerance.
     """
     bundle = form.bundle
 
-    def values(ps):
-        if not all(form.in_domain(q, p) for p in ps):
+    def values(batch):
+        if not all(form.in_domain(q, p) for q, p in batch):
             raise ProbeFailed("probe left the form's domain")
-        return answer_queries([(form, [(q, p) for p in ps])])[0]
+        return answer_queries([(form, batch)])[0]
 
     partners = [bundle.act(bundle.group_inverse(g), p)
-                for g, p in zip(values(points), points)]
-    for g in values(partners):
+                for g, (_, p) in zip(values(pairs), pairs)]
+    for g in values([(q, h) for (q, _), h in zip(pairs, partners)]):
         if not abs(g.angle) <= HORIZONTAL_ANGLE_ATOL:
             raise ProbeFailed(
                 f"slice point residual {abs(g.angle):.3e} exceeds "
@@ -419,55 +419,65 @@ def _slice_points(form: DiscreteConnectionForm, q, points: Sequence) -> list:
     return partners
 
 
+def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
+                 *, exclusion_radius: float = 1e-3,
+                 separation: float = 1e-2,
+                 seed: int = 0,
+                 box: float = 2.0) -> list[SliceProbeReport]:
+    """Sample the horizontal slice through each point q and the orbit of q.
+
+    Slice points are the horizontal partners of random points p, checked
+    to be horizontal (see :func:`_slice_points`), and orbit points random
+    group translates of q; point k draws both from seed ``seed + k``.  All
+    draws come first, then one :func:`_slice_points` call serves every
+    point, so a ProbeFailed at any point leaves no point computed.  Samples
+    inside ``exclusion_radius`` of q are dropped and the minimum cross
+    distance of the rest must exceed ``separation``; with no slice sample
+    or no orbit sample kept, the point does not pass.
+    """
+    bundle = form.bundle
+    pairs, orbit_pts = [], []
+    for index, q in enumerate(points):
+        rng = substream(seed + index, 0x511CE)
+        for _ in range(budget):
+            for _ in range(_RESAMPLE_LIMIT):
+                p = bundle.sample_point(rng, box=box)
+                if form.in_domain(q, p):
+                    break
+            else:
+                raise ProbeFailed("could not sample a fiber direction in the domain")
+            pairs.append((q, p))
+            orbit_pts.append(bundle.act(bundle.sample_group(rng), q))
+    slice_pts = _slice_points(form, pairs)
+
+    reports = []
+    for index, q in enumerate(points):
+        own = slice(index * budget, (index + 1) * budget)
+        kept_slice = [p for p in slice_pts[own] if bundle.distance(p, q) > exclusion_radius]
+        kept_orbit = [p for p in orbit_pts[own] if bundle.distance(p, q) > exclusion_radius]
+        min_sep = min((bundle.distance(s, o) for s in kept_slice for o in kept_orbit),
+                      default=math.inf)
+        reports.append(SliceProbeReport(
+            budget=budget,
+            slice_samples=len(kept_slice),
+            orbit_samples=len(kept_orbit),
+            excluded=2 * budget - len(kept_slice) - len(kept_orbit),
+            min_separation=min_sep,
+            threshold=separation,
+            passed=bool(kept_slice and kept_orbit) and min_sep > separation,
+        ))
+    return reports
+
+
 def slice_probe(form: DiscreteConnectionForm, q, budget: int,
                 *, exclusion_radius: float = 1e-3,
                 separation: float = 1e-2,
                 seed: int = 0,
                 box: float = 2.0) -> SliceProbeReport:
-    """Sample the horizontal slice through q and the orbit of q; measure separation.
-
-    Slice points are the horizontal partners of random points p, each
-    checked to be horizontal (see :func:`_slice_points`); orbit points are
-    random group translates of q.  All draws come first; computing the
-    slice points draws nothing.  Samples inside ``exclusion_radius`` of q
-    are dropped and the minimum cross distance of the rest must exceed
-    ``separation``; with no slice sample or no orbit sample kept, the
-    probe does not pass.
-    """
-    bundle = form.bundle
-    rng = substream(seed, 0x511CE)
-    fiber_pts = []
-    orbit_pts = []
-    for _ in range(budget):
-        for _ in range(_RESAMPLE_LIMIT):
-            p = bundle.sample_point(rng, box=box)
-            if form.in_domain(q, p):
-                break
-        else:
-            raise ProbeFailed("could not sample a fiber direction in the domain")
-        fiber_pts.append(p)
-        orbit_pts.append(bundle.act(bundle.sample_group(rng), q))
-    slice_pts = _slice_points(form, q, fiber_pts)
-
-    kept_slice = [p for p in slice_pts if bundle.distance(p, q) > exclusion_radius]
-    kept_orbit = [p for p in orbit_pts if bundle.distance(p, q) > exclusion_radius]
-    excluded = (len(slice_pts) - len(kept_slice)) + (len(orbit_pts) - len(kept_orbit))
-
-    min_sep = math.inf
-    for s in kept_slice:
-        for o in kept_orbit:
-            d = bundle.distance(s, o)
-            if d < min_sep:
-                min_sep = d
-    return SliceProbeReport(
-        budget=budget,
-        slice_samples=len(kept_slice),
-        orbit_samples=len(kept_orbit),
-        excluded=excluded,
-        min_separation=min_sep,
-        threshold=separation,
-        passed=bool(kept_slice and kept_orbit) and min_sep > separation,
-    )
+    """Separation of the horizontal slice through q from the orbit of q:
+    the one-point case of :func:`slice_probes`."""
+    return slice_probes(form, [q], budget, exclusion_radius=exclusion_radius,
+                        separation=separation, seed=seed, box=box)[0]
 
 
 def tangent_split_check(form: DiscreteConnectionForm, q,
@@ -484,8 +494,8 @@ def tangent_split_check(form: DiscreteConnectionForm, q,
     orbit column is dropped, which checks the dimension count).
     """
     bundle = form.bundle
-    ends = _slice_points(form, q, [curve(t) for curve in bundle.base_direction_curves(q)
-                                   for t in (fd_step, -fd_step)])
+    ends = _slice_points(form, [(q, curve(t)) for curve in bundle.base_direction_curves(q)
+                                for t in (fd_step, -fd_step)])
     columns = [bundle.embed_difference(plus, minus) / (2.0 * fd_step)
                for plus, minus in zip(ends[::2], ends[1::2])]
     if not drop_orbit:
@@ -495,10 +505,8 @@ def tangent_split_check(form: DiscreteConnectionForm, q,
         columns.append(bundle.embed_difference(plus, minus) / (2.0 * fd_step))
 
     matrix = np.column_stack(columns)
+    # descending singular values: a zero matrix has rank 0 here as well
     svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(svals > svals[0] * svd_cutoff))
+    rank = int(np.sum(svals > svals[0] * svd_cutoff))
     expected = bundle.dim_total - (bundle.dim_group if drop_orbit else 0)
     return rank == expected

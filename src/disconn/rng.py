@@ -7,7 +7,7 @@ streams on every platform, which is what makes verification reports
 byte-reproducible.
 
 Independent sub-streams are derived from a seed plus integer keys via
-:func:`substream`, so parallel or batched sampling with per-sample streams
+:func:`substream`, so parallel or block-wise sampling with per-sample streams
 yields the same draws as a serial run.
 """
 
@@ -63,7 +63,7 @@ def substream(seed: int, *keys: int) -> SplitMix64:
 
     The state is folded as state = mix(state + gamma * (key + 1)) per key,
     so (seed, axiom, sample-index) style addressing is stable across runs
-    and across serial/batched execution orders.
+    and across serial and block-wise execution orders.
     """
     state = seed & _MASK
     for k in keys:

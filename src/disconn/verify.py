@@ -15,11 +15,10 @@ the recovered form), receives the answers and returns one violation per
 input.  Every target states its items as pairs for the form and a map
 of the form's values, so a round evaluates the form once whatever the
 number of axioms; on an integrator-built form that is one Runge-Kutta
-integration.  A form with its own batched evaluator is checked in rounds
-covering every axiom for a block of at most 512 samples; any other form
-gains nothing from merging and is checked one axiom per round over all
-samples.  Each axiom keeps only its failure
-count and its running worst input with the violation its round computed.
+integration.  Every form is checked in such rounds, each covering every
+axiom for a block of at most 256 samples.  Each axiom keeps only its
+failure count and its running worst input with the violation its round
+computed.
 Standalone re-evaluation (:func:`violation_from_record`) is the same
 runner on a round of one.
 
@@ -80,8 +79,8 @@ _DEFAULT_TOLERANCES = {
     "lmw-variant": 1e-6,
 }
 
-#: samples per round of a form with its own batched evaluator
-_ROUND_SAMPLES = 512
+#: samples per round: every axiom's inputs for this many samples at once
+_ROUND_SAMPLES = 256
 _COMPARE_STREAM = 0x10001
 
 
@@ -432,11 +431,10 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     base points exist by construction; each of its samples is a counted
     out-of-domain rejection.
 
-    A form with its own batched evaluator is checked in rounds that cover
-    every axiom for a block of at most ``_ROUND_SAMPLES`` samples; any other
-    form one axiom at a time over all samples.  Each axiom keeps only its
-    failure count and its running worst input, and reports the violation
-    its round computed for that input.
+    Every form is checked in rounds that cover every axiom for a block of
+    at most ``_ROUND_SAMPLES`` samples, one evaluation of the form each.
+    Each axiom keeps only its failure count and its running worst input,
+    and reports the violation its round computed for that input.
     """
     bundle = form.bundle
     targets = _targets(form)
@@ -444,29 +442,23 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     properness = isinstance(bundle, HopfBundle)
     checked = [(index, axiom) for index, axiom in enumerate(AXIOM_IDS)
                if axiom != "domain_properness" or properness]
-    if form.batched:
-        rounds, block = [checked], _ROUND_SAMPLES
-    else:
-        rounds, block = [[entry] for entry in checked], cfg.n_samples
     failures = dict.fromkeys(AXIOM_IDS, 0)
     worst = {}  # axiom -> (violation, inputs), folded as max() would
-    for group in rounds:
-        for start in range(0, cfg.n_samples, block):
-            jobs = [(axiom, [_draw(axiom, targets, substream(cfg.seed, index, i),
-                                   cfg.box, counter)
-                             for i in range(start, min(start + block, cfg.n_samples))])
-                    for index, axiom in group]
-            for (axiom, inputs), violations in zip(jobs, _run_round(targets, jobs)):
-                tol = cfg.tolerance_for(axiom, form)
-                for v, sample in zip(violations, inputs):
-                    # a NaN violation or tolerance counts as a failure, never a pass
-                    failures[axiom] += not v <= tol
-                    # the first maximum wins and every comparison with NaN is
-                    # false, exactly as in max() over the whole sample
-                    if axiom not in worst or v > worst[axiom][0]:
-                        worst[axiom] = (v, sample)
-            # free this round's inputs before the next round draws its own
-            del jobs, inputs, violations
+    for start in range(0, cfg.n_samples, _ROUND_SAMPLES):
+        jobs = [(axiom, [_draw(axiom, targets, substream(cfg.seed, index, i), cfg.box, counter)
+                         for i in range(start, min(start + _ROUND_SAMPLES, cfg.n_samples))])
+                for index, axiom in checked]
+        for (axiom, inputs), violations in zip(jobs, _run_round(targets, jobs)):
+            tol = cfg.tolerance_for(axiom, form)
+            for v, sample in zip(violations, inputs):
+                # a NaN violation or tolerance counts as a failure, never a pass
+                failures[axiom] += not v <= tol
+                # the first maximum wins and every comparison with NaN is
+                # false, exactly as in max() over the whole sample
+                if axiom not in worst or v > worst[axiom][0]:
+                    worst[axiom] = (v, sample)
+        # free this round's inputs before the next round draws its own
+        del jobs, inputs, violations
 
     records = [
         AxiomRecord(axiom, cfg.n_samples, failures[axiom], worst[axiom][0],

@@ -3,10 +3,13 @@ import math
 import pytest
 
 from disconn import (
+    CircleElement,
+    DiscreteConnectionForm,
     HopfBundle,
     Quaternion,
     TrivialBundle,
     UnitQuaternion,
+    hopf_closed_form,
 )
 
 ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
@@ -19,6 +22,26 @@ HALF_J = UnitQuaternion(1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0), 0.0)
 I_BASE = Quaternion(0.0, 1.0, 0.0, 0.0)
 J_BASE = Quaternion(0.0, 0.0, 1.0, 0.0)
 K_BASE = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+
+def count_root_calls(form):
+    """List that gains the pair count of every call to ``form``'s root evaluator."""
+    calls = []
+    evaluate = form._values_fn
+    form._values_fn = lambda pairs: calls.append(len(pairs)) or evaluate(pairs)
+    return calls
+
+
+def closed_form_broken_at(bad):
+    """The closed form, except that pairs starting at ``bad`` gain 0.1 q1.w,
+    so its slice through ``bad`` is not horizontal along most fibers."""
+    closed = hopf_closed_form()
+
+    def ev(q0, q1):
+        g = closed.evaluate(q0, q1)
+        return CircleElement(g.angle + 0.1 * q1.w) if q0 == bad else g
+
+    return DiscreteConnectionForm(closed.bundle, ev, closed.in_domain, "closed-form")
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,13 @@ import json
 
 import pytest
 
+from disconn import HopfBundle, ProbeFailed, slice_probe
+from disconn import cli
 from disconn.cli import run_cli
+from disconn.rng import substream
 from disconn.verify import CSV_HEADER
+
+from conftest import closed_form_broken_at
 
 
 def run(capsys, *argv):
@@ -178,6 +183,24 @@ class TestUsageErrors:
         assert out == ""
         assert "--box" in err
 
+    def test_dimension_above_the_cap_rejected_before_a_point_is_built(
+            self, capsys, monkeypatch):
+        def no_bundle(dim):
+            raise AssertionError(f"built a bundle of dimension {dim}")
+
+        monkeypatch.setattr(cli, "TrivialBundle", no_bundle)
+        code, out, err = run(capsys, "verify", "--bundle", "trivial", "--form",
+                             "trivial-c", "--dim", str(10 ** 9), "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --dim must be at most {cli._MAX_DIM}, got {10 ** 9}\n"
+
+    def test_dimension_at_the_cap_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "--bundle", "trivial", "--form",
+                           "trivial-c", "--dim", str(cli._MAX_DIM), "--samples", "1")
+        assert code == 0
+        assert json.loads(out)["bundle"] == f"trivial-r{cli._MAX_DIM}"
+
     @pytest.mark.parametrize("separation", ["nan", "inf", "0", "-1"])
     def test_probe_separation_not_finite_and_positive_rejected(self, capsys, separation):
         # nan and inf cannot be written as strict JSON; a threshold of zero
@@ -278,6 +301,22 @@ class TestSliceProbeCommand:
         assert code == 2
         assert out == ""
         assert "not equivariant along that fiber" in err
+
+    def test_later_point_failure_exits_two_with_its_one_line_message(
+            self, capsys, monkeypatch):
+        # the third point's slice is not horizontal; every point is probed
+        # in one batch, and the run stops with that point's own message
+        rng = substream(42, 0x9048)
+        points = [HopfBundle().sample_point(rng) for _ in range(3)]
+        form = closed_form_broken_at(points[2])
+        with pytest.raises(ProbeFailed) as alone:
+            slice_probe(form, points[2], 4, seed=42 + 2)
+        monkeypatch.setattr(cli, "hopf_closed_form", lambda: form)
+        code, out, err = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
+                             "closed", "--points", "3", "--budget", "4", "--seed", "42")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {alone.value}\n"
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "slice-probe", "--bundle", "trivial", "--form",

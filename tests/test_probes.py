@@ -13,13 +13,14 @@ from disconn import (
     make_c_function,
     riemannian_form,
     slice_probe,
+    slice_probes,
     tangent_split_check,
     trivial_form_from_C,
 )
 from disconn.connection import HORIZONTAL_ANGLE_ATOL, _RESAMPLE_LIMIT, _slice_points
 from disconn.rng import substream
 
-from conftest import ONE
+from conftest import ONE, closed_form_broken_at, count_root_calls
 
 
 class TestSliceProbe:
@@ -109,9 +110,49 @@ def test_slice_points_are_horizontal_partners_on_the_fiber(form):
         points = [bundle.sample_point(rng) for _ in range(8)]
         points = [p for p in points if form.in_domain(q, p)]
         assert points
-        for p, h in zip(points, _slice_points(form, q, points)):
+        for p, h in zip(points, _slice_points(form, [(q, p) for p in points])):
             assert abs(form.evaluate(q, h).angle) <= HORIZONTAL_ANGLE_ATOL
             bundle.fiber_translation(p, h)  # raises NotSameFiber off the fiber
+
+
+class TestSliceProbes:
+    @pytest.mark.parametrize("form", [
+        pytest.param(hopf_closed_form(), id="closed"),
+        pytest.param(riemannian_form(32), id="geodesic"),
+        pytest.param(trivial_form_from_C(TrivialBundle(2),
+                                         make_c_function("linear", (0.7, -0.4), 2)),
+                     id="linear"),
+    ])
+    def test_points_together_report_as_one_at_a_time(self, form):
+        rng = substream(68, 0)
+        points = [form.bundle.sample_point(rng) for _ in range(4)]
+        reports = slice_probes(form, points, 8, seed=21)
+        assert reports == [slice_probe(form, q, 8, seed=21 + k)
+                           for k, q in enumerate(points)]
+
+    def test_later_point_residual_raises_after_two_evaluations(self, hopf):
+        points = [hopf.sample_point(substream(69, k)) for k in range(3)]
+        form = closed_form_broken_at(points[2])
+        with pytest.raises(ProbeFailed) as alone:
+            slice_probe(form, points[2], 4, seed=7 + 2)
+        calls = count_root_calls(form)
+        with pytest.raises(ProbeFailed) as together:
+            slice_probes(form, points, 4, seed=7)
+        assert str(together.value) == str(alone.value)
+        assert "not equivariant along that fiber" in str(alone.value)
+        # every point's slice points come from the same two evaluations
+        assert calls == [12, 12]
+
+    def test_later_point_draw_failure_raises_before_any_evaluation(self, hopf):
+        points = [hopf.sample_point(substream(69, k)) for k in range(3)]
+        closed = hopf_closed_form()
+        form = DiscreteConnectionForm(
+            hopf, closed.evaluate,
+            lambda q0, q1: q0 != points[2] and closed.in_domain(q0, q1), "closed-form")
+        calls = count_root_calls(form)
+        with pytest.raises(ProbeFailed, match="fiber direction"):
+            slice_probes(form, points, 4, seed=7)
+        assert calls == []
 
 
 class TestTangentSplit:

@@ -376,6 +376,23 @@ class TestGeodesicForm:
         with pytest.raises(InvalidConfig):
             factory(steps)
 
+    def test_phase_does_not_depend_on_the_step_count(self):
+        # at 8 steps the endpoint strays off the target fiber, yet the
+        # translated phase equals the closed form's to roundoff
+        b = hopf()
+        form, closed = riemannian_form(8), hopf_closed_form()
+        pairs = []
+        for i in range(2000):
+            rng = substream(80, i)
+            while True:
+                q0, q1 = b.sample_point(rng), b.sample_point(rng)
+                if form.in_domain(q0, q1):
+                    break
+            pairs.append((q0, q1))
+        gaps = [circle_distance(g, h) for g, h in
+                zip(form.evaluate_many(pairs), closed.evaluate_many(pairs))]
+        assert max(gaps) <= 1e-14
+
     def test_equivariance_invariant(self):
         b = hopf()
         form = riemannian_form(256)

@@ -29,7 +29,7 @@ from disconn.connection import answer_queries
 from disconn.rng import substream
 from disconn.verify import CSV_HEADER
 
-from conftest import I_BASE, J_POINT, ONE
+from conftest import I_BASE, J_POINT, ONE, count_root_calls
 
 
 @pytest.fixture
@@ -139,9 +139,15 @@ class TestRounds:
         assert integrations == [352]
 
     def test_each_block_is_one_integration(self, integrations):
-        # 1100 samples are two blocks of 512 and one of 76
         check_axioms(riemannian_form(16), SampleConfig(seed=5, n_samples=1100))
-        assert len(integrations) == 3
+        assert len(integrations) == math.ceil(1100 / verify._ROUND_SAMPLES)
+
+    def test_per_pair_form_is_evaluated_once_per_block(self, line_bundle):
+        # a form built from a per-pair function runs the same merged rounds
+        form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.9,), 1))
+        calls = count_root_calls(form)
+        check_axioms(form, SampleConfig(seed=6, n_samples=600))
+        assert len(calls) == math.ceil(600 / verify._ROUND_SAMPLES)
 
     def test_violation_from_record_is_one_integration(self, integrations):
         form = riemannian_form(16)
@@ -171,11 +177,10 @@ class TestRounds:
             assert ([p.components() for p in lift.lift_many(batch)]
                     == [p.components() for p in lifted])
 
-    def test_form_without_batched_evaluator_gives_the_same_report(self):
+    def test_form_with_a_per_pair_evaluator_gives_the_same_report(self):
         form = riemannian_form(16)
         plain = DiscreteConnectionForm(form.bundle, form.evaluate, form.in_domain,
                                        form.provenance)
-        assert form.batched and not plain.batched
         cfg = SampleConfig(seed=5, n_samples=32)
         assert check_axioms(plain, cfg).to_json() == check_axioms(form, cfg).to_json()
 
