@@ -40,6 +40,49 @@ from .rng import SplitMix64, substream
 HORIZONTAL_ANGLE_ATOL = 1e-8
 #: candidates drawn for one sample before its domain counts as unreachable
 _RESAMPLE_LIMIT = 100
+#: slice and orbit samples this close to the probed point are not compared
+_EXCLUSION_RADIUS = 1e-3
+#: step of the finite differences behind slice and orbit tangents
+_FD_STEP = 1e-5
+#: singular values below this fraction of the largest do not add to the rank
+_SVD_CUTOFF = 1e-6
+
+
+def _draw(steps: tuple, targets: dict, rng: SplitMix64, box: float, rejected: list,
+          exhausted: Exception, drawn: tuple = ()) -> tuple:
+    """One sample of inputs from ``targets["form"]``'s bundle, drawn after ``drawn``.
+
+    ``steps`` is (kind, check) per input in draw order: kind is "point",
+    "base" or "group", and check(targets, inputs so far), if any, runs once
+    that input is drawn.  A failed check adds one to ``rejected[0]`` and
+    restarts the sample; after ``_RESAMPLE_LIMIT`` attempts ``exhausted`` is raised.
+    """
+    bundle = targets["form"].bundle
+    for _ in range(_RESAMPLE_LIMIT):
+        inputs = [*drawn]
+        for kind, check in steps:
+            if kind == "group":
+                inputs.append(bundle.sample_group(rng))
+            else:
+                q = bundle.sample_point(rng, box=box)
+                inputs.append(q if kind == "point" else bundle.project(q))
+            if check is not None and not check(targets, inputs):
+                rejected[0] += 1
+                break
+        else:
+            return tuple(inputs)
+    raise exhausted
+
+
+def _pair_in(*names):
+    """Check that the first and the latest input drawn, as a pair, lie in
+    each named target's domain; with one input drawn that pair is (q, q)."""
+    def check(targets, drawn):
+        for name in names:
+            if not targets[name].in_domain(drawn[0], drawn[-1]):
+                return False
+        return True
+    return check
 
 
 class _Target:
@@ -192,11 +235,11 @@ def decompose_pair(form: DiscreteConnectionForm, q0, q1) -> Decomposition:
     return Decomposition(g, h1)
 
 
-def is_horizontal(form: DiscreteConnectionForm, q0, q1,
-                  *, atol: float = HORIZONTAL_ANGLE_ATOL) -> bool:
-    """True when the form's value at (q0, q1) is the identity within ``atol``."""
+def is_horizontal(form: DiscreteConnectionForm, q0, q1) -> bool:
+    """True when the form's value at (q0, q1) lies within ``HORIZONTAL_ANGLE_ATOL``
+    of the identity."""
     g = form.evaluate(q0, q1)
-    return form.bundle.group_distance(g, form.bundle.group_identity()) <= atol
+    return form.bundle.group_distance(g, form.bundle.group_identity()) <= HORIZONTAL_ANGLE_ATOL
 
 
 # ---------------------------------------------------------------------------
@@ -390,27 +433,29 @@ class SliceProbeReport:
     passed: bool
 
 
+def _in_probe_domain(form: DiscreteConnectionForm, pairs: list) -> list:
+    """The pairs, once each lies in the form's domain; else ProbeFailed."""
+    if not all(form.in_domain(q, p) for q, p in pairs):
+        raise ProbeFailed("probe left the form's domain")
+    return pairs
+
+
 def _slice_points(form: DiscreteConnectionForm, pairs: Sequence[tuple]) -> list:
     """Point of each p's fiber on the horizontal slice through q, per (q, p), checked.
 
     Equivariance gives every pair one vertical-times-horizontal split, so
     the slice through q meets the fiber of p at act(A(q, p)^{-1}, p), the
     partner :func:`decompose_pair` computes.  Both rounds of evaluation are
-    one batch each: the values at (q, p), then the values at the partners,
-    which must be horizontal within ``HORIZONTAL_ANGLE_ATOL``.  Raises
-    ProbeFailed when a pair leaves the form's domain or a partner's
-    residual exceeds that tolerance.
+    one batch each: the values at (q, p), checked by the caller, then the
+    values at the partners, which must be horizontal within
+    ``HORIZONTAL_ANGLE_ATOL``.  Raises ProbeFailed when a partner leaves
+    the form's domain or its residual exceeds that tolerance.
     """
     bundle = form.bundle
-
-    def values(batch):
-        if not all(form.in_domain(q, p) for q, p in batch):
-            raise ProbeFailed("probe left the form's domain")
-        return answer_queries([(form, batch)])[0]
-
     partners = [bundle.act(bundle.group_inverse(g), p)
-                for g, (_, p) in zip(values(pairs), pairs)]
-    for g in values([(q, h) for (q, _), h in zip(pairs, partners)]):
+                for g, (_, p) in zip(answer_queries([(form, pairs)])[0], pairs)]
+    partner_pairs = _in_probe_domain(form, [(q, h) for (q, _), h in zip(pairs, partners)])
+    for g in answer_queries([(form, partner_pairs)])[0]:
         if not abs(g.angle) <= HORIZONTAL_ANGLE_ATOL:
             raise ProbeFailed(
                 f"slice point residual {abs(g.angle):.3e} exceeds "
@@ -419,42 +464,44 @@ def _slice_points(form: DiscreteConnectionForm, pairs: Sequence[tuple]) -> list:
     return partners
 
 
+#: after the probed q: a fiber direction p with (q, p) in the domain, then an orbit element
+_PROBE_STEPS = (("point", _pair_in("form")), ("group", None))
+
+
 def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
-                 *, exclusion_radius: float = 1e-3,
-                 separation: float = 1e-2,
+                 *, separation: float = 1e-2,
                  seed: int = 0,
                  box: float = 2.0) -> list[SliceProbeReport]:
     """Sample the horizontal slice through each point q and the orbit of q.
 
     Slice points are the horizontal partners of random points p, checked
     to be horizontal (see :func:`_slice_points`), and orbit points random
-    group translates of q; point k draws both from seed ``seed + k``.  All
-    draws come first, then one :func:`_slice_points` call serves every
-    point, so a ProbeFailed at any point leaves no point computed.  Samples
-    inside ``exclusion_radius`` of q are dropped and the minimum cross
-    distance of the rest must exceed ``separation``; with no slice sample
-    or no orbit sample kept, the point does not pass.
+    group translates of q; point k draws both from seed ``seed + k`` in
+    the draw loop, which checks each (q, p) once.  All draws come first,
+    then one :func:`_slice_points` call serves every point, so a
+    ProbeFailed at any point leaves no point computed.  Samples inside
+    ``_EXCLUSION_RADIUS`` of q are dropped and the minimum cross distance
+    of the rest must exceed ``separation``; with no slice sample or no
+    orbit sample kept, the point does not pass.
     """
     bundle = form.bundle
+    targets = {"form": form}
+    exhausted = ProbeFailed("could not sample a fiber direction in the domain")
+    rejected = [0]
     pairs, orbit_pts = [], []
     for index, q in enumerate(points):
         rng = substream(seed + index, 0x511CE)
         for _ in range(budget):
-            for _ in range(_RESAMPLE_LIMIT):
-                p = bundle.sample_point(rng, box=box)
-                if form.in_domain(q, p):
-                    break
-            else:
-                raise ProbeFailed("could not sample a fiber direction in the domain")
+            _, p, g = _draw(_PROBE_STEPS, targets, rng, box, rejected, exhausted, (q,))
             pairs.append((q, p))
-            orbit_pts.append(bundle.act(bundle.sample_group(rng), q))
+            orbit_pts.append(bundle.act(g, q))
     slice_pts = _slice_points(form, pairs)
 
     reports = []
     for index, q in enumerate(points):
         own = slice(index * budget, (index + 1) * budget)
-        kept_slice = [p for p in slice_pts[own] if bundle.distance(p, q) > exclusion_radius]
-        kept_orbit = [p for p in orbit_pts[own] if bundle.distance(p, q) > exclusion_radius]
+        kept_slice = [p for p in slice_pts[own] if bundle.distance(p, q) > _EXCLUSION_RADIUS]
+        kept_orbit = [p for p in orbit_pts[own] if bundle.distance(p, q) > _EXCLUSION_RADIUS]
         min_sep = min((bundle.distance(s, o) for s in kept_slice for o in kept_orbit),
                       default=math.inf)
         reports.append(SliceProbeReport(
@@ -469,44 +516,39 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     return reports
 
 
-def slice_probe(form: DiscreteConnectionForm, q, budget: int,
-                *, exclusion_radius: float = 1e-3,
-                separation: float = 1e-2,
-                seed: int = 0,
-                box: float = 2.0) -> SliceProbeReport:
+def slice_probe(form: DiscreteConnectionForm, q, budget: int, **options) -> SliceProbeReport:
     """Separation of the horizontal slice through q from the orbit of q:
-    the one-point case of :func:`slice_probes`."""
-    return slice_probes(form, [q], budget, exclusion_radius=exclusion_radius,
-                        separation=separation, seed=seed, box=box)[0]
+    the one-point case of :func:`slice_probes`, with the same keywords."""
+    return slice_probes(form, [q], budget, **options)[0]
 
 
 def tangent_split_check(form: DiscreteConnectionForm, q,
-                        *, fd_step: float = 1e-5,
-                        svd_cutoff: float = 1e-6,
-                        drop_orbit: bool = False) -> bool:
+                        *, drop_orbit: bool = False) -> bool:
     """Check that slice and orbit tangents at q together span the total tangent space.
 
     Slice tangents come from central finite differences of the slice
     parametrization over base directions, all 2 * dim_base slice points
-    from one :func:`_slice_points` call; the orbit tangent from the
-    derivative of the group action at the identity.  The combined matrix
-    must have numerical rank dim_total (or dim_total - dim_group when the
-    orbit column is dropped, which checks the dimension count).
+    from one :func:`_slice_points` call on pairs checked where built; the
+    orbit tangent from the derivative of the group action at the identity.
+    The combined matrix must have numerical rank dim_total (or dim_total -
+    dim_group when the orbit column is dropped, which checks the dimension
+    count).
     """
     bundle = form.bundle
-    ends = _slice_points(form, [(q, curve(t)) for curve in bundle.base_direction_curves(q)
-                                for t in (fd_step, -fd_step)])
-    columns = [bundle.embed_difference(plus, minus) / (2.0 * fd_step)
+    ends = _slice_points(form, _in_probe_domain(
+        form, [(q, curve(t)) for curve in bundle.base_direction_curves(q)
+               for t in (_FD_STEP, -_FD_STEP)]))
+    columns = [bundle.embed_difference(plus, minus) / (2.0 * _FD_STEP)
                for plus, minus in zip(ends[::2], ends[1::2])]
     if not drop_orbit:
-        gp = CircleElement(fd_step)
+        gp = CircleElement(_FD_STEP)
         plus = bundle.act(gp, q)
         minus = bundle.act(bundle.group_inverse(gp), q)
-        columns.append(bundle.embed_difference(plus, minus) / (2.0 * fd_step))
+        columns.append(bundle.embed_difference(plus, minus) / (2.0 * _FD_STEP))
 
     matrix = np.column_stack(columns)
     # descending singular values: a zero matrix has rank 0 here as well
     svals = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(svals > svals[0] * svd_cutoff))
+    rank = int(np.sum(svals > svals[0] * _SVD_CUTOFF))
     expected = bundle.dim_total - (bundle.dim_group if drop_orbit else 0)
     return rank == expected

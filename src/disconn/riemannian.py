@@ -222,26 +222,19 @@ def _check_steps(steps: int) -> None:
         raise InvalidConfig(f"steps must be at least 1, got {steps}")
 
 
-def _integrate_rows(q0: np.ndarray,
-                    velocity_fn: Callable[[float], np.ndarray],
-                    steps: int,
-                    collect: bool = False):
-    """Classical four-stage Runge-Kutta over the unit interval.
+def _integrate_rows(q0: np.ndarray, velocity_fn: Callable[[float], np.ndarray], steps: int):
+    """Classical four-stage Runge-Kutta over the unit interval, one step per item.
 
     ``q0`` is a (4, n) batch and ``velocity_fn(t)`` returns the (3, n) base
     velocities at time t; the state is renormalized to the sphere after
     every step.  A non-finite stage velocity carries into the renormalized
-    state, which is checked once per step.  Returns the final state plus,
-    when ``collect``, the sampled times, states and the first-stage
-    velocities.
+    state, which is checked once per step.  Yields, after each step, its
+    end time t, the state q at t and the step's first-stage velocity k1,
+    taken where it started.  The public entries check ``steps``.
     """
-    _check_steps(steps)
     q = q0
     dt = 1.0 / steps
     v_t = velocity_fn(0.0)
-    times = [0.0]
-    path = [q] if collect else None
-    vels = [] if collect else None
     for n in range(steps):
         t = n * dt
         v_mid = velocity_fn(t + 0.5 * dt)
@@ -254,12 +247,8 @@ def _integrate_rows(q0: np.ndarray,
         q = _normalize_rows(q)
         if not np.isfinite(q).all():
             raise SolveFailed("non-finite stage velocity in the horizontal lift")
-        if collect:
-            vels.append(k1)
-            path.append(q)
-            times.append((n + 1) * dt)
+        yield (n + 1) * dt, q, k1
         v_t = v_next
-    return q, times, path, vels
 
 
 def _arc_exists(dot):
@@ -325,18 +314,16 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
     """
     if _HOPF.base_distance(_HOPF.project(q0), segment.start) > 1e-9:
         raise ValueError("q0 does not lie over the start of the base segment")
+    _check_steps(steps)
     velocity = _arc_rows(_columns([segment.start]), _columns([segment.end]))[1]
-    end, times, path, vels = _integrate_rows(_columns([q0]), lambda t: velocity(t)[1:],
-                                             steps, collect=store_path)
-    endpoint = UnitQuaternion(*end[:, 0])
-    trajectory = None
-    velocity_samples = None
+    start = _columns([q0])
+    states = [(0.0, start, None), *_integrate_rows(start, lambda t: velocity(t)[1:], steps)]
+    endpoint = UnitQuaternion(*states[-1][1][:, 0])
+    trajectory = velocity_samples = None
     if store_path:
-        trajectory = [(t, UnitQuaternion(*p[:, 0])) for t, p in zip(times, path)]
-        velocity_samples = [
-            TangentVector(trajectory[n][1], Quaternion(*k[:, 0]))
-            for n, k in enumerate(vels)
-        ]
+        trajectory = [(t, UnitQuaternion(*q[:, 0])) for t, q, _ in states]
+        velocity_samples = [TangentVector(point, Quaternion(*k1[:, 0]))
+                            for (_, point), (_, _, k1) in zip(trajectory, states[1:])]
     return LiftResult(endpoint, trajectory, velocity_samples, steps)
 
 
@@ -388,7 +375,8 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     def ev_many(pairs) -> list[CircleElement]:
         q0 = _columns(p[0] for p in pairs)
         q1 = _columns(p[1] for p in pairs)
-        end, _, _, _ = _integrate_rows(q0, base_velocity(q0, q1), steps)
+        for _, end, _ in _integrate_rows(q0, base_velocity(q0, q1), steps):
+            pass  # keep only the last state
         return _translate_endpoints(end, q1)
 
     return DiscreteConnectionForm(_HOPF, None, in_domain, provenance,

@@ -29,11 +29,12 @@ total sphere via normalized 4-component Gaussians, on flat bases
 uniformly in a configurable box, with uniform angles for group
 elements.  An axiom's entry lists its inputs in draw order, each a kind
 (total point, base point or group element) with the domain check that
-runs once that input is drawn.  One loop draws for every axiom: a
-failed check counts one rejection in the report and restarts the
+runs once that input is drawn.  One loop, ``connection._draw``, draws
+for every axiom, and for :func:`compare_forms` from its own such table:
+a failed check counts one rejection in the report and restarts the
 sample, up to 100 attempts per sample.  These are a run's only domain
-checks: rounds never check again, and a restored worst input passes the
-same checks before its round of one.
+checks: rounds never check again, and a worst input, serialized through
+its table, passes the same checks when restored for its round of one.
 """
 
 from __future__ import annotations
@@ -47,15 +48,16 @@ from . import __version__
 from .algebra import CircleElement, UnitQuaternion, canonical_angle, hamilton
 from .bundle import HopfBundle
 from .connection import (
-    _RESAMPLE_LIMIT,
     DiscreteConnectionForm,
+    _draw,
+    _pair_in,
     answer_queries,
     form_from_lift,
     lift_from_form,
 )
 from .errors import EmptyDomainIntersection, InvalidConfig, OutOfDomain, OutOfRange, ProbeFailed
 from .riemannian import beta_formula, lmw_form
-from .rng import SplitMix64, substream
+from .rng import substream
 
 #: axiom identifiers in report order
 AXIOM_IDS = (
@@ -274,17 +276,6 @@ class _Axiom(NamedTuple):
     violations: Callable
 
 
-def _pair_in(*names):
-    """Check that the first and the latest input drawn, as a pair, lie in
-    each named target's domain; with one input drawn that pair is (q, q)."""
-    def check(targets, drawn):
-        for name in names:
-            if not targets[name].in_domain(drawn[0], drawn[-1]):
-                return False
-        return True
-    return check
-
-
 def _moved_pair_in_form(targets, drawn):
     q0, q1, g0, g1 = drawn
     form = targets["form"]
@@ -325,29 +316,6 @@ _AXIOMS = {
 }
 
 
-def _draw(axiom: str, targets: dict, rng: SplitMix64, box: float, counter) -> tuple:
-    """One sample of an axiom's inputs, drawn from ``rng`` step by step.
-
-    A failed domain check adds one to ``counter[0]`` and restarts the sample.
-    """
-    bundle = targets["form"].bundle
-    steps = _AXIOMS[axiom].steps
-    for _ in range(_RESAMPLE_LIMIT):
-        drawn = []
-        for kind, check in steps:
-            if kind == "group":
-                drawn.append(bundle.sample_group(rng))
-            else:
-                q = bundle.sample_point(rng, box=box)
-                drawn.append(q if kind == "point" else bundle.project(q))
-            if check is not None and not check(targets, drawn):
-                counter[0] += 1
-                break
-        else:
-            return tuple(drawn)
-    raise ProbeFailed(f"resampling budget exhausted ({axiom})")
-
-
 def _targets(form: DiscreteConnectionForm) -> dict:
     """The form with its induced lift, the recovered form and that form's lift."""
     lift = lift_from_form(form)
@@ -376,29 +344,20 @@ def _run_round(targets: dict, jobs: list) -> list[list[float]]:
 # worst-input serialization
 # ---------------------------------------------------------------------------
 
-def _serialize_inputs(bundle, axiom: str, inputs: tuple) -> dict:
+#: per input kind: its key in a serialized input, then the maps to and from that entry
+_KINDS = {
+    "point": ("point", lambda b, q: b.describe_point(q), lambda b, d: b.restore_point(d)),
+    "base": ("base", lambda b, r: b.describe_base(r), lambda b, d: b.restore_base(d)),
+    "group": ("group_angle", lambda b, g: g.angle, lambda b, angle: CircleElement(angle)),
+}
+
+
+def _serialize_inputs(bundle, steps: tuple, inputs: tuple) -> dict:
     out = {}
-    for i, ((kind, _), value) in enumerate(zip(_AXIOMS[axiom].steps, inputs)):
-        if kind == "point":
-            out[f"arg{i}"] = {"point": bundle.describe_point(value)}
-        elif kind == "base":
-            out[f"arg{i}"] = {"base": bundle.describe_base(value)}
-        else:
-            out[f"arg{i}"] = {"group_angle": value.angle}
+    for i, ((kind, _), value) in enumerate(zip(steps, inputs)):
+        key, describe, _ = _KINDS[kind]
+        out[f"arg{i}"] = {key: describe(bundle, value)}
     return out
-
-
-def _restore_inputs(bundle, axiom: str, data: dict) -> tuple:
-    restored = []
-    for i, (kind, _) in enumerate(_AXIOMS[axiom].steps):
-        entry = data[f"arg{i}"]
-        if kind == "point":
-            restored.append(bundle.restore_point(entry["point"]))
-        elif kind == "base":
-            restored.append(bundle.restore_base(entry["base"]))
-        else:
-            restored.append(CircleElement(entry["group_angle"]))
-    return tuple(restored)
 
 
 def violation_from_record(form: DiscreteConnectionForm, axiom_id: str,
@@ -409,12 +368,14 @@ def violation_from_record(form: DiscreteConnectionForm, axiom_id: str,
     The returned violation reproduces the report's ``max_violation`` for
     that axiom, which is what makes failure reports auditable.
     """
-    inputs = _restore_inputs(form.bundle, axiom_id, worst_input)
     targets = _targets(form)
-    for drawn, (_, check) in enumerate(_AXIOMS[axiom_id].steps, 1):
-        if check is not None and not check(targets, inputs[:drawn]):
+    inputs = []
+    for i, (kind, check) in enumerate(_AXIOMS[axiom_id].steps):
+        key, _, restore = _KINDS[kind]
+        inputs.append(restore(form.bundle, worst_input[f"arg{i}"][key]))
+        if check is not None and not check(targets, inputs):
             raise OutOfDomain(f"recorded {axiom_id} input outside the domain it is drawn from")
-    ((violation,),) = _run_round(targets, [(axiom_id, [inputs])])
+    ((violation,),) = _run_round(targets, [(axiom_id, [tuple(inputs)])])
     return violation
 
 
@@ -426,10 +387,11 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     """Certify the connection-form axioms on seeded random samples.
 
     Runs every axiom at ``cfg.n_samples`` samples with per-sample streams
-    derived from (seed, axiom index, sample index).  The domain-properness
-    probe runs only on the quaternion bundle, where pairs over antipodal
-    base points exist by construction; each of its samples is a counted
-    out-of-domain rejection.
+    derived from (seed, axiom index, sample index), each drawn by the
+    draw loop from the axiom's steps, or ProbeFailed naming the axiom.  The
+    domain-properness probe runs only on the quaternion bundle, where pairs
+    over antipodal base points exist by construction; each of its samples
+    is a counted out-of-domain rejection.
 
     Every form is checked in rounds that cover every axiom for a block of
     at most ``_ROUND_SAMPLES`` samples, one evaluation of the form each.
@@ -438,16 +400,19 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     """
     bundle = form.bundle
     targets = _targets(form)
-    counter = [0]
+    rejected = [0]
     properness = isinstance(bundle, HopfBundle)
-    checked = [(index, axiom) for index, axiom in enumerate(AXIOM_IDS)
+    checked = [(index, axiom, _AXIOMS[axiom].steps,
+                ProbeFailed(f"resampling budget exhausted ({axiom})"))
+               for index, axiom in enumerate(AXIOM_IDS)
                if axiom != "domain_properness" or properness]
     failures = dict.fromkeys(AXIOM_IDS, 0)
     worst = {}  # axiom -> (violation, inputs), folded as max() would
     for start in range(0, cfg.n_samples, _ROUND_SAMPLES):
-        jobs = [(axiom, [_draw(axiom, targets, substream(cfg.seed, index, i), cfg.box, counter)
+        jobs = [(axiom, [_draw(steps, targets, substream(cfg.seed, index, i), cfg.box,
+                               rejected, exhausted)
                          for i in range(start, min(start + _ROUND_SAMPLES, cfg.n_samples))])
-                for index, axiom in checked]
+                for index, axiom, steps, exhausted in checked]
         for (axiom, inputs), violations in zip(jobs, _run_round(targets, jobs)):
             tol = cfg.tolerance_for(axiom, form)
             for v, sample in zip(violations, inputs):
@@ -462,7 +427,7 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
 
     records = [
         AxiomRecord(axiom, cfg.n_samples, failures[axiom], worst[axiom][0],
-                    _serialize_inputs(bundle, axiom, worst[axiom][1]))
+                    _serialize_inputs(bundle, _AXIOMS[axiom].steps, worst[axiom][1]))
         if axiom in worst else AxiomRecord(axiom, 0, 0, 0.0, None)
         for axiom in AXIOM_IDS
     ]
@@ -473,7 +438,7 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
         seed=cfg.seed,
         n_samples=cfg.n_samples,
         # each domain_properness sample is drawn outside the domain
-        resampled_out_of_domain=counter[0] + properness * cfg.n_samples,
+        resampled_out_of_domain=rejected[0] + properness * cfg.n_samples,
         axioms=records,
     )
 
@@ -515,24 +480,23 @@ class FormComparison:
                 f"max deviation: {self.max_deviation!r}")
 
 
+#: a pair (q0, q1) in the domains of both compared forms
+_COMPARE_STEPS = (_POINT, ("point", _pair_in("form", "other")))
+
+
 def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm,
                   cfg: SampleConfig) -> FormComparison:
-    """Compare two forms on every sample, or raise EmptyDomainIntersection."""
+    """Compare two forms on every sample, each a pair the draw loop checks in
+    both domains, or raise EmptyDomainIntersection naming a sample it cannot draw."""
     if form_a.bundle != form_b.bundle:
         raise ValueError("forms must live on the same bundle")
     bundle = form_a.bundle
-    pairs = []
-    for i in range(cfg.n_samples):
-        rng = substream(cfg.seed, _COMPARE_STREAM, i)
-        for _ in range(_RESAMPLE_LIMIT):
-            q0 = bundle.sample_point(rng, box=cfg.box)
-            q1 = bundle.sample_point(rng, box=cfg.box)
-            if form_a.in_domain(q0, q1) and form_b.in_domain(q0, q1):
-                pairs.append((q0, q1))
-                break
-        else:
-            raise EmptyDomainIntersection(
-                f"no draw for sample {i} landed in the domains of both forms")
+    targets = {"form": form_a, "other": form_b}
+    rejected = [0]
+    pairs = [_draw(_COMPARE_STEPS, targets, substream(cfg.seed, _COMPARE_STREAM, i), cfg.box,
+                   rejected, EmptyDomainIntersection(
+                       f"no draw for sample {i} landed in the domains of both forms"))
+             for i in range(cfg.n_samples)]
     # the draw checked both domains
     va, vb = (answer_queries([(form, pairs)])[0] for form in (form_a, form_b))
     deviations = [bundle.group_distance(a, b) for a, b in zip(va, vb)]
@@ -544,7 +508,7 @@ def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm
         seed=cfg.seed,
         n_samples=len(pairs),
         max_deviation=deviations[worst],
-        worst_input=_serialize_inputs(bundle, "roundtrip_form", pairs[worst]),
+        worst_input=_serialize_inputs(bundle, _COMPARE_STEPS, pairs[worst]),
     )
 
 

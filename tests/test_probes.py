@@ -143,6 +143,28 @@ class TestSliceProbes:
         # every point's slice points come from the same two evaluations
         assert calls == [12, 12]
 
+    def test_rejected_draws_keep_their_order(self, hopf):
+        # half of all fibers lie outside the domain; each accepted direction
+        # must come from the same stream position as when recorded
+        closed = hopf_closed_form()
+        half = DiscreteConnectionForm(
+            hopf, closed.evaluate,
+            lambda q0, q1: closed.in_domain(q0, q1) and hopf.project(q1).x > 0, "closed-form")
+        points = [hopf.sample_point(substream(5, k)) for k in range(3)]
+        reports = slice_probes(half, points, 16, seed=9)
+        assert [r.min_separation for r in reports] == [
+            0.5147668390061158, 0.16680307471325073, 0.34232703643153534]
+
+    def test_each_pair_is_checked_once(self, hopf):
+        # the draw checks each pair (q, p), and _slice_points each partner
+        closed = hopf_closed_form()
+        checks = []
+        form = DiscreteConnectionForm(
+            hopf, closed.evaluate, lambda q0, q1: checks.append(q1) or True, "closed-form")
+        points = [hopf.sample_point(substream(70, k)) for k in range(3)]
+        slice_probes(form, points, 8, seed=5)
+        assert len(checks) == 2 * len(points) * 8
+
     def test_later_point_draw_failure_raises_before_any_evaluation(self, hopf):
         points = [hopf.sample_point(substream(69, k)) for k in range(3)]
         closed = hopf_closed_form()
@@ -164,6 +186,15 @@ class TestTangentSplit:
         for i in range(10):
             q = hopf.sample_point(substream(62, i))
             assert tangent_split_check(form, q)
+
+    def test_each_pair_is_checked_once(self, hopf):
+        # the finite-difference pairs where they are built, then the partners
+        closed = hopf_closed_form()
+        checks = []
+        form = DiscreteConnectionForm(
+            hopf, closed.evaluate, lambda q0, q1: checks.append(q1) or True, "closed-form")
+        assert tangent_split_check(form, ONE)
+        assert len(checks) == 2 * 2 * hopf.dim_base
 
     def test_dropping_orbit_column_reduces_rank(self, hopf):
         form = hopf_closed_form()

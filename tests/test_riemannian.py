@@ -187,7 +187,7 @@ class TestClosedFormStage:
         with np.errstate(divide="ignore", invalid="ignore"):
             assert not np.isfinite(_stage_rows(np.zeros((4, 1)), np.ones((3, 1)))).any()
             with pytest.raises(SolveFailed, match="non-finite stage velocity"):
-                _integrate_rows(np.zeros((4, 1)), lambda t: np.ones((3, 1)), 4)
+                list(_integrate_rows(np.zeros((4, 1)), lambda t: np.ones((3, 1)), 4))
 
 
 class TestProjectionRows:
@@ -370,7 +370,12 @@ class TestGeodesicForm:
                             end.components()))
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    @pytest.mark.parametrize("factory", [
+        riemannian_form,
+        lmw_form,
+        pytest.param(lambda steps: horizontal_lift_path(base_geodesic(I_BASE, K_BASE), ONE, steps),
+                     id="horizontal_lift_path"),
+    ])
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_rejected(self, factory, steps):
         with pytest.raises(InvalidConfig):

@@ -25,7 +25,7 @@ from disconn import (
     violation_from_record,
 )
 from disconn import riemannian, verify
-from disconn.connection import answer_queries
+from disconn.connection import _RESAMPLE_LIMIT, answer_queries
 from disconn.rng import substream
 from disconn.verify import CSV_HEADER
 
@@ -271,14 +271,16 @@ class TestDrawing:
     @pytest.mark.parametrize("axiom", [
         "equivariance", "domain_invariance", "lift_section", "lift_equivariance",
         "roundtrip_form", "roundtrip_lift"])
-    def test_every_exhausted_draw_names_its_axiom(self, line_bundle, axiom):
-        # off the diagonal nothing is in the domain, so every pair is rejected
+    def test_every_exhausted_draw_names_its_axiom(self, line_bundle, monkeypatch, axiom):
+        # off the diagonal nothing is in the domain, so every attempt ends
+        # at its first domain check; the run checks this axiom alone
+        checks = []
         form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.7,), 1),
-                                   base_domain=lambda r0, r1: r0 == r1)
-        counter = [0]
+                                   base_domain=lambda r0, r1: checks.append(r0) or r0 == r1)
+        monkeypatch.setattr(verify, "AXIOM_IDS", (axiom,))
         with pytest.raises(ProbeFailed, match=re.escape(f"({axiom})")):
-            verify._draw(axiom, verify._targets(form), substream(3, 0, 0), 2.0, counter)
-        assert counter == [verify._RESAMPLE_LIMIT]
+            check_axioms(form, SampleConfig(seed=3, n_samples=1))
+        assert len(checks) == _RESAMPLE_LIMIT
 
 
 class TestDeterminism:
@@ -383,7 +385,7 @@ class TestDomainControls:
         (lambda q0, q1: q0 != q1, "normalization", (ONE,)),
     ])
     def test_recorded_input_outside_the_domain_raises(self, hopf, extra, axiom, inputs):
-        record = verify._serialize_inputs(hopf, axiom, inputs)
+        record = verify._serialize_inputs(hopf, verify._AXIOMS[axiom].steps, inputs)
         with pytest.raises(OutOfDomain, match=f"recorded {axiom} input"):
             violation_from_record(_closed_on(extra), axiom, record)
 
@@ -408,6 +410,18 @@ class TestCompareForms:
         cmp = compare_forms(riemannian_form(32), hopf_closed_form(),
                             SampleConfig(seed=22, n_samples=100))
         assert cmp.max_deviation <= 1e-6
+
+    def test_rejected_draws_keep_their_order(self):
+        # the cap rejects about half of all pairs; each accepted pair must
+        # come from the same stream position as when recorded
+        cap = _closed_on(lambda q0, q1: q1.w > 0)
+        cmp = compare_forms(lmw_form(16), cap, SampleConfig(seed=3, n_samples=200))
+        assert cmp.max_deviation == 3.09148169308658
+        assert cmp.worst_input == {
+            "arg0": {"point": [0.4202143824346543, 0.5603646363243516,
+                               -0.7055383589888283, -0.10782843385438953]},
+            "arg1": {"point": [0.5091906333408812, 0.26778393683233326,
+                               0.8103961104638436, -0.110791724589714]}}
 
     def test_different_bundles_rejected(self, line_bundle):
         form_a = hopf_closed_form()
