@@ -1,9 +1,10 @@
 """Principal bundles with circle structure group.
 
 The abstract contract covers projection, group action, fiber translation
-and a local section; the two shipped geometries are trivial bundles
-R^n x U(1) over R^n and the unit-quaternion bundle over the 2-sphere of
-unit imaginary quaternions.
+and a local section, plus the metric, sampling and serialization helpers
+that the probes and the verification harness use; the two shipped
+geometries are trivial bundles R^n x U(1) over R^n and the
+unit-quaternion bundle over the 2-sphere of unit imaginary quaternions.
 
 Distances on spheres are measured extrinsically (Euclidean in the ambient
 coordinates); every tolerance in this package refers to that metric.
@@ -42,16 +43,20 @@ class PrincipalBundle(abc.ABC):
     """Contract for a principal bundle with structure group U(1).
 
     Concrete geometries provide the projection, the left group action,
-    the fiber-translation map and a local section, plus embedding and
-    sampling helpers used by the probes and the verification harness.
+    the fiber-translation map and a local section, plus the metric,
+    sampling and serialization helpers used by the probes and the
+    verification harness, and state ``dim_base`` and ``name``.
     The group operations are exposed on the bundle so code written
     against this contract stays correct for non-abelian groups.
     """
 
-    dim_total: int
     dim_base: int
-    dim_group: int
     name: str
+    dim_group = 1
+
+    @property
+    def dim_total(self) -> int:
+        return self.dim_base + self.dim_group
 
     # -- geometry ---------------------------------------------------------
 
@@ -82,7 +87,7 @@ class PrincipalBundle(abc.ABC):
     def section_defined(self, r) -> bool:
         """True when ``r`` lies in the local section's chart."""
 
-    # -- metric and embedding ---------------------------------------------
+    # -- metric ------------------------------------------------------------
 
     @abc.abstractmethod
     def distance(self, q0, q1) -> float:
@@ -93,12 +98,8 @@ class PrincipalBundle(abc.ABC):
         """Extrinsic distance between base points."""
 
     @abc.abstractmethod
-    def embed(self, q) -> np.ndarray:
-        """Coordinates of a total point in the ambient chart."""
-
-    @abc.abstractmethod
     def embed_difference(self, q_plus, q_minus) -> np.ndarray:
-        """Ambient difference embed(q_plus) - embed(q_minus).
+        """Difference q_plus - q_minus in the ambient coordinates.
 
         Periodic coordinates are unwrapped so finite differences across
         them stay meaningful.
@@ -172,9 +173,21 @@ def _gap(aw, ax, ay, az, bw, bx, by, bz) -> float:
     return math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
 
 
+def _check_fiber(d: float) -> None:
+    """Raise NotSameFiber when two base points are ``d`` > FIBER_ATOL apart."""
+    if d > FIBER_ATOL:
+        raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
+
+
 def phase_components(q0: Quaternion, q1: Quaternion) -> tuple:
     """The 1 and i components of q1 * conj(q0), whose phase carries q0 to q1."""
     return hamilton(q1.w, q1.x, q1.y, q1.z, q0.w, -q0.x, -q0.y, -q0.z)[:2]
+
+
+def fiber_phase(q0: Quaternion, q1: Quaternion) -> CircleElement:
+    """Phase of q1 * conj(q0): the fiber translation, and the closed-form connection."""
+    w, x = phase_components(q0, q1)
+    return CircleElement(math.atan2(x, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +202,8 @@ class HopfBundle(PrincipalBundle):
     order of those expressions, and builds only its result.
     """
 
-    dim_total: int = 3
-    dim_base: int = 2
-    dim_group: int = 1
-    name: str = "hopf"
+    dim_base = 2
+    name = "hopf"
 
     def __eq__(self, other):
         return isinstance(other, HopfBundle)
@@ -208,12 +219,9 @@ class HopfBundle(PrincipalBundle):
                                         q.w, q.x, q.y, q.z))
 
     def fiber_translation(self, q0, q1) -> CircleElement:
-        d = _gap(*_base_components(q0.w, q0.x, q0.y, q0.z),
-                 *_base_components(q1.w, q1.x, q1.y, q1.z))
-        if d > FIBER_ATOL:
-            raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
-        w, x = phase_components(q0, q1)
-        return CircleElement(math.atan2(x, w))
+        _check_fiber(_gap(*_base_components(q0.w, q0.x, q0.y, q0.z),
+                          *_base_components(q1.w, q1.x, q1.y, q1.z)))
+        return fiber_phase(q0, q1)
 
     def local_section(self, r: Quaternion) -> UnitQuaternion:
         if not self.section_defined(r):
@@ -231,11 +239,8 @@ class HopfBundle(PrincipalBundle):
     def base_distance(self, r0: Quaternion, r1: Quaternion) -> float:
         return _gap(r0.w, r0.x, r0.y, r0.z, r1.w, r1.x, r1.y, r1.z)
 
-    def embed(self, q: Quaternion) -> np.ndarray:
-        return np.array(q.components())
-
     def embed_difference(self, q_plus, q_minus) -> np.ndarray:
-        return self.embed(q_plus) - self.embed(q_minus)
+        return np.array(q_plus.components()) - np.array(q_minus.components())
 
     def base_direction_curves(self, q: UnitQuaternion):
         # j*q and k*q span the directions transverse to the fiber through q
@@ -275,16 +280,8 @@ class TrivialBundle(PrincipalBundle):
             raise InvalidConfig(f"base dimension must be at least 1, got {self.dim}")
 
     @property
-    def dim_total(self) -> int:
-        return self.dim + 1
-
-    @property
     def dim_base(self) -> int:
         return self.dim
-
-    @property
-    def dim_group(self) -> int:
-        return 1
 
     @property
     def name(self) -> str:
@@ -306,11 +303,6 @@ class TrivialBundle(PrincipalBundle):
             g = CircleElement(float(g))
         return TrivialPoint(coords, g)
 
-    def base_point(self, r) -> tuple[float, ...]:
-        if isinstance(r, (int, float)):
-            return (float(r),)
-        return tuple(float(c) for c in r)
-
     def project(self, q: TrivialPoint) -> tuple[float, ...]:
         return q.r
 
@@ -318,13 +310,11 @@ class TrivialBundle(PrincipalBundle):
         return TrivialPoint(q.r, g * q.g)
 
     def fiber_translation(self, q0, q1) -> CircleElement:
-        d = self.base_distance(q0.r, q1.r)
-        if d > FIBER_ATOL:
-            raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
+        _check_fiber(self.base_distance(q0.r, q1.r))
         return q1.g * q0.g.inverse()
 
     def local_section(self, r) -> TrivialPoint:
-        return TrivialPoint(self.base_point(r), CIRCLE_IDENTITY)
+        return self.point(r)
 
     def section_defined(self, r) -> bool:
         return True
@@ -337,13 +327,9 @@ class TrivialBundle(PrincipalBundle):
     def base_distance(self, r0, r1) -> float:
         return math.sqrt(sum((a - b) ** 2 for a, b in zip(r0, r1)))
 
-    def embed(self, q: TrivialPoint) -> np.ndarray:
-        return np.array([*q.r, q.g.angle])
-
     def embed_difference(self, q_plus: TrivialPoint, q_minus: TrivialPoint) -> np.ndarray:
-        out = self.embed(q_plus) - self.embed(q_minus)
-        out[-1] = canonical_angle(q_plus.g.angle - q_minus.g.angle)
-        return out
+        return np.array([*(a - b for a, b in zip(q_plus.r, q_minus.r)),
+                         canonical_angle(q_plus.g.angle - q_minus.g.angle)])
 
     def base_direction_curves(self, q: TrivialPoint):
         def curve(i: int) -> Callable[[float], TrivialPoint]:
@@ -381,7 +367,5 @@ class FiberPair:
     q1: object
 
     def __post_init__(self):
-        d = self.bundle.base_distance(self.bundle.project(self.q0),
-                                      self.bundle.project(self.q1))
-        if d > FIBER_ATOL:
-            raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
+        _check_fiber(self.bundle.base_distance(self.bundle.project(self.q0),
+                                               self.bundle.project(self.q1)))

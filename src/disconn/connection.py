@@ -258,12 +258,15 @@ _C_VALIDATION_SAMPLES = 32
 def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> Callable:
     """Base-pair function from the fixed registry of parametric families.
 
-    ``constant`` ignores its parameters and always returns the identity.
-    ``linear`` returns exp(i * sum_k w_k (r1_k - r0_k)) with weights taken
-    from ``params`` (default: all ones), which must be finite; a pair at
-    which that angle overflows raises InvalidC.
+    ``constant`` takes no parameters (given any, it raises InvalidC) and
+    always returns the identity.  ``linear`` returns
+    exp(i * sum_k w_k (r1_k - r0_k)) with weights taken from ``params``
+    (default: all ones), which must be finite; a pair at which that angle
+    overflows raises InvalidC.
     """
     if family == "constant":
+        if params:
+            raise InvalidC(f"constant family takes no parameters, got {tuple(params)}")
         return lambda r0, r1: CIRCLE_IDENTITY
     if family == "linear":
         weights = tuple(float(p) for p in params) if params else (1.0,) * dim

@@ -49,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import CircleElement, Q_I, Quaternion, UnitQuaternion, hamilton
-from .bundle import HopfBundle, phase_components
+from .bundle import FIBER_ATOL, HopfBundle, fiber_phase, phase_components
 from .connection import DiscreteConnectionForm
 from .errors import AntipodalPoints, InvalidConfig, OutOfRange, SolveFailed
 
@@ -307,12 +307,12 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
                          steps: int, *, store_path: bool = False) -> LiftResult:
     """Horizontal lift of the minimizing base arc of a segment, starting at q0.
 
-    The start of the segment must be the base point of q0 (within 1e-9).
-    With ``store_path`` the sampled trajectory and the per-step stage
-    velocities are retained; each stored velocity is horizontal by
-    construction, which the trajectory invariants test.
+    The base point of q0 must lie within ``FIBER_ATOL`` of the segment's
+    start, else ValueError.  With ``store_path`` every state and each
+    step's first-stage velocity are retained; each stored velocity is
+    horizontal by construction, which the trajectory invariants test.
     """
-    if _HOPF.base_distance(_HOPF.project(q0), segment.start) > 1e-9:
+    if _HOPF.base_distance(_HOPF.project(q0), segment.start) > FIBER_ATOL:
         raise ValueError("q0 does not lie over the start of the base segment")
     _check_steps(steps)
     velocity = _arc_rows(_columns([segment.start]), _columns([segment.end]))[1]
@@ -341,16 +341,13 @@ def _hopf_in_domain(q0, q1) -> bool:
 
 
 def hopf_closed_form() -> DiscreteConnectionForm:
-    """Closed-form connection on the quaternion bundle.
+    """Closed-form connection on the quaternion bundle: the fiber phase.
 
     The value at (q0, q1) is the phase of the complex part of
-    q1 * conj(q0), defined whenever that part is nonzero.
+    q1 * conj(q0) (:func:`~disconn.bundle.fiber_phase`), defined whenever
+    that part is nonzero.
     """
-    def ev(q0: UnitQuaternion, q1: UnitQuaternion) -> CircleElement:
-        w, x = phase_components(q0, q1)
-        return CircleElement(math.atan2(x, w))
-
-    return DiscreteConnectionForm(_HOPF, ev, _hopf_in_domain, "closed-form")
+    return DiscreteConnectionForm(_HOPF, fiber_phase, _hopf_in_domain, "closed-form")
 
 
 def _translate_endpoints(end: np.ndarray, q1: np.ndarray) -> list[CircleElement]:

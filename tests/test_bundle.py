@@ -10,11 +10,28 @@ from disconn import (
     NotSameFiber,
     Quaternion,
     SectionUndefined,
+    TrivialBundle,
     UnitQuaternion,
+    hopf_closed_form,
 )
 from disconn.rng import SplitMix64, substream
 
 from conftest import HALF_J, I_BASE, I_POINT, J_POINT, K_BASE, ONE
+
+
+class TestGeometry:
+    def test_hopf_geometry_is_fixed(self):
+        with pytest.raises(TypeError):
+            HopfBundle(dim_total=5)
+        assert HopfBundle() == HopfBundle()
+        assert hash(HopfBundle()) == hash(HopfBundle())
+
+    @pytest.mark.parametrize("bundle, dim_total, dim_base", [
+        (HopfBundle(), 3, 2),
+        (TrivialBundle(3), 4, 3),
+    ], ids=["hopf", "trivial-r3"])
+    def test_dimensions(self, bundle, dim_total, dim_base):
+        assert (bundle.dim_total, bundle.dim_base, bundle.dim_group) == (dim_total, dim_base, 1)
 
 
 class TestHopfProjection:
@@ -64,12 +81,15 @@ class TestFiberStructure:
             assert d <= 1e-9
 
     def test_translation_recovers_group_element(self, hopf):
+        # the closed form is the fiber phase, so it agrees bit for bit
+        closed = hopf_closed_form()
         for i in range(2_000):
             rng = substream(102, i)
             q = hopf.sample_point(rng)
             g = hopf.sample_group(rng)
             k = hopf.fiber_translation(q, hopf.act(g, q))
             assert hopf.group_distance(k, g) <= 1e-9
+            assert closed.evaluate(q, hopf.act(g, q)).angle == k.angle
 
     def test_identity_translation(self, hopf):
         assert hopf.fiber_translation(ONE, ONE).angle == 0.0
@@ -78,11 +98,18 @@ class TestFiberStructure:
         g = hopf.fiber_translation(ONE, I_POINT)
         assert abs(g.angle - math.pi / 2.0) < 1e-15
 
-    def test_not_same_fiber(self, hopf):
-        with pytest.raises(NotSameFiber):
+    def test_not_same_fiber(self, hopf, line_bundle):
+        # both fiber translations and FiberPair give one message
+        a, b = line_bundle.point(0.0), line_bundle.point(2.0)
+        message = r"^base points are 2\.000e\+00 apart \(allowed 1\.0e-09\)$"
+        with pytest.raises(NotSameFiber, match=message):
             hopf.fiber_translation(ONE, J_POINT)
-        with pytest.raises(NotSameFiber):
+        with pytest.raises(NotSameFiber, match=message):
             FiberPair(hopf, ONE, J_POINT)
+        with pytest.raises(NotSameFiber, match=message):
+            line_bundle.fiber_translation(a, b)
+        with pytest.raises(NotSameFiber, match=message):
+            FiberPair(line_bundle, a, b)
 
     def test_fiber_pair_accepts_fiber_mates(self, hopf):
         FiberPair(hopf, ONE, I_POINT)
@@ -171,14 +198,20 @@ class TestTrivialBundle:
         assert s.r == (0.3,) and s.g.angle == 0.0
         assert line_bundle.section_defined((0.3,))
 
-    def test_point_validates_dimension(self, plane_bundle):
-        with pytest.raises(ValueError):
-            plane_bundle.point((1.0,))
+    def test_point_validates_dimension(self, line_bundle, plane_bundle):
+        # the section builds its point through point, so it checks as well
+        for build in (plane_bundle.point, plane_bundle.local_section):
+            with pytest.raises(ValueError):
+                build((1.0,))
+        for build in (line_bundle.point, line_bundle.local_section):
+            with pytest.raises(ValueError):
+                build((0.3, 0.4))
 
     def test_embed_difference_unwraps_angle(self, line_bundle):
-        a = line_bundle.point(0.0, CircleElement(math.pi - 0.05))
-        b = line_bundle.point(0.0, CircleElement(-math.pi + 0.05))
+        a = line_bundle.point(1.0, CircleElement(math.pi - 0.05))
+        b = line_bundle.point(1.5, CircleElement(-math.pi + 0.05))
         d = line_bundle.embed_difference(b, a)
+        assert d[0] == 0.5
         assert abs(d[-1] - 0.1) < 1e-12
 
     def test_fiber_preservation_bulk(self, plane_bundle):

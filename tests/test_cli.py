@@ -221,6 +221,19 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("params", ["nan", "1,2,3"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--form", "trivial-c", "--c-params"),
+        ("compare", "--form-a", "trivial-c", "--form-b", "trivial-c", "--c-params-a"),
+    ], ids=["verify", "compare"])
+    def test_constant_c_params_rejected(self, capsys, argv, params):
+        # the constant family has no parameters, so none may be given to it
+        code, out, err = run(capsys, argv[0], "--bundle", "trivial", *argv[1:], params,
+                             "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "takes no parameters" in err
+
     @pytest.mark.parametrize("box", ["nan", "1e160"])
     def test_probe_box_rejected(self, capsys, box):
         code, _, err = run(capsys, "slice-probe", "--bundle", "trivial", "--form",
