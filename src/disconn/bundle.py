@@ -37,6 +37,8 @@ from .rng import SplitMix64
 FIBER_ATOL = 1e-9
 #: chart margin of the quaternion-bundle section around its excluded base point
 SECTION_CHART_ATOL = 1e-6
+#: default half-width of the box that flat base points are sampled in
+DEFAULT_BOX = 2.0
 
 
 class PrincipalBundle(abc.ABC):
@@ -129,7 +131,7 @@ class PrincipalBundle(abc.ABC):
     # -- sampling ----------------------------------------------------------
 
     @abc.abstractmethod
-    def sample_point(self, rng: SplitMix64, *, box: float = 2.0):
+    def sample_point(self, rng: SplitMix64, *, box: float = DEFAULT_BOX):
         """Random total point (``box`` bounds flat base charts, unused on spheres)."""
 
     def sample_group(self, rng: SplitMix64) -> CircleElement:
@@ -251,7 +253,7 @@ class HopfBundle(PrincipalBundle):
 
         return [curve(d) for d in dirs]
 
-    def sample_point(self, rng: SplitMix64, *, box: float = 2.0) -> UnitQuaternion:
+    def sample_point(self, rng: SplitMix64, *, box: float = DEFAULT_BOX) -> UnitQuaternion:
         w, x = rng.normal_pair()
         y, z = rng.normal_pair()
         return UnitQuaternion(*unit_components(w, x, y, z))
@@ -341,7 +343,7 @@ class TrivialBundle(PrincipalBundle):
 
         return [curve(i) for i in range(self.dim)]
 
-    def sample_point(self, rng: SplitMix64, *, box: float = 2.0) -> TrivialPoint:
+    def sample_point(self, rng: SplitMix64, *, box: float = DEFAULT_BOX) -> TrivialPoint:
         coords = tuple(rng.uniform_in(-box, box) for _ in range(self.dim))
         return TrivialPoint(coords, CircleElement(rng.angle()))
 

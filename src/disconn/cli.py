@@ -11,10 +11,13 @@ undefined or unbounded (``--steps``, ``--points`` or ``--budget`` below
 1, a ``--box`` not above 0 or whose squared diameter (2 box)^2 dim
 overflows, a non-finite or non-positive ``--separation``, ``--dim``
 below 1 or above 1,000, a non-finite ``--c-params`` weight, a theta grid
-of more than 10,000 values or of a non-finite step count).  Reports are
-strict JSON; a probed point that compared nothing has ``min_separation``
-``null`` and fails.  The environment variable DISCONN_SEED supplies the
-default seed.  Identical invocations write byte-identical outputs.
+of more than 10,000 values or of a non-finite step count), a non-finite
+``--tolerance``, any ``--c-params`` for the constant family and C options
+given to a form that does not read them.  Reports are strict JSON; a
+probed point that compared nothing has ``min_separation`` ``null`` and
+fails.  The environment variable DISCONN_SEED supplies the default seed.
+Every other default is the library's own.  Identical invocations write
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -27,15 +30,23 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .bundle import HopfBundle, TrivialBundle
-from .connection import make_c_function, slice_probes, trivial_form_from_C
+from .bundle import DEFAULT_BOX, TrivialBundle
+from .connection import (C_FAMILIES, DEFAULT_SEPARATION, make_c_function, slice_probes,
+                          trivial_form_from_C)
 from .errors import DisconnError
-from .riemannian import hopf_closed_form, lmw_form, riemannian_form
+from .riemannian import DEFAULT_STEPS, hopf_closed_form, lmw_form, riemannian_form
 from .rng import substream
 from .verify import SampleConfig, check_axioms, compare_forms, counterexample_sweep
 
-_HOPF_FORMS = ("closed", "geodesic", "lmw")
-_TRIVIAL_FORMS = ("trivial-c",)
+#: form name -> (the bundle it lives on, whether it reads the C options, its
+#: factory of the base dimension, the step count and the C function, None unless read)
+_FORMS = {
+    "closed": ("hopf", False, lambda dim, steps, c_fn: hopf_closed_form()),
+    "geodesic": ("hopf", False, lambda dim, steps, c_fn: riemannian_form(steps)),
+    "lmw": ("hopf", False, lambda dim, steps, c_fn: lmw_form(steps)),
+    "trivial-c": ("trivial", True,
+                  lambda dim, steps, c_fn: trivial_form_from_C(TrivialBundle(dim), c_fn)),
+}
 #: longest theta grid ``sweep`` accepts
 _MAX_GRID_POINTS = 10_000
 #: largest ``--dim`` accepted: every sampled trivial-bundle point holds dim coordinates
@@ -49,7 +60,7 @@ class UsageError(Exception):
 def _default_seed() -> int:
     raw = os.environ.get("DISCONN_SEED")
     if raw is None:
-        return 42
+        return SampleConfig.seed
     try:
         return int(raw)
     except ValueError:
@@ -65,27 +76,22 @@ def _parse_params(raw: Optional[str]) -> tuple[float, ...]:
         raise UsageError(f"could not parse parameter list {raw!r}") from None
 
 
-def _build_bundle(args):
-    if args.bundle == "hopf":
-        return HopfBundle()
-    return TrivialBundle(args.dim)
-
-
-def _build_form(args, bundle, which: str = ""):
-    form_name = getattr(args, f"form{which}")
-    family = getattr(args, f"c_family{which}", None) or "constant"
-    params = _parse_params(getattr(args, f"c_params{which}", None))
-    if isinstance(bundle, HopfBundle):
-        if form_name not in _HOPF_FORMS:
-            raise UsageError(f"form {form_name!r} is not available on the hopf bundle")
-        if form_name == "closed":
-            return hopf_closed_form()
-        if form_name == "geodesic":
-            return riemannian_form(args.steps)
-        return lmw_form(args.steps)
-    if form_name not in _TRIVIAL_FORMS:
-        raise UsageError(f"form {form_name!r} is not available on trivial bundles")
-    return trivial_form_from_C(bundle, make_c_function(family, params, bundle.dim))
+def _build_form(args, side: str = ""):
+    """The form named by ``--form{side}``, built from its C options if it reads
+    them; given to a form that does not, they are a usage error."""
+    dest = side.replace("-", "_")
+    form_name = getattr(args, f"form{dest}")
+    on, reads_c, factory = _FORMS[form_name]
+    if on != args.bundle:
+        raise UsageError(f"form {form_name!r} is not available on the {args.bundle} bundle")
+    family, params = getattr(args, f"c_family{dest}"), getattr(args, f"c_params{dest}")
+    if reads_c:
+        c_fn = make_c_function(family or C_FAMILIES[0], _parse_params(params), args.dim)
+        return factory(args.dim, args.steps, c_fn)
+    for option, value in (("family", family), ("params", params)):
+        if value is not None:
+            raise UsageError(f"form {form_name!r} does not read --c-{option}{side}")
+    return factory(args.dim, args.steps, None)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -96,20 +102,24 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, forms: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, sides: tuple = ("",)) -> None:
+    """Options shared by the subcommands that build forms, with one ``--form``
+    and its C options per side: ``("",)``, or ``("-a", "-b")`` for ``compare``."""
     parser.add_argument("--bundle", choices=("hopf", "trivial"), required=True)
     parser.add_argument("--dim", type=int, default=1,
                         help="base dimension of the trivial bundle")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=256,
+    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                         help="integrator steps for geodesic and lmw forms")
-    parser.add_argument("--box", type=float, default=2.0,
+    parser.add_argument("--box", type=float, default=DEFAULT_BOX,
                         help="half-width of the sampling box on flat bases")
     parser.add_argument("-o", "--output", default=None)
-    if forms:
-        parser.add_argument("--c-family", choices=("constant", "linear"),
-                            default="constant")
-        parser.add_argument("--c-params", default=None,
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    for side in sides:
+        parser.add_argument(f"--form{side}", choices=tuple(_FORMS), required=True)
+        parser.add_argument(f"--c-family{side}", choices=C_FAMILIES, default=None,
+                            help=f"C family of a trivial-c form (default {C_FAMILIES[0]})")
+        parser.add_argument(f"--c-params{side}", default=None,
                             help="comma-separated parameters of the C family")
 
 
@@ -124,42 +134,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="certify connection-form axioms")
     _add_common(p_verify)
-    p_verify.add_argument("--form", choices=_HOPF_FORMS + _TRIVIAL_FORMS,
-                          required=True)
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=int, default=SampleConfig.n_samples)
     p_verify.add_argument("--tolerance", type=float, default=None,
-                          help="override every axiom tolerance")
-    p_verify.add_argument("--format", choices=("json", "text"), default="json")
+                          help="override the tolerance of every measured axiom")
 
     p_compare = sub.add_parser("compare", help="compare two forms on shared samples")
-    _add_common(p_compare, forms=False)
-    p_compare.add_argument("--form-a", choices=_HOPF_FORMS + _TRIVIAL_FORMS,
-                           required=True)
-    p_compare.add_argument("--form-b", choices=_HOPF_FORMS + _TRIVIAL_FORMS,
-                           required=True)
-    for side in ("a", "b"):
-        p_compare.add_argument(f"--c-family-{side}", choices=("constant", "linear"),
-                               default="constant")
-        p_compare.add_argument(f"--c-params-{side}", default=None)
-    p_compare.add_argument("--samples", type=int, default=1000)
-    p_compare.add_argument("--format", choices=("json", "text"), default="json")
+    _add_common(p_compare, ("-a", "-b"))
+    p_compare.add_argument("--samples", type=int, default=SampleConfig.n_samples)
 
     p_sweep = sub.add_parser("sweep", help="counterexample table over a theta grid")
     p_sweep.add_argument("--grid", default="-0.7:0.7:0.05",
                          help="start:stop:step, clipped to (-pi/4, pi/4)")
-    p_sweep.add_argument("--steps", type=int, default=256)
+    p_sweep.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p_sweep.add_argument("-o", "--output", default=None)
     p_sweep.add_argument("--format", choices=("csv", "text"), default="csv")
 
     p_probe = sub.add_parser("slice-probe",
                              help="slice/orbit separation at random points")
     _add_common(p_probe)
-    p_probe.add_argument("--form", choices=_HOPF_FORMS + _TRIVIAL_FORMS,
-                         required=True)
     p_probe.add_argument("--points", type=int, default=10)
     p_probe.add_argument("--budget", type=int, default=32)
-    p_probe.add_argument("--separation", type=float, default=1e-2)
-    p_probe.add_argument("--format", choices=("json", "text"), default="json")
+    p_probe.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
     return parser
 
 
@@ -208,14 +203,9 @@ def _check_sizes(args) -> None:
 
 
 def _cmd_verify(args) -> int:
-    bundle = _build_bundle(args)
-    form = _build_form(args, bundle)
-    tolerances = None
-    if args.tolerance is not None:
-        from .verify import AXIOM_IDS
-        tolerances = {a: args.tolerance for a in AXIOM_IDS}
+    form = _build_form(args)
     cfg = SampleConfig(seed=args.seed, n_samples=args.samples,
-                       tolerances=tolerances, box=args.box)
+                       tolerance=args.tolerance, box=args.box)
     report = check_axioms(form, cfg)
     _emit(report.to_json() if args.format == "json" else report.to_text(),
           args.output)
@@ -223,9 +213,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    bundle = _build_bundle(args)
-    form_a = _build_form(args, bundle, which="_a")
-    form_b = _build_form(args, bundle, which="_b")
+    form_a = _build_form(args, "-a")
+    form_b = _build_form(args, "-b")
     cfg = SampleConfig(seed=args.seed, n_samples=args.samples, box=args.box)
     comparison = compare_forms(form_a, form_b, cfg)
     _emit(comparison.to_json() if args.format == "json" else comparison.to_text(),
@@ -250,8 +239,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_slice_probe(args) -> int:
-    bundle = _build_bundle(args)
-    form = _build_form(args, bundle)
+    form = _build_form(args)
+    bundle = form.bundle
     rng = substream(args.seed, 0x9048)
     points = [bundle.sample_point(rng, box=args.box) for _ in range(args.points)]
     reports = slice_probes(form, points, args.budget, separation=args.separation,
@@ -309,13 +298,8 @@ def run_cli(argv: Optional[list] = None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         _check_sizes(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_slice_probe(args)
+        return {"verify": _cmd_verify, "compare": _cmd_compare, "sweep": _cmd_sweep,
+                "slice-probe": _cmd_slice_probe}[args.command](args)
     except (UsageError, DisconnError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import CIRCLE_IDENTITY, CircleElement
-from .bundle import PrincipalBundle, TrivialBundle, TrivialPoint
+from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle, TrivialPoint
 from .errors import InvalidC, OutOfDomain, ProbeFailed, SectionUndefined
 from .rng import SplitMix64, substream
 
@@ -46,6 +46,8 @@ _EXCLUSION_RADIUS = 1e-3
 _FD_STEP = 1e-5
 #: singular values below this fraction of the largest do not add to the rank
 _SVD_CUTOFF = 1e-6
+#: default distance a slice sample must keep from every orbit sample
+DEFAULT_SEPARATION = 1e-2
 
 
 def _draw(steps: tuple, targets: dict, rng: SplitMix64, box: float, rejected: list,
@@ -246,13 +248,37 @@ def is_horizontal(form: DiscreteConnectionForm, q0, q1) -> bool:
 # trivial-bundle constructions from a base-pair function C
 # ---------------------------------------------------------------------------
 
-#: names of the built-in C families
-C_FAMILIES = ("constant", "linear")
-
 #: tolerance of the diagonal normalization check C(r, r) = e
 _C_DIAGONAL_ATOL = 1e-9
 _C_VALIDATION_SEED = 20240915
 _C_VALIDATION_SAMPLES = 32
+
+
+def _constant_c(params: Sequence[float], dim: int) -> Callable:
+    if params:
+        raise InvalidC(f"constant family takes no parameters, got {tuple(params)}")
+    return lambda r0, r1: CIRCLE_IDENTITY
+
+
+def _linear_c(params: Sequence[float], dim: int) -> Callable:
+    weights = tuple(float(p) for p in params) if params else (1.0,) * dim
+    if len(weights) != dim:
+        raise InvalidC(f"linear family needs {dim} weights, got {len(weights)}")
+    if not all(math.isfinite(w) for w in weights):
+        raise InvalidC(f"linear family weights must be finite, got {weights}")
+
+    def linear(r0, r1):
+        angle = sum(w * (b - a) for w, a, b in zip(weights, r0, r1))
+        if not math.isfinite(angle):
+            raise InvalidC(f"linear family angle at {r0}, {r1} is not finite: {angle}")
+        return CircleElement(angle)
+
+    return linear
+
+
+_C_FACTORIES = {"constant": _constant_c, "linear": _linear_c}
+#: names of the built-in C families, the first of them the default
+C_FAMILIES = tuple(_C_FACTORIES)
 
 
 def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> Callable:
@@ -264,32 +290,17 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
     (default: all ones), which must be finite; a pair at which that angle
     overflows raises InvalidC.
     """
-    if family == "constant":
-        if params:
-            raise InvalidC(f"constant family takes no parameters, got {tuple(params)}")
-        return lambda r0, r1: CIRCLE_IDENTITY
-    if family == "linear":
-        weights = tuple(float(p) for p in params) if params else (1.0,) * dim
-        if len(weights) != dim:
-            raise InvalidC(f"linear family needs {dim} weights, got {len(weights)}")
-        if not all(math.isfinite(w) for w in weights):
-            raise InvalidC(f"linear family weights must be finite, got {weights}")
-
-        def linear(r0, r1):
-            angle = sum(w * (b - a) for w, a, b in zip(weights, r0, r1))
-            if not math.isfinite(angle):
-                raise InvalidC(f"linear family angle at {r0}, {r1} is not finite: {angle}")
-            return CircleElement(angle)
-
-        return linear
-    raise InvalidC(f"unknown C family {family!r} (available: {', '.join(C_FAMILIES)})")
+    if family not in _C_FACTORIES:
+        raise InvalidC(f"unknown C family {family!r} (available: {', '.join(C_FAMILIES)})")
+    return _C_FACTORIES[family](params, dim)
 
 
 def _validate_c(bundle: TrivialBundle, c_fn: Callable) -> None:
     rng = SplitMix64(_C_VALIDATION_SEED)
     probes = [tuple(0.0 for _ in range(bundle.dim))]
     for _ in range(_C_VALIDATION_SAMPLES):
-        probes.append(tuple(rng.uniform_in(-2.0, 2.0) for _ in range(bundle.dim)))
+        probes.append(tuple(rng.uniform_in(-DEFAULT_BOX, DEFAULT_BOX)
+                            for _ in range(bundle.dim)))
     for r in probes:
         g = c_fn(r, r)
         if abs(g.angle) > _C_DIAGONAL_ATOL:
@@ -472,9 +483,8 @@ _PROBE_STEPS = (("point", _pair_in("form")), ("group", None))
 
 
 def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
-                 *, separation: float = 1e-2,
-                 seed: int = 0,
-                 box: float = 2.0) -> list[SliceProbeReport]:
+                 *, separation: float = DEFAULT_SEPARATION, seed: int = 0,
+                 box: float = DEFAULT_BOX) -> list[SliceProbeReport]:
     """Sample the horizontal slice through each point q and the orbit of q.
 
     Slice points are the horizontal partners of random points p, checked

@@ -295,22 +295,22 @@ def _arc_rows(a: np.ndarray, b: np.ndarray):
 
 @dataclass(frozen=True)
 class LiftResult:
-    """Outcome of lifting one base arc: endpoint, optional samples, step count."""
+    """Outcome of lifting one base arc: endpoint, path samples, step count."""
 
     endpoint: UnitQuaternion
-    trajectory: Optional[list]
-    velocity_samples: Optional[list]
+    trajectory: list
+    velocity_samples: list
     steps: int
 
 
 def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
-                         steps: int, *, store_path: bool = False) -> LiftResult:
+                         steps: int) -> LiftResult:
     """Horizontal lift of the minimizing base arc of a segment, starting at q0.
 
     The base point of q0 must lie within ``FIBER_ATOL`` of the segment's
-    start, else ValueError.  With ``store_path`` every state and each
-    step's first-stage velocity are retained; each stored velocity is
-    horizontal by construction, which the trajectory invariants test.
+    start, else ValueError.  The result holds every state as (t, point)
+    and each step's first-stage velocity; each velocity is horizontal by
+    construction, which the trajectory invariants test.
     """
     if _HOPF.base_distance(_HOPF.project(q0), segment.start) > FIBER_ATOL:
         raise ValueError("q0 does not lie over the start of the base segment")
@@ -318,13 +318,10 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
     velocity = _arc_rows(_columns([segment.start]), _columns([segment.end]))[1]
     start = _columns([q0])
     states = [(0.0, start, None), *_integrate_rows(start, lambda t: velocity(t)[1:], steps)]
-    endpoint = UnitQuaternion(*states[-1][1][:, 0])
-    trajectory = velocity_samples = None
-    if store_path:
-        trajectory = [(t, UnitQuaternion(*q[:, 0])) for t, q, _ in states]
-        velocity_samples = [TangentVector(point, Quaternion(*k1[:, 0]))
-                            for (_, point), (_, _, k1) in zip(trajectory, states[1:])]
-    return LiftResult(endpoint, trajectory, velocity_samples, steps)
+    trajectory = [(t, UnitQuaternion(*q[:, 0])) for t, q, _ in states]
+    velocity_samples = [TangentVector(point, Quaternion(*k1[:, 0]))
+                        for (_, point), (_, _, k1) in zip(trajectory, states[1:])]
+    return LiftResult(trajectory[-1][1], trajectory, velocity_samples, steps)
 
 
 # ---------------------------------------------------------------------------

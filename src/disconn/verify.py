@@ -42,11 +42,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .algebra import CircleElement, UnitQuaternion, canonical_angle, hamilton
-from .bundle import HopfBundle
+from .bundle import DEFAULT_BOX, HopfBundle
 from .connection import (
     DiscreteConnectionForm,
     _draw,
@@ -56,7 +56,7 @@ from .connection import (
     lift_from_form,
 )
 from .errors import EmptyDomainIntersection, InvalidConfig, OutOfDomain, OutOfRange, ProbeFailed
-from .riemannian import beta_formula, lmw_form
+from .riemannian import DEFAULT_STEPS, beta_formula, lmw_form
 from .rng import substream
 
 #: axiom identifiers in report order
@@ -73,7 +73,10 @@ AXIOM_IDS = (
     "domain_properness",
 )
 
-#: default violation tolerance keyed by form provenance
+#: axioms that record 0 (held) or 1 (violated) and compare exactly, whatever the tolerance
+_DOMAIN_AXIOMS = frozenset({"diagonal_domain", "domain_invariance", "domain_properness"})
+
+#: default violation tolerance of the measured axioms keyed by form provenance
 _DEFAULT_TOLERANCES = {
     "closed-form": 1e-9,
     "C-built": 1e-9,
@@ -90,31 +93,32 @@ _COMPARE_STREAM = 0x10001
 class SampleConfig:
     """Sampling parameters; identical configs yield byte-identical reports.
 
-    Raises InvalidConfig for fewer than one sample, for a box that is not
-    a finite positive half-width, for non-finite tolerances and for those
-    of unknown axioms, each of which would make a verdict vacuous or wrong.
-    A negative tolerance stays allowed: it can only force failures.
+    ``tolerance``, when given, replaces the provenance default of every
+    measured axiom; the three domain axioms compare exactly whatever it
+    is.  Raises InvalidConfig for fewer than one sample, for a box that is
+    not a finite positive half-width and for a non-finite tolerance, each
+    of which would make a verdict vacuous or wrong.  A negative tolerance
+    stays allowed: it can only force failures of the measured axioms.
     """
 
     seed: int = 42
     n_samples: int = 1000
-    tolerances: Optional[Mapping[str, float]] = None
-    box: float = 2.0
+    tolerance: Optional[float] = None
+    box: float = DEFAULT_BOX
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidConfig(f"n_samples must be at least 1, got {self.n_samples}")
         if not (math.isfinite(self.box) and self.box > 0):
             raise InvalidConfig(f"box must be finite and above 0, got {self.box}")
-        for axiom_id, tol in (self.tolerances or {}).items():
-            if axiom_id not in AXIOM_IDS:
-                raise InvalidConfig(f"tolerance given for unknown axiom {axiom_id!r}")
-            if not math.isfinite(float(tol)):
-                raise InvalidConfig(f"tolerance for {axiom_id} must be finite, got {tol}")
+        if self.tolerance is not None and not math.isfinite(self.tolerance):
+            raise InvalidConfig(f"tolerance must be finite, got {self.tolerance}")
 
     def tolerance_for(self, axiom_id: str, form: DiscreteConnectionForm) -> float:
-        if self.tolerances and axiom_id in self.tolerances:
-            return float(self.tolerances[axiom_id])
+        if axiom_id in _DOMAIN_AXIOMS:
+            return 0.0
+        if self.tolerance is not None:
+            return self.tolerance
         return _DEFAULT_TOLERANCES.get(form.provenance, 1e-9)
 
 
@@ -558,7 +562,8 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def counterexample_sweep(theta_grid: Sequence[float], steps: int = 256) -> SweepResult:
+def counterexample_sweep(theta_grid: Sequence[float],
+                         steps: int = DEFAULT_STEPS) -> SweepResult:
     """Tabulate the variant construction against its closed-form phase.
 
     For each theta the table reports the formula value, the numerically

@@ -36,6 +36,18 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
 
+    def test_tolerance_override_never_certifies_the_variant(self, capsys):
+        # its 40 properness records are each a pair over antipodal base
+        # points inside the domain: a 1, which fails at any tolerance
+        code, out, _ = run(capsys, "verify", "--bundle", "hopf", "--form", "lmw",
+                           "--steps", "16", "--samples", "40", "--seed", "13",
+                           "--tolerance", "4")
+        assert code == 1
+        data = json.loads(out)
+        assert data["verdict"] == "fail"
+        failures = {a["id"]: a["failures"] for a in data["axioms"]}
+        assert failures["domain_properness"] == 40
+
     def test_trivial_linear(self, capsys):
         code, out, _ = run(capsys, "verify", "--bundle", "trivial", "--form",
                            "trivial-c", "--c-family", "linear", "--c-params", "0.5",
@@ -233,6 +245,27 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "takes no parameters" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "--form", "closed", "--c-family", "linear", "--c-params", "nan",
+          "--samples", "5", "--seed", "1"), "--c-family"),
+        (("verify", "--form", "geodesic", "--c-params", "0.5", "--samples", "5"),
+         "--c-params"),
+        (("slice-probe", "--form", "closed", "--c-params", "1,2", "--points", "1",
+          "--budget", "2"), "--c-params"),
+        (("compare", "--form-a", "closed", "--form-b", "geodesic", "--c-family-a",
+          "linear", "--c-params-a", "nan", "--steps", "8", "--samples", "5"),
+         "--c-family-a"),
+        (("compare", "--form-a", "closed", "--form-b", "lmw", "--c-params-b", "1",
+          "--steps", "8", "--samples", "5"), "--c-params-b"),
+    ], ids=["verify-family", "verify-params", "slice-probe", "compare-a", "compare-b"])
+    def test_c_options_rejected_by_forms_that_ignore_them(self, capsys, argv, flag):
+        # a Hopf form reads no C function, so a C option given to it would
+        # change nothing in the report it names
+        code, out, err = run(capsys, argv[0], "--bundle", "hopf", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith(f"does not read {flag}\n")
 
     @pytest.mark.parametrize("box", ["nan", "1e160"])
     def test_probe_box_rejected(self, capsys, box):

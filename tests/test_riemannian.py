@@ -231,7 +231,7 @@ class TestHorizontalLift:
     def test_trajectory_horizontality_and_tracking(self):
         b = hopf()
         seg = base_geodesic(I_BASE, K_BASE)
-        res = horizontal_lift_path(seg, ONE, 64, store_path=True)
+        res = horizontal_lift_path(seg, ONE, 64)
         assert res.steps == 64
         assert len(res.trajectory) == 65
         for v in res.velocity_samples:

@@ -94,9 +94,24 @@ class TestCheckAxioms:
         assert report.resampled_out_of_domain >= 20
 
     def test_tolerance_override_forces_failures(self):
-        cfg = SampleConfig(seed=3, n_samples=50,
-                           tolerances={a: -1.0 for a in AXIOM_IDS})
+        # a negative tolerance fails every measured axiom; the domain axioms
+        # compare exactly and still pass on a closed form that keeps them
+        cfg = SampleConfig(seed=3, n_samples=50, tolerance=-1.0)
         report = check_axioms(hopf_closed_form(), cfg)
+        assert report.verdict == "fail"
+        for record in report.axioms:
+            exact = record.axiom_id in ("diagonal_domain", "domain_invariance",
+                                        "domain_properness")
+            assert record.failures == (0 if exact else 50), record.axiom_id
+
+    @pytest.mark.parametrize("tolerance", [None, 1e-9, 1e-6, 4.0])
+    def test_domain_axioms_compare_exactly(self, tolerance):
+        # every one of the variant's properness records is a 1, which fails
+        # at every tolerance; its measured axioms pass at a tolerance of 4
+        report = check_axioms(lmw_form(16), SampleConfig(seed=13, n_samples=40,
+                                                         tolerance=tolerance))
+        assert report.axiom("domain_properness").failures == 40
+        assert report.axiom("domain_properness").max_violation == 1.0
         assert report.verdict == "fail"
 
 
@@ -113,18 +128,13 @@ class TestSampleConfigValidation:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, tol):
-        with pytest.raises(InvalidConfig):
-            SampleConfig(tolerances={"equivariance": tol})
-
-    def test_unknown_tolerance_key_rejected(self):
-        # a misspelt id would leave its axiom at the default tolerance
-        with pytest.raises(InvalidConfig, match="normalisation"):
-            SampleConfig(seed=1, n_samples=20, tolerances={"normalisation": -1.0})
+        with pytest.raises(InvalidConfig, match="tolerance"):
+            SampleConfig(tolerance=tol)
 
     def test_nan_tolerance_never_counts_as_pass(self):
         # even a NaN that slipped past validation must fail every sample
         cfg = SampleConfig(seed=3, n_samples=10)
-        object.__setattr__(cfg, "tolerances", {a: math.nan for a in AXIOM_IDS})
+        object.__setattr__(cfg, "tolerance", math.nan)
         report = check_axioms(hopf_closed_form(), cfg)
         assert report.verdict == "fail"
         assert report.axiom("normalization").failures == 10
