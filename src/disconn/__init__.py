@@ -6,21 +6,13 @@ from .algebra import (  # noqa: F401
     CIRCLE_IDENTITY,
     CircleElement,
     Q_I,
-    Q_J,
-    Q_K,
     Q_ONE,
     Quaternion,
     UnitQuaternion,
     canonical_angle,
     circle_distance,
-    circle_inv,
-    circle_mul,
-    quat_conj,
-    quat_mul,
-    quat_project,
 )
 from .bundle import (  # noqa: F401
-    FiberPair,
     HopfBundle,
     PrincipalBundle,
     TrivialBundle,
@@ -35,7 +27,6 @@ from .connection import (  # noqa: F401
     SliceProbeReport,
     decompose_pair,
     form_from_lift,
-    is_horizontal,
     lift_from_form,
     make_c_function,
     reconstruct_pair,
@@ -60,16 +51,12 @@ from .errors import (  # noqa: F401
     SolveFailed,
 )
 from .riemannian import (  # noqa: F401
-    ConnectionSplit,
     GeodesicSegment,
     LiftResult,
-    TangentVector,
     base_geodesic,
     beta_formula,
-    continuous_connection_form,
     hopf_closed_form,
     horizontal_lift_path,
-    infinitesimal_generator,
     lmw_form,
     riemannian_form,
 )

@@ -138,28 +138,6 @@ class UnitQuaternion(Quaternion):
 
 Q_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 Q_I = Quaternion(0.0, 1.0, 0.0, 0.0)
-Q_J = Quaternion(0.0, 0.0, 1.0, 0.0)
-Q_K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-_AXIS_FIELDS = {"1": "w", "i": "x", "j": "y", "k": "z"}
-
-
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a * b."""
-    return a * b
-
-
-def quat_conj(a: Quaternion) -> Quaternion:
-    """Conjugate: the sign of the imaginary part is flipped."""
-    return a.conj()
-
-
-def quat_project(a: Quaternion, axis: str) -> float:
-    """Coefficient of the basis element named by ``axis`` in {'1','i','j','k'}."""
-    try:
-        return getattr(a, _AXIS_FIELDS[axis])
-    except KeyError:
-        raise ValueError(f"axis must be one of '1', 'i', 'j', 'k', got {axis!r}") from None
 
 
 @dataclass(frozen=True)
@@ -181,14 +159,6 @@ class CircleElement:
 
 
 CIRCLE_IDENTITY = CircleElement(0.0)
-
-
-def circle_mul(a: CircleElement, b: CircleElement) -> CircleElement:
-    return a * b
-
-
-def circle_inv(a: CircleElement) -> CircleElement:
-    return a.inverse()
 
 
 def circle_distance(a: CircleElement, b: CircleElement) -> float:

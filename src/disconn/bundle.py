@@ -359,15 +359,3 @@ class TrivialBundle(PrincipalBundle):
     def restore_base(self, data):
         return tuple(data)
 
-
-@dataclass(frozen=True)
-class FiberPair:
-    """Pair of total points validated to lie on one fiber."""
-
-    bundle: PrincipalBundle
-    q0: object
-    q1: object
-
-    def __post_init__(self):
-        _check_fiber(self.bundle.base_distance(self.bundle.project(self.q0),
-                                               self.bundle.project(self.q1)))

@@ -12,11 +12,11 @@ undefined or unbounded (``--steps``, ``--points`` or ``--budget`` below
 overflows, a non-finite or non-positive ``--separation``, ``--dim``
 below 1 or above 1,000, a non-finite ``--c-params`` weight, a theta grid
 of more than 10,000 values or of a non-finite step count), a non-finite
-``--tolerance``, any ``--c-params`` for the constant family and C options
-given to a form that does not read them.  Reports are strict JSON; a
-probed point that compared nothing has ``min_separation`` ``null`` and
-fails.  The environment variable DISCONN_SEED supplies the default seed.
-Every other default is the library's own.  Identical invocations write
+``--tolerance``, any ``--c-params`` for the constant family and an option
+given to a form that does not read it (``_FORMS`` names what each reads).
+Reports are strict JSON, and a probed point compares its whole budget.
+The environment variable DISCONN_SEED supplies the default seed.  Every
+other default is the library's own.  Identical invocations write
 byte-identical outputs.
 """
 
@@ -38,15 +38,19 @@ from .riemannian import DEFAULT_STEPS, hopf_closed_form, lmw_form, riemannian_fo
 from .rng import substream
 from .verify import SampleConfig, check_axioms, compare_forms, counterexample_sweep
 
-#: form name -> (the bundle it lives on, whether it reads the C options, its
-#: factory of the base dimension, the step count and the C function, None unless read)
+#: form name -> (the bundle it lives on, the options it reads, its factory of the
+#: parsed arguments and its side's C family and parameters)
 _FORMS = {
-    "closed": ("hopf", False, lambda dim, steps, c_fn: hopf_closed_form()),
-    "geodesic": ("hopf", False, lambda dim, steps, c_fn: riemannian_form(steps)),
-    "lmw": ("hopf", False, lambda dim, steps, c_fn: lmw_form(steps)),
-    "trivial-c": ("trivial", True,
-                  lambda dim, steps, c_fn: trivial_form_from_C(TrivialBundle(dim), c_fn)),
+    "closed": ("hopf", (), lambda args, *_: hopf_closed_form()),
+    "geodesic": ("hopf", ("steps",), lambda args, *_: riemannian_form(args.steps)),
+    "lmw": ("hopf", ("steps",), lambda args, *_: lmw_form(args.steps)),
+    "trivial-c": ("trivial", ("box", "dim", "c-family", "c-params"),
+                  lambda args, family, params: trivial_form_from_C(
+                      TrivialBundle(args.dim),
+                      make_c_function(family or C_FAMILIES[0], _parse_params(params), args.dim))),
 }
+#: the library default of each option that every side of a command shares
+_DEFAULTS = {"steps": DEFAULT_STEPS, "box": DEFAULT_BOX, "dim": TrivialBundle.dim}
 #: longest theta grid ``sweep`` accepts
 _MAX_GRID_POINTS = 10_000
 #: largest ``--dim`` accepted: every sampled trivial-bundle point holds dim coordinates
@@ -77,21 +81,31 @@ def _parse_params(raw: Optional[str]) -> tuple[float, ...]:
 
 
 def _build_form(args, side: str = ""):
-    """The form named by ``--form{side}``, built from its C options if it reads
-    them; given to a form that does not, they are a usage error."""
+    """The form named by ``--form{side}``, from options :func:`_resolve_options` passed."""
     dest = side.replace("-", "_")
-    form_name = getattr(args, f"form{dest}")
-    on, reads_c, factory = _FORMS[form_name]
-    if on != args.bundle:
-        raise UsageError(f"form {form_name!r} is not available on the {args.bundle} bundle")
-    family, params = getattr(args, f"c_family{dest}"), getattr(args, f"c_params{dest}")
-    if reads_c:
-        c_fn = make_c_function(family or C_FAMILIES[0], _parse_params(params), args.dim)
-        return factory(args.dim, args.steps, c_fn)
-    for option, value in (("family", family), ("params", params)):
-        if value is not None:
-            raise UsageError(f"form {form_name!r} does not read --c-{option}{side}")
-    return factory(args.dim, args.steps, None)
+    return _FORMS[getattr(args, f"form{dest}")][2](
+        args, getattr(args, f"c_family{dest}"), getattr(args, f"c_params{dest}"))
+
+
+def _resolve_options(args) -> None:
+    """Refuse a form off its bundle and a given option that no form it serves
+    reads, then fill in the defaults: ``--steps``, ``--box`` and ``--dim``
+    serve every side of a command, the C options their own side."""
+    sides = ("-a", "-b") if args.command == "compare" else ("",)
+    names = [getattr(args, "form" + side.replace("-", "_")) for side in sides]
+    for side, name in zip(sides, names):
+        on, reads, _ = _FORMS[name]
+        if on != args.bundle:
+            raise UsageError(f"form {name!r} is not available on the {args.bundle} bundle")
+        for option in ("c-family", "c-params"):
+            if getattr(args, f"{option}{side}".replace("-", "_")) is not None \
+                    and option not in reads:
+                raise UsageError(f"form {name!r} does not read --{option}{side}")
+    for option, default in _DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif not any(option in _FORMS[name][1] for name in names):
+            raise UsageError(f"form {names[0]!r} does not read --{option}")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -106,13 +120,13 @@ def _add_common(parser: argparse.ArgumentParser, sides: tuple = ("",)) -> None:
     """Options shared by the subcommands that build forms, with one ``--form``
     and its C options per side: ``("",)``, or ``("-a", "-b")`` for ``compare``."""
     parser.add_argument("--bundle", choices=("hopf", "trivial"), required=True)
-    parser.add_argument("--dim", type=int, default=1,
-                        help="base dimension of the trivial bundle")
+    parser.add_argument("--dim", type=int, default=None,
+                        help="base dimension of a trivial-c form")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                        help="integrator steps for geodesic and lmw forms")
-    parser.add_argument("--box", type=float, default=DEFAULT_BOX,
-                        help="half-width of the sampling box on flat bases")
+    parser.add_argument("--steps", type=int, default=None,
+                        help="integrator steps of a geodesic or lmw form")
+    parser.add_argument("--box", type=float, default=None,
+                        help="half-width of a trivial-c form's sampling box")
     parser.add_argument("-o", "--output", default=None)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     for side in sides:
@@ -247,11 +261,9 @@ def _cmd_slice_probe(args) -> int:
                            seed=args.seed, box=args.box)
     results = [{
         "point": bundle.describe_point(point),
-        # a probe that compared nothing has no separation to report
-        "min_separation": (report.min_separation
-                           if math.isfinite(report.min_separation) else None),
-        "slice_samples": report.slice_samples,
-        "orbit_samples": report.orbit_samples,
+        "min_separation": report.min_separation,
+        "slice_samples": report.budget,
+        "orbit_samples": report.budget,
         "passed": report.passed,
     } for point, report in zip(points, reports)]
     payload = {
@@ -297,6 +309,8 @@ def run_cli(argv: Optional[list] = None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
+        if hasattr(args, "bundle"):
+            _resolve_options(args)
         _check_sizes(args)
         return {"verify": _cmd_verify, "compare": _cmd_compare, "sweep": _cmd_sweep,
                 "slice-probe": _cmd_slice_probe}[args.command](args)

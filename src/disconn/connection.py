@@ -14,7 +14,8 @@ under the product group action.  This module implements:
 * pointwise numerical probes of horizontal slices (separation from the
   group orbit and transversality of tangents), whose slice points are
   the horizontal partners of the pair decomposition, each re-evaluated
-  to check that it is horizontal, and
+  to check that it is horizontal; every slice and orbit sample is drawn
+  away from the probed point, so a probe compares its whole budget, and
 * the reduced-space identification sending a pair to base points plus an
   adjoint-bundle class.
 
@@ -33,14 +34,14 @@ import numpy as np
 
 from .algebra import CIRCLE_IDENTITY, CircleElement
 from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle, TrivialPoint
-from .errors import InvalidC, OutOfDomain, ProbeFailed, SectionUndefined
+from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed, SectionUndefined
 from .rng import SplitMix64, substream
 
 #: a pair is horizontal when its group value has angle magnitude below this
 HORIZONTAL_ANGLE_ATOL = 1e-8
 #: candidates drawn for one sample before its domain counts as unreachable
 _RESAMPLE_LIMIT = 100
-#: slice and orbit samples this close to the probed point are not compared
+#: slice and orbit samples are drawn farther than this from the probed point
 _EXCLUSION_RADIUS = 1e-3
 #: step of the finite differences behind slice and orbit tangents
 _FD_STEP = 1e-5
@@ -237,13 +238,6 @@ def decompose_pair(form: DiscreteConnectionForm, q0, q1) -> Decomposition:
     return Decomposition(g, h1)
 
 
-def is_horizontal(form: DiscreteConnectionForm, q0, q1) -> bool:
-    """True when the form's value at (q0, q1) lies within ``HORIZONTAL_ANGLE_ATOL``
-    of the identity."""
-    g = form.evaluate(q0, q1)
-    return form.bundle.group_distance(g, form.bundle.group_identity()) <= HORIZONTAL_ANGLE_ATOL
-
-
 # ---------------------------------------------------------------------------
 # trivial-bundle constructions from a base-pair function C
 # ---------------------------------------------------------------------------
@@ -436,12 +430,9 @@ def reconstruct_pair(form: DiscreteConnectionForm, rp: ReducedPair):
 
 @dataclass(frozen=True)
 class SliceProbeReport:
-    """Separation statistics between a horizontal slice and a group orbit."""
+    """Least distance between ``budget`` slice samples and ``budget`` orbit samples."""
 
     budget: int
-    slice_samples: int
-    orbit_samples: int
-    excluded: int
     min_separation: float
     threshold: float
     passed: bool
@@ -478,8 +469,24 @@ def _slice_points(form: DiscreteConnectionForm, pairs: Sequence[tuple]) -> list:
     return partners
 
 
-#: after the probed q: a fiber direction p with (q, p) in the domain, then an orbit element
-_PROBE_STEPS = (("point", _pair_in("form")), ("group", None))
+def _fiber_direction_apart(targets, drawn) -> bool:
+    """(q, p) lies in the form's domain and the base points of q and p lie more
+    than 2 ``_EXCLUSION_RADIUS`` apart.  The projection is 2-Lipschitz on the
+    Hopf bundle and 1-Lipschitz on trivial bundles, so the slice point on the
+    fiber of p lies farther than the radius from q."""
+    q, p, bundle = drawn[0], drawn[-1], targets["form"].bundle
+    return (targets["form"].in_domain(q, p) and bundle.base_distance(
+        bundle.project(q), bundle.project(p)) > 2.0 * _EXCLUSION_RADIUS)
+
+
+def _orbit_point_apart(targets, drawn) -> bool:
+    """act(g, q) lies farther than ``_EXCLUSION_RADIUS`` from q."""
+    q, g, bundle = drawn[0], drawn[-1], targets["form"].bundle
+    return bundle.distance(bundle.act(g, q), q) > _EXCLUSION_RADIUS
+
+
+#: after the probed q: a fiber direction p, then an orbit element g, each apart from q
+_PROBE_STEPS = (("point", _fiber_direction_apart), ("group", _orbit_point_apart))
 
 
 def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
@@ -489,17 +496,20 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
 
     Slice points are the horizontal partners of random points p, checked
     to be horizontal (see :func:`_slice_points`), and orbit points random
-    group translates of q; point k draws both from seed ``seed + k`` in
-    the draw loop, which checks each (q, p) once.  All draws come first,
-    then one :func:`_slice_points` call serves every point, so a
-    ProbeFailed at any point leaves no point computed.  Samples inside
-    ``_EXCLUSION_RADIUS`` of q are dropped and the minimum cross distance
-    of the rest must exceed ``separation``; with no slice sample or no
-    orbit sample kept, the point does not pass.
+    group translates of q; point k draws ``budget`` of each from seed
+    ``seed + k`` in the draw loop, which checks each (q, p) once and redraws
+    any sample that could land within ``_EXCLUSION_RADIUS`` of q.  All draws
+    come first, then one :func:`_slice_points` call serves every point, so a
+    ProbeFailed at any point leaves no point computed.  The minimum cross
+    distance must exceed ``separation``.  Raises InvalidConfig for a budget
+    below one, which would compare nothing.
     """
+    if budget < 1:
+        raise InvalidConfig(f"budget must be at least 1, got {budget}")
     bundle = form.bundle
     targets = {"form": form}
-    exhausted = ProbeFailed("could not sample a fiber direction in the domain")
+    exhausted = ProbeFailed(
+        "could not sample a fiber direction in the domain and apart from the point")
     rejected = [0]
     pairs, orbit_pts = [], []
     for index, q in enumerate(points):
@@ -511,21 +521,11 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     slice_pts = _slice_points(form, pairs)
 
     reports = []
-    for index, q in enumerate(points):
+    for index in range(len(points)):
         own = slice(index * budget, (index + 1) * budget)
-        kept_slice = [p for p in slice_pts[own] if bundle.distance(p, q) > _EXCLUSION_RADIUS]
-        kept_orbit = [p for p in orbit_pts[own] if bundle.distance(p, q) > _EXCLUSION_RADIUS]
-        min_sep = min((bundle.distance(s, o) for s in kept_slice for o in kept_orbit),
-                      default=math.inf)
-        reports.append(SliceProbeReport(
-            budget=budget,
-            slice_samples=len(kept_slice),
-            orbit_samples=len(kept_orbit),
-            excluded=2 * budget - len(kept_slice) - len(kept_orbit),
-            min_separation=min_sep,
-            threshold=separation,
-            passed=bool(kept_slice and kept_orbit) and min_sep > separation,
-        ))
+        min_sep = min(bundle.distance(s, o) for s in slice_pts[own] for o in orbit_pts[own])
+        reports.append(SliceProbeReport(budget=budget, min_separation=min_sep,
+                                        threshold=separation, passed=min_sep > separation))
     return reports
 
 

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CircleElement, Q_I, Quaternion, UnitQuaternion, hamilton
+from .algebra import CircleElement, Quaternion, UnitQuaternion, hamilton
 from .bundle import FIBER_ATOL, HopfBundle, fiber_phase, phase_components
 from .connection import DiscreteConnectionForm
 from .errors import AntipodalPoints, InvalidConfig, OutOfRange, SolveFailed
@@ -66,53 +66,6 @@ _HOPF = HopfBundle()
 
 
 # ---------------------------------------------------------------------------
-# tangent vectors and the continuous connection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Displacement ``vec`` attached at ``base``; tangent for sphere bases."""
-
-    base: object
-    vec: Quaternion
-
-    def __post_init__(self):
-        if isinstance(self.base, Quaternion):
-            inner = self.base.dot(self.vec)
-            if abs(inner) > 1e-9:
-                raise ValueError(f"vector is not tangent: <vec, base> = {inner:.3e}")
-
-
-@dataclass(frozen=True)
-class ConnectionSplit:
-    """Vertical coordinate and the vertical/horizontal parts of a tangent vector."""
-
-    xi: float
-    vertical: TangentVector
-    horizontal: TangentVector
-
-
-def infinitesimal_generator(xi: float, q: UnitQuaternion) -> TangentVector:
-    """Velocity xi * (i q) of the circle action through q."""
-    return TangentVector(q, xi * (Q_I * q))
-
-
-def continuous_connection_form(v: TangentVector) -> ConnectionSplit:
-    """Vertical coordinate of a tangent vector at a total point, with its split.
-
-    The vertical direction at q is i*q, of unit length for unit q, so the
-    coordinate is the plain inner product and v decomposes as
-    xi * (i q) + horizontal with the horizontal part orthogonal to i*q.
-    """
-    q = v.base
-    vertical_dir = Q_I * q
-    xi = v.vec.dot(vertical_dir)
-    vertical = xi * vertical_dir
-    horizontal = v.vec - vertical
-    return ConnectionSplit(xi, TangentVector(q, vertical), TangentVector(q, horizontal))
-
-
-# ---------------------------------------------------------------------------
 # base geodesics
 # ---------------------------------------------------------------------------
 
@@ -123,7 +76,7 @@ class GeodesicSegment:
     start: Quaternion
     end: Quaternion
     evaluator: Callable[[float], Quaternion]
-    velocity: Callable[[float], TangentVector]
+    velocity: Callable[[float], Quaternion]
     length: float
 
 
@@ -139,8 +92,8 @@ def base_geodesic(r0: Quaternion, r1: Quaternion) -> GeodesicSegment:
     def evaluator(t: float) -> Quaternion:
         return Quaternion(*position(t)[:, 0].tolist())
 
-    def tangent(t: float) -> TangentVector:
-        return TangentVector(evaluator(t), Quaternion(*velocity(t)[:, 0].tolist()))
+    def tangent(t: float) -> Quaternion:
+        return Quaternion(*velocity(t)[:, 0].tolist())
 
     return GeodesicSegment(r0, r1, evaluator, tangent, float(omega[0]))
 
@@ -299,7 +252,6 @@ class LiftResult:
 
     endpoint: UnitQuaternion
     trajectory: list
-    velocity_samples: list
     steps: int
 
 
@@ -308,9 +260,7 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
     """Horizontal lift of the minimizing base arc of a segment, starting at q0.
 
     The base point of q0 must lie within ``FIBER_ATOL`` of the segment's
-    start, else ValueError.  The result holds every state as (t, point)
-    and each step's first-stage velocity; each velocity is horizontal by
-    construction, which the trajectory invariants test.
+    start, else ValueError.  The result holds every state as (t, point).
     """
     if _HOPF.base_distance(_HOPF.project(q0), segment.start) > FIBER_ATOL:
         raise ValueError("q0 does not lie over the start of the base segment")
@@ -319,9 +269,7 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
     start = _columns([q0])
     states = [(0.0, start, None), *_integrate_rows(start, lambda t: velocity(t)[1:], steps)]
     trajectory = [(t, UnitQuaternion(*q[:, 0])) for t, q, _ in states]
-    velocity_samples = [TangentVector(point, Quaternion(*k1[:, 0]))
-                        for (_, point), (_, _, k1) in zip(trajectory, states[1:])]
-    return LiftResult(trajectory[-1][1], trajectory, velocity_samples, steps)
+    return LiftResult(trajectory[-1][1], trajectory, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ HALF_J = UnitQuaternion(1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0), 0.0)
 I_BASE = Quaternion(0.0, 1.0, 0.0, 0.0)
 J_BASE = Quaternion(0.0, 0.0, 1.0, 0.0)
 K_BASE = Quaternion(0.0, 0.0, 0.0, 1.0)
+#: the quaternion units j and k
+Q_J, Q_K = J_BASE, K_BASE
 
 
 def count_root_calls(form):

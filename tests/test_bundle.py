@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from disconn import (
     CircleElement,
-    FiberPair,
     HopfBundle,
     NotSameFiber,
     Quaternion,
@@ -99,20 +98,20 @@ class TestFiberStructure:
         assert abs(g.angle - math.pi / 2.0) < 1e-15
 
     def test_not_same_fiber(self, hopf, line_bundle):
-        # both fiber translations and FiberPair give one message
+        # both fiber translations give one message
         a, b = line_bundle.point(0.0), line_bundle.point(2.0)
         message = r"^base points are 2\.000e\+00 apart \(allowed 1\.0e-09\)$"
         with pytest.raises(NotSameFiber, match=message):
             hopf.fiber_translation(ONE, J_POINT)
         with pytest.raises(NotSameFiber, match=message):
-            FiberPair(hopf, ONE, J_POINT)
-        with pytest.raises(NotSameFiber, match=message):
             line_bundle.fiber_translation(a, b)
-        with pytest.raises(NotSameFiber, match=message):
-            FiberPair(line_bundle, a, b)
 
-    def test_fiber_pair_accepts_fiber_mates(self, hopf):
-        FiberPair(hopf, ONE, I_POINT)
+    def test_fiber_pair_accepts_fiber_mates(self, hopf, line_bundle):
+        # points on one fiber pass the check of both fiber translations
+        a = line_bundle.point(0.5, CircleElement(0.2))
+        assert line_bundle.fiber_translation(a, line_bundle.act(CircleElement(0.3), a)).angle \
+            == pytest.approx(0.3, abs=1e-15)
+        assert hopf.fiber_translation(ONE, I_POINT).angle == pytest.approx(math.pi / 2.0)
 
 
 class TestSerialization:

@@ -128,8 +128,8 @@ class TestUsageErrors:
         ("sweep",),
     ])
     def test_steps_below_one_rejected_by_every_subcommand(self, capsys, argv, steps):
-        # the closed form never reads --steps; the size is rejected anyway,
-        # so a command line is valid or not whatever form it names
+        # the closed form reads no --steps, so it refuses every step count,
+        # and sweep rejects the size
         code, out, err = run(capsys, *argv, "--steps", steps)
         assert code == 2
         assert out == ""
@@ -142,20 +142,22 @@ class TestUsageErrors:
         assert out == ""
         assert "--budget" in err
 
-    def test_probe_that_compares_nothing_fails_as_strict_json(self, capsys):
-        # the one orbit sample falls inside the exclusion radius, so the
-        # point has no separation to report and does not pass
+    @pytest.mark.parametrize("seed", ["1764603822", "656488675", "2005727684"])
+    def test_probe_at_budget_one_compares_its_samples(self, capsys, seed):
+        # at these seeds a first draw lands within the exclusion radius of the
+        # probed point and is redrawn, so the one sample of each kind is compared
         def reject(constant):
             raise ValueError(f"non-finite number {constant}")
 
         code, out, _ = run(capsys, "slice-probe", "--bundle", "hopf", "--form",
                            "geodesic", "--points", "1", "--steps", "128",
-                           "--budget", "1", "--seed", "1764603822")
-        assert code == 1
+                           "--budget", "1", "--seed", seed)
+        assert code == 0
         data = json.loads(out, parse_constant=reject)
-        assert data["verdict"] == "fail"
-        assert data["points"][0]["min_separation"] is None
-        assert data["points"][0]["passed"] is False
+        assert data["verdict"] == "pass"
+        point = data["points"][0]
+        assert point["min_separation"] > data["separation"]
+        assert point["slice_samples"] == point["orbit_samples"] == 1
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_probe_point_count_below_one_rejected(self, capsys, points):
@@ -263,6 +265,33 @@ class TestUsageErrors:
         # a Hopf form reads no C function, so a C option given to it would
         # change nothing in the report it names
         code, out, err = run(capsys, argv[0], "--bundle", "hopf", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith(f"does not read {flag}\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "--bundle", "hopf", "--form", "closed", "--samples", "50", "--seed", "3",
+          "--box", "7", "--dim", "5", "--steps", "3"), "--steps"),
+        (("verify", "--bundle", "hopf", "--form", "geodesic", "--box", "7"), "--box"),
+        (("verify", "--bundle", "hopf", "--form", "lmw", "--dim", "2"), "--dim"),
+        (("verify", "--bundle", "trivial", "--form", "trivial-c", "--steps", "8"), "--steps"),
+        (("slice-probe", "--bundle", "hopf", "--form", "closed", "--points", "1",
+          "--budget", "2", "--box", "7"), "--box"),
+        (("slice-probe", "--bundle", "trivial", "--form", "trivial-c", "--points", "1",
+          "--budget", "2", "--steps", "8"), "--steps"),
+        (("compare", "--bundle", "hopf", "--form-a", "closed", "--form-b", "closed",
+          "--steps", "32"), "--steps"),
+        (("compare", "--bundle", "hopf", "--form-a", "geodesic", "--form-b", "closed",
+          "--steps", "8", "--dim", "2"), "--dim"),
+        (("compare", "--bundle", "trivial", "--form-a", "trivial-c", "--form-b",
+          "trivial-c", "--steps", "8"), "--steps"),
+    ], ids=["verify-closed", "verify-geodesic", "verify-lmw", "verify-trivial",
+            "slice-probe-hopf", "slice-probe-trivial", "compare-closed", "compare-hopf",
+            "compare-trivial"])
+    def test_options_rejected_by_forms_that_ignore_them(self, capsys, argv, flag):
+        # --box and --dim shape only flat bases and --steps only integrated
+        # forms; compare refuses a shared option only when neither side reads it
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.endswith(f"does not read {flag}\n")

@@ -12,7 +12,6 @@ from disconn import (
     decompose_pair,
     form_from_lift,
     hopf_closed_form,
-    is_horizontal,
     lift_from_form,
     make_c_function,
     reconstruct_pair,
@@ -21,7 +20,7 @@ from disconn import (
     trivial_form_from_C,
     trivial_lift_from_C,
 )
-from disconn.connection import answer_queries
+from disconn.connection import HORIZONTAL_ANGLE_ATOL, answer_queries
 from disconn.rng import substream
 
 from conftest import HALF_J, I_POINT, J_POINT, K_BASE, ONE
@@ -65,7 +64,7 @@ class TestDecomposition:
             q0, q1, _ = sample_hopf_pair(hopf, form, 201, i)
             dec = decompose_pair(form, q0, q1)
             assert hopf.distance(hopf.act(dec.g, dec.h1), q1) <= 1e-9
-            assert is_horizontal(form, q0, dec.h1)
+            assert abs(form.evaluate(q0, dec.h1).angle) <= HORIZONTAL_ANGLE_ATOL
 
     def test_out_of_domain(self):
         form = hopf_closed_form()
@@ -333,9 +332,10 @@ class TestEquivarianceAndDomain:
 class TestHorizontality:
     def test_examples(self):
         form = hopf_closed_form()
-        assert is_horizontal(form, ONE, HALF_J)
-        assert is_horizontal(form, ONE, ONE)
-        assert not is_horizontal(form, ONE, I_POINT)
+        # a pair is horizontal where the form's value is the identity
+        assert form.evaluate(ONE, HALF_J).angle == 0.0
+        assert form.evaluate(ONE, ONE).angle == 0.0
+        assert form.evaluate(ONE, I_POINT).angle == math.pi / 2.0
 
 
 class TestReducedSpace:

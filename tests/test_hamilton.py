@@ -15,7 +15,6 @@ import pytest
 
 from disconn.algebra import (
     Q_I,
-    Q_J,
     CircleElement,
     Quaternion,
     UnitQuaternion,
@@ -31,6 +30,8 @@ from disconn.riemannian import (
 )
 from disconn.rng import substream
 from disconn.verify import _antipodal_partner
+
+from conftest import Q_J
 
 HOPF = HopfBundle()
 N_SAMPLED = 10_000

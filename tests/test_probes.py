@@ -6,6 +6,7 @@ from disconn import (
     CIRCLE_IDENTITY,
     CircleElement,
     DiscreteConnectionForm,
+    InvalidConfig,
     ProbeFailed,
     TrivialBundle,
     hopf_closed_form,
@@ -17,7 +18,9 @@ from disconn import (
     tangent_split_check,
     trivial_form_from_C,
 )
-from disconn.connection import HORIZONTAL_ANGLE_ATOL, _RESAMPLE_LIMIT, _slice_points
+from disconn import connection
+from disconn.connection import (HORIZONTAL_ANGLE_ATOL, _EXCLUSION_RADIUS, _RESAMPLE_LIMIT,
+                                _slice_points)
 from disconn.rng import substream
 
 from conftest import ONE, closed_form_broken_at, count_root_calls
@@ -45,12 +48,28 @@ class TestSliceProbe:
         # away from q the two stay a positive distance apart
         assert report.min_separation > 1e-2
 
-    def test_zero_budget_compares_nothing_and_fails(self):
-        report = slice_probe(hopf_closed_form(), ONE, 0)
-        assert not report.passed
-        assert report.slice_samples == 0
-        assert report.orbit_samples == 0
-        assert report.min_separation == math.inf
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        # a probe without samples would compare nothing
+        with pytest.raises(InvalidConfig, match="budget"):
+            slice_probe(hopf_closed_form(), ONE, budget)
+
+    def test_every_sample_is_drawn_away_from_the_probed_point(self, line_bundle,
+                                                              monkeypatch):
+        # in a box of half-width 3e-3 around q, two fiber directions in three
+        # lie within 2e-3 of q and are redrawn, as is an orbit element within
+        # 1e-3 of the identity; the slice point (r, g_q) keeps |r| > 2e-3 and
+        # the orbit point (0, g g_q) keeps |g| > 1e-3
+        slice_pts = []
+        monkeypatch.setattr(connection, "_slice_points",
+                            lambda form, pairs: slice_pts.extend(
+                                _slice_points(form, pairs)) or slice_pts)
+        form = trivial_form_from_C(line_bundle, make_c_function("constant"))
+        q = line_bundle.point(0.0)
+        report = slice_probe(form, q, 64, seed=4, box=3e-3, separation=2.2e-3)
+        assert len(slice_pts) == 64
+        assert all(abs(p.r[0]) > 2 * _EXCLUSION_RADIUS for p in slice_pts)
+        assert report.passed and report.min_separation > math.sqrt(5.0) * 1e-3
 
     def test_probe_failure_when_no_root_exists(self, hopf):
         # a constant nonzero "form" has no horizontal slice to find
