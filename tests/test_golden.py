@@ -7,6 +7,7 @@ commands, run from the repository root:
 
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form closed --samples 300 --seed 42 > tests/golden/verify-closed.out 2> tests/golden/verify-closed.err
 PYTHONPATH=src python -m disconn.cli verify --bundle trivial --form trivial-c --c-family linear --c-params 0.5 --samples 300 --seed 42 > tests/golden/verify-trivial-linear.out 2> tests/golden/verify-trivial-linear.err
+PYTHONPATH=src python -m disconn.cli verify --bundle trivial --form trivial-c --c-family linear --dim 3 --c-params 0.5,-1,2 --samples 300 --seed 7 > tests/golden/verify-trivial-dim3.out 2> tests/golden/verify-trivial-dim3.err
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form geodesic --steps 32 --samples 64 --seed 5 > tests/golden/verify-geodesic-64.out 2> tests/golden/verify-geodesic-64.err
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form geodesic --steps 32 --samples 1100 --seed 5 > tests/golden/verify-geodesic-1100.out 2> tests/golden/verify-geodesic-1100.err
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form lmw --steps 16 --samples 40 --seed 13 > tests/golden/verify-lmw.out 2> tests/golden/verify-lmw.err
@@ -36,6 +37,10 @@ CASES = {
     "verify-trivial-linear": (
         "verify --bundle trivial --form trivial-c --c-family linear --c-params 0.5 "
         "--samples 300 --seed 42", 0),
+    # the only case on a base of more than one coordinate
+    "verify-trivial-dim3": (
+        "verify --bundle trivial --form trivial-c --c-family linear --dim 3 "
+        "--c-params 0.5,-1,2 --samples 300 --seed 7", 0),
     "verify-geodesic-64": (
         "verify --bundle hopf --form geodesic --steps 32 --samples 64 --seed 5", 0),
     "verify-geodesic-1100": (
