@@ -2,7 +2,9 @@
 
 Every value is an immutable dataclass and every operation is pure, so
 instances can be shared between threads without synchronization.  All
-scalars are 64-bit floats.
+scalars are 64-bit floats.  Each value is validated and reduced once, at
+construction: a circle angle is checked finite and made canonical, a unit
+quaternion is checked finite and renormalized, and each field is set once.
 
 The Hamilton product has one kernel, :func:`hamilton`, on bare components:
 scalars and the integrator's (4, n) NumPy rows share it bit for bit.
@@ -105,17 +107,21 @@ class UnitQuaternion(Quaternion):
     masking genuine bugs.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        n = self.norm()
+    def __init__(self, w: float, x: float, y: float, z: float):
+        if not (math.isfinite(w) and math.isfinite(x)
+                and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError("quaternion components must be finite, got "
+                             f"{type(self).__qualname__}(w={w!r}, x={x!r}, y={y!r}, z={z!r})")
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         drift = abs(n - 1.0)
         if drift > RENORMALIZE_LIMIT:
             raise ValueError(f"norm {n} is too far from 1 to renormalize")
         if drift > 0.0:
-            object.__setattr__(self, "w", self.w / n)
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
+            w, x, y, z = w / n, x / n, y / n, z / n
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "UnitQuaternion":
@@ -140,16 +146,16 @@ Q_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 Q_I = Quaternion(0.0, 1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CircleElement:
     """Element e^{i angle} of the circle group, angle canonical in (-pi, pi]."""
 
     angle: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
+    def __init__(self, angle: float):
+        if not math.isfinite(angle):
             raise ValueError("circle angle must be finite")
-        object.__setattr__(self, "angle", canonical_angle(self.angle))
+        object.__setattr__(self, "angle", canonical_angle(angle))
 
     def __mul__(self, other: "CircleElement") -> "CircleElement":
         return CircleElement(self.angle + other.angle)

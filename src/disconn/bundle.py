@@ -295,15 +295,16 @@ class TrivialBundle(PrincipalBundle):
         ``r`` may be a scalar (when dim == 1) or an iterable of floats;
         ``g`` may be a CircleElement or a raw angle.
         """
-        if isinstance(r, (int, float)):
-            coords = (float(r),)
-        else:
-            coords = tuple(float(c) for c in r)
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} base coordinates, got {len(coords)}")
         if not isinstance(g, CircleElement):
             g = CircleElement(float(g))
-        return TrivialPoint(coords, g)
+        return TrivialPoint(self._coords(r), g)
+
+    def _coords(self, r) -> tuple[float, ...]:
+        """Base coordinates as floats, ``dim`` of them, from a scalar or an iterable."""
+        coords = (float(r),) if isinstance(r, (int, float)) else tuple(map(float, r))
+        if len(coords) != self.dim:
+            raise ValueError(f"expected {self.dim} base coordinates, got {len(coords)}")
+        return coords
 
     def project(self, q: TrivialPoint) -> tuple[float, ...]:
         return q.r
@@ -313,10 +314,11 @@ class TrivialBundle(PrincipalBundle):
 
     def fiber_translation(self, q0, q1) -> CircleElement:
         _check_fiber(self.base_distance(q0.r, q1.r))
-        return q1.g * q0.g.inverse()
+        # q1.g * q0.g.inverse(), building only the result
+        return CircleElement(q1.g.angle + canonical_angle(-q0.g.angle))
 
     def local_section(self, r) -> TrivialPoint:
-        return self.point(r)
+        return TrivialPoint(self._coords(r), CIRCLE_IDENTITY)
 
     def section_defined(self, r) -> bool:
         return True
@@ -351,11 +353,11 @@ class TrivialBundle(PrincipalBundle):
         return {"r": list(q.r), "angle": q.g.angle}
 
     def restore_point(self, data) -> TrivialPoint:
-        return TrivialPoint(tuple(data["r"]), CircleElement(data["angle"]))
+        return TrivialPoint(self._coords(data["r"]), CircleElement(data["angle"]))
 
     def describe_base(self, r):
         return list(r)
 
     def restore_base(self, data):
-        return tuple(data)
+        return self._coords(data)
 

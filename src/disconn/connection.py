@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import CIRCLE_IDENTITY, CircleElement
+from .algebra import CIRCLE_IDENTITY, CircleElement, canonical_angle
 from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle, TrivialPoint
 from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed, SectionUndefined
 from .rng import SplitMix64, substream
@@ -311,7 +311,10 @@ def trivial_form_from_C(bundle: TrivialBundle, c_fn: Callable,
     _validate_c(bundle, c_fn)
 
     def ev(q0: TrivialPoint, q1: TrivialPoint) -> CircleElement:
-        return q1.g * c_fn(q0.r, q1.r) * q0.g.inverse()
+        # q1.g * C(r0, r1) * q0.g.inverse(), building only the result
+        c = c_fn(q0.r, q1.r)
+        return CircleElement(canonical_angle(q1.g.angle + c.angle)
+                             + canonical_angle(-q0.g.angle))
 
     def dom(q0: TrivialPoint, q1: TrivialPoint) -> bool:
         return base_domain is None or base_domain(q0.r, q1.r)
@@ -328,7 +331,9 @@ def trivial_lift_from_C(bundle: TrivialBundle, c_fn: Callable,
         return base_domain is None or base_domain(q0.r, tuple(r1))
 
     def lift(q0: TrivialPoint, r1) -> TrivialPoint:
-        return TrivialPoint(tuple(r1), q0.g * c_fn(q0.r, tuple(r1)).inverse())
+        # g0 * C(r0, r1).inverse(), building only the result
+        r1 = tuple(r1)
+        return TrivialPoint(r1, CircleElement(q0.g.angle + canonical_angle(-c_fn(q0.r, r1).angle)))
 
     return DiscreteHorizontalLift(bundle, lift, dom, "C-built")
 

@@ -198,7 +198,7 @@ class TestTrivialBundle:
         assert line_bundle.section_defined((0.3,))
 
     def test_point_validates_dimension(self, line_bundle, plane_bundle):
-        # the section builds its point through point, so it checks as well
+        # the section parses its coordinates as point does, so it checks as well
         for build in (plane_bundle.point, plane_bundle.local_section):
             with pytest.raises(ValueError):
                 build((1.0,))

@@ -8,7 +8,10 @@ from disconn import (
     InvalidC,
     OutOfDomain,
     Quaternion,
+    TrivialBundle,
+    TrivialPoint,
     UnitQuaternion,
+    canonical_angle,
     decompose_pair,
     form_from_lift,
     hopf_closed_form,
@@ -395,3 +398,75 @@ class TestReducedSpace:
             out0, out1 = reconstruct_pair(form, rp)
             g = hopf.fiber_translation(q0, out0)
             assert hopf.distance(hopf.act(g, q1), out1) <= 1e-9
+
+
+def _crosses(total):
+    return not -math.pi < total <= math.pi
+
+
+class TestResultOnlyTrivialArithmetic:
+    """The trivial bundle's one-step arithmetic equals its object expressions.
+
+    Every input is chosen so that each intermediate sum leaves (-pi, pi],
+    where dropping one intermediate reduction changes the last bit.  The
+    group angles are multiples of pi: the draw's own angles lie on a grid
+    on which these sums are exact.  Each drawn pair comes again with the
+    first group angle at pi, and with a base pair at which C is pi: pi is
+    the one angle whose negation is not canonical.
+    """
+
+    BUNDLE = TrivialBundle(3)
+    C = staticmethod(make_c_function("linear", (0.5, -1.0, 2.0), 3))
+    #: base points at which C is pi
+    C_AT_PI = ((0.0, 0.0, 0.0), (math.tau, 0.0, 0.0))
+
+    def draws(self, stream_id, n=10_000):
+        rng = substream(stream_id)
+
+        def angle():
+            return CircleElement(math.pi * rng.uniform_in(-1.0, 1.0))
+
+        for _ in range(n):
+            g0, g1 = angle(), angle()
+            r0, r1 = (tuple(rng.uniform_in(-2.0, 2.0) for _ in range(3)) for _ in "01")
+            yield TrivialPoint(r0, g0), TrivialPoint(r1, g1)
+            yield TrivialPoint(r0, CircleElement(math.pi)), TrivialPoint(r1, g1)
+            yield TrivialPoint(self.C_AT_PI[0], g0), TrivialPoint(self.C_AT_PI[1], g1)
+
+    def test_c_built_value(self):
+        form = trivial_form_from_C(self.BUNDLE, self.C)
+        checked = 0
+        for q0, q1 in self.draws(24):
+            c = self.C(q0.r, q1.r)
+            inner = q1.g * c
+            if not (_crosses(q1.g.angle + c.angle)
+                    and _crosses(inner.angle + canonical_angle(-q0.g.angle))):
+                continue
+            checked += 1
+            ref = inner * q0.g.inverse()
+            assert repr(form.evaluate(q0, q1).angle) == repr(ref.angle), (q0, q1)
+        assert checked > 1_000
+
+    def test_c_built_lift(self):
+        lift = trivial_lift_from_C(self.BUNDLE, self.C)
+        checked = 0
+        for q0, q1 in self.draws(25):
+            c = self.C(q0.r, q1.r)
+            if not _crosses(q0.g.angle + canonical_angle(-c.angle)):
+                continue
+            checked += 1
+            ref = q0.g * c.inverse()
+            assert repr(lift.lift(q0, q1.r).g.angle) == repr(ref.angle), (q0, q1)
+        assert checked > 1_000
+
+    def test_fiber_translation(self):
+        checked = 0
+        for q0, other in self.draws(26):
+            q1 = TrivialPoint(q0.r, other.g)
+            if not _crosses(q1.g.angle + canonical_angle(-q0.g.angle)):
+                continue
+            checked += 1
+            ref = q1.g * q0.g.inverse()
+            assert (repr(self.BUNDLE.fiber_translation(q0, q1).angle)
+                    == repr(ref.angle)), (q0, q1)
+        assert checked > 1_000

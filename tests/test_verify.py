@@ -226,6 +226,10 @@ def _point(r, angle):
     return {"point": {"r": [r], "angle": angle}}
 
 
+def _plane_point(r0, r1, angle):
+    return {"point": {"r": [r0, r1], "angle": angle}}
+
+
 def _base(r):
     return {"base": [r]}
 
@@ -363,6 +367,18 @@ class TestSoundness:
                 continue
             again = violation_from_record(form, axiom["id"], axiom["worst_input"])
             assert abs(again - axiom["max_violation"]) <= 1e-12
+
+    @pytest.mark.parametrize("axiom,entries", [
+        ("roundtrip_form", (_point(0.3, 0.1), _plane_point(0.2, 0.4, 0.5))),
+        ("roundtrip_form", (_plane_point(0.3, -0.2, 0.1), _point(0.2, 0.5))),
+        ("roundtrip_lift", (_plane_point(0.3, -0.2, 0.1), _base(0.2))),
+        ("lift_section", (_plane_point(0.3, -0.2, 0.1), {"base": [0.2, 0.4, 0.6]})),
+    ])
+    def test_recorded_input_of_the_wrong_dimension_raises(self, plane_bundle, axiom,
+                                                          entries):
+        form = trivial_form_from_C(plane_bundle, make_c_function("linear", (0.5, -1.0), 2))
+        with pytest.raises(ValueError, match="expected 2 base coordinates"):
+            violation_from_record(form, axiom, _args(*entries))
 
 
 def _closed_on(extra):
