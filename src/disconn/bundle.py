@@ -31,7 +31,7 @@ from .algebra import (
     unit_components,
 )
 from .errors import InvalidConfig, NotSameFiber, SectionUndefined
-from .rng import SplitMix64
+from .rng import SplitMix64, angles, uniforms
 
 #: two total points count as fiber mates when their base distance is below this
 FIBER_ATOL = 1e-9
@@ -130,12 +130,36 @@ class PrincipalBundle(abc.ABC):
 
     # -- sampling ----------------------------------------------------------
 
+    def draw_count(self, kind: str) -> int:
+        """Draws one sampled "point" or "base" (``point_draws``) or "group" (1) reads."""
+        return 1 if kind == "group" else self.point_draws
+
+    def sample_rows(self, kinds: Sequence[str], block: np.ndarray,
+                    box: float = DEFAULT_BOX) -> list[list]:
+        """Per kind, one value per row of an (n, k) block, reading the row's draws
+        in order: a "point" reads ``point_draws`` (``box`` bounds flat base
+        charts), a "base" projects such a point, a "group" is one uniform angle."""
+        columns, start = [], 0
+        for kind in kinds:
+            end = start + self.draw_count(kind)
+            if kind == "group":
+                columns.append(list(map(CircleElement, angles(block[:, start]).tolist())))
+            else:
+                points = self._sample_points(block[:, start:end], box)
+                columns.append(points if kind == "point" else list(map(self.project, points)))
+            start = end
+        return columns
+
     @abc.abstractmethod
+    def _sample_points(self, block: np.ndarray, box: float) -> list:
+        """One random total point per row of an (n, ``point_draws``) block."""
+
     def sample_point(self, rng: SplitMix64, *, box: float = DEFAULT_BOX):
-        """Random total point (``box`` bounds flat base charts, unused on spheres)."""
+        """Random total point from the next draws of ``rng``: one row of :meth:`sample_rows`."""
+        return self.sample_rows(("point",), rng.next_row(self.point_draws), box)[0][0]
 
     def sample_group(self, rng: SplitMix64) -> CircleElement:
-        return CircleElement(rng.angle())
+        return self.sample_rows(("group",), rng.next_row(1))[0][0]
 
     # -- serialization (verification reports) ------------------------------
 
@@ -181,6 +205,13 @@ def _check_fiber(d: float) -> None:
         raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
 
 
+def _counted(data, count: int, what: str):
+    """A recorded Hopf ``what`` when it has ``count`` components, else ValueError."""
+    if len(data) != count:
+        raise ValueError(f"expected {count} {what} components, got {len(data)}")
+    return data
+
+
 def phase_components(q0: Quaternion, q1: Quaternion) -> tuple:
     """The 1 and i components of q1 * conj(q0), whose phase carries q0 to q1."""
     return hamilton(q1.w, q1.x, q1.y, q1.z, q0.w, -q0.x, -q0.y, -q0.z)[:2]
@@ -206,6 +237,7 @@ class HopfBundle(PrincipalBundle):
 
     dim_base = 2
     name = "hopf"
+    point_draws = 4
 
     def __eq__(self, other):
         return isinstance(other, HopfBundle)
@@ -253,22 +285,27 @@ class HopfBundle(PrincipalBundle):
 
         return [curve(d) for d in dirs]
 
-    def sample_point(self, rng: SplitMix64, *, box: float = DEFAULT_BOX) -> UnitQuaternion:
-        w, x = rng.normal_pair()
-        y, z = rng.normal_pair()
-        return UnitQuaternion(*unit_components(w, x, y, z))
+    def _sample_points(self, block: np.ndarray, box: float) -> list[UnitQuaternion]:
+        # Box-Muller on draw pairs (0, 1) and (2, 3), normalized; math.log,
+        # since numpy's log differs from it in the last bit on some inputs
+        u1 = uniforms(block[:, 0::2], 1)
+        r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.ravel().tolist()))).reshape(u1.shape))
+        a = math.tau * uniforms(block[:, 1::2])
+        (w, y), (x, z) = (r * np.cos(a)).T, (r * np.sin(a)).T
+        n = np.sqrt(w * w + x * x + y * y + z * z)
+        return list(map(UnitQuaternion, *((c / n).tolist() for c in (w, x, y, z))))
 
     def describe_point(self, q: UnitQuaternion):
         return list(q.components())
 
     def restore_point(self, data) -> UnitQuaternion:
-        return UnitQuaternion.restored(*data)
+        return UnitQuaternion.restored(*_counted(data, 4, "point"))
 
     def describe_base(self, r: Quaternion):
         return [r.x, r.y, r.z]
 
     def restore_base(self, data) -> Quaternion:
-        return Quaternion(0.0, *data)
+        return Quaternion(0.0, *_counted(data, 3, "base"))
 
 
 @dataclass(frozen=True)
@@ -345,9 +382,15 @@ class TrivialBundle(PrincipalBundle):
 
         return [curve(i) for i in range(self.dim)]
 
-    def sample_point(self, rng: SplitMix64, *, box: float = DEFAULT_BOX) -> TrivialPoint:
-        coords = tuple(rng.uniform_in(-box, box) for _ in range(self.dim))
-        return TrivialPoint(coords, CircleElement(rng.angle()))
+    @property
+    def point_draws(self) -> int:
+        return self.dim + 1
+
+    def _sample_points(self, block: np.ndarray, box: float) -> list[TrivialPoint]:
+        # uniform in [-box, box) as uniform_in(-box, box) makes them: hi - lo is 2 box
+        coords = (-box + 2.0 * box * uniforms(block[:, :self.dim])).tolist()
+        return list(map(TrivialPoint, map(tuple, coords),
+                        map(CircleElement, angles(block[:, self.dim]).tolist())))
 
     def describe_point(self, q: TrivialPoint):
         return {"r": list(q.r), "angle": q.g.angle}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import CIRCLE_IDENTITY, CircleElement, canonical_angle
 from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle, TrivialPoint
 from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed, SectionUndefined
-from .rng import SplitMix64, substream
+from .rng import SplitMix64, draw_rows, substream_states
 
 #: a pair is horizontal when its group value has angle magnitude below this
 HORIZONTAL_ANGLE_ATOL = 1e-8
@@ -51,30 +51,42 @@ _SVD_CUTOFF = 1e-6
 DEFAULT_SEPARATION = 1e-2
 
 
-def _draw(steps: tuple, targets: dict, rng: SplitMix64, box: float, rejected: list,
-          exhausted: Exception, drawn: tuple = ()) -> tuple:
-    """One sample of inputs from ``targets["form"]``'s bundle, drawn after ``drawn``.
+def _draw_rows(steps: tuple, targets: dict, states: np.ndarray, box: float,
+               rejected: list, exhausted: Callable, offsets: Optional[list] = None,
+               drawn: Optional[Sequence[tuple]] = None) -> list[tuple]:
+    """One sample of inputs from ``targets["form"]``'s bundle per stream state,
+    drawn after the row's ``drawn`` inputs from its draws past ``offsets[i]`` (0).
 
     ``steps`` is (kind, check) per input in draw order: kind is "point",
     "base" or "group", and check(targets, inputs so far), if any, runs once
-    that input is drawn.  A failed check adds one to ``rejected[0]`` and
-    restarts the sample; after ``_RESAMPLE_LIMIT`` attempts ``exhausted`` is raised.
+    that input is drawn.  A failed check adds one to ``rejected[0]`` and moves
+    the row's offset past the draws that attempt read; the rejected rows are
+    redrawn together, and after ``_RESAMPLE_LIMIT`` passes ``exhausted(i)`` is
+    raised for the first row i left.  ``offsets`` ends past each row's sample.
     """
     bundle = targets["form"].bundle
+    kinds = [kind for kind, _ in steps]
+    ends = list(accumulate(map(bundle.draw_count, kinds)))
+    offsets = [0] * len(states) if offsets is None else offsets
+    samples, rows = [None] * len(states), range(len(states))
     for _ in range(_RESAMPLE_LIMIT):
-        inputs = [*drawn]
-        for kind, check in steps:
-            if kind == "group":
-                inputs.append(bundle.sample_group(rng))
+        block = draw_rows(states[rows], [offsets[i] for i in rows], ends[-1])
+        retry = []
+        for i, values in zip(rows, zip(*bundle.sample_rows(kinds, block, box))):
+            inputs = [*drawn[i]] if drawn else []
+            for (_, check), end, value in zip(steps, ends, values):
+                inputs.append(value)
+                if check is not None and not check(targets, inputs):
+                    retry.append(i)
+                    break
             else:
-                q = bundle.sample_point(rng, box=box)
-                inputs.append(q if kind == "point" else bundle.project(q))
-            if check is not None and not check(targets, inputs):
-                rejected[0] += 1
-                break
-        else:
-            return tuple(inputs)
-    raise exhausted
+                samples[i] = tuple(inputs)
+            offsets[i] += end
+        rejected[0] += len(retry)
+        if not retry:
+            return samples
+        rows = retry
+    raise exhausted(rows[0])
 
 
 def _pair_in(*names):
@@ -502,12 +514,13 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     Slice points are the horizontal partners of random points p, checked
     to be horizontal (see :func:`_slice_points`), and orbit points random
     group translates of q; point k draws ``budget`` of each from seed
-    ``seed + k`` in the draw loop, which checks each (q, p) once and redraws
-    any sample that could land within ``_EXCLUSION_RADIUS`` of q.  All draws
-    come first, then one :func:`_slice_points` call serves every point, so a
-    ProbeFailed at any point leaves no point computed.  The minimum cross
-    distance must exceed ``separation``.  Raises InvalidConfig for a budget
-    below one, which would compare nothing.
+    ``seed + k``, one row per point carrying its offset across the budget in
+    the row loop, which checks each (q, p) once and redraws any sample that
+    could land within ``_EXCLUSION_RADIUS`` of q.  All draws come first, then
+    one :func:`_slice_points` call serves every point, so a ProbeFailed at
+    any point leaves no point computed.  The minimum cross distance must
+    exceed ``separation``.  Raises InvalidConfig for a budget below one,
+    which would compare nothing.
     """
     if budget < 1:
         raise InvalidConfig(f"budget must be at least 1, got {budget}")
@@ -516,13 +529,14 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     exhausted = ProbeFailed(
         "could not sample a fiber direction in the domain and apart from the point")
     rejected = [0]
+    states = substream_states(range(seed, seed + len(points)), 0x511CE)
+    offsets, drawn = [0] * len(points), [(q,) for q in points]
+    rounds = [_draw_rows(_PROBE_STEPS, targets, states, box, rejected, lambda _: exhausted,
+                         offsets, drawn) for _ in range(budget)]
     pairs, orbit_pts = [], []
-    for index, q in enumerate(points):
-        rng = substream(seed + index, 0x511CE)
-        for _ in range(budget):
-            _, p, g = _draw(_PROBE_STEPS, targets, rng, box, rejected, exhausted, (q,))
-            pairs.append((q, p))
-            orbit_pts.append(bundle.act(g, q))
+    for q, p, g in chain.from_iterable(zip(*rounds)):
+        pairs.append((q, p))
+        orbit_pts.append(bundle.act(g, q))
     slice_pts = _slice_points(form, pairs)
 
     reports = []

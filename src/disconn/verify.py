@@ -29,12 +29,13 @@ total sphere via normalized 4-component Gaussians, on flat bases
 uniformly in a configurable box, with uniform angles for group
 elements.  An axiom's entry lists its inputs in draw order, each a kind
 (total point, base point or group element) with the domain check that
-runs once that input is drawn.  One loop, ``connection._draw``, draws
-for every axiom, and for :func:`compare_forms` from its own such table:
-a failed check counts one rejection in the report and restarts the
-sample, up to 100 attempts per sample.  These are a run's only domain
-checks: rounds never check again, and a worst input, serialized through
-its table, passes the same checks when restored for its round of one.
+runs once that input is drawn.  One row loop, ``connection._draw_rows``,
+draws an axiom's samples of a round, and :func:`compare_forms`'s from its
+own such table, each sample one row of counter-addressed draws.  A failed
+check counts one rejection in the report, and the row is redrawn from
+its next draws, up to 100 attempts per sample.  These are a run's only
+domain checks: rounds never check again, and a worst input, serialized
+through its table, passes the same checks when restored for its round of one.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .algebra import CircleElement, UnitQuaternion, canonical_angle, hamilton
 from .bundle import DEFAULT_BOX, HopfBundle
 from .connection import (
     DiscreteConnectionForm,
-    _draw,
+    _draw_rows,
     _pair_in,
     answer_queries,
     form_from_lift,
@@ -57,7 +58,7 @@ from .connection import (
 )
 from .errors import EmptyDomainIntersection, InvalidConfig, OutOfDomain, OutOfRange, ProbeFailed
 from .riemannian import DEFAULT_STEPS, beta_formula, lmw_form
-from .rng import substream
+from .rng import substream_states
 
 #: axiom identifiers in report order
 AXIOM_IDS = (
@@ -413,9 +414,9 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     failures = dict.fromkeys(AXIOM_IDS, 0)
     worst = {}  # axiom -> (violation, inputs), folded as max() would
     for start in range(0, cfg.n_samples, _ROUND_SAMPLES):
-        jobs = [(axiom, [_draw(steps, targets, substream(cfg.seed, index, i), cfg.box,
-                               rejected, exhausted)
-                         for i in range(start, min(start + _ROUND_SAMPLES, cfg.n_samples))])
+        samples = range(start, min(start + _ROUND_SAMPLES, cfg.n_samples))
+        jobs = [(axiom, _draw_rows(steps, targets, substream_states(cfg.seed, index, samples),
+                                   cfg.box, rejected, lambda _, error=exhausted: error))
                 for index, axiom, steps, exhausted in checked]
         for (axiom, inputs), violations in zip(jobs, _run_round(targets, jobs)):
             tol = cfg.tolerance_for(axiom, form)
@@ -497,10 +498,10 @@ def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm
     bundle = form_a.bundle
     targets = {"form": form_a, "other": form_b}
     rejected = [0]
-    pairs = [_draw(_COMPARE_STEPS, targets, substream(cfg.seed, _COMPARE_STREAM, i), cfg.box,
-                   rejected, EmptyDomainIntersection(
-                       f"no draw for sample {i} landed in the domains of both forms"))
-             for i in range(cfg.n_samples)]
+    pairs = _draw_rows(
+        _COMPARE_STEPS, targets, substream_states(cfg.seed, _COMPARE_STREAM, range(cfg.n_samples)),
+        cfg.box, rejected, lambda i: EmptyDomainIntersection(
+            f"no draw for sample {i} landed in the domains of both forms"))
     # the draw checked both domains
     va, vb = (answer_queries([(form, pairs)])[0] for form in (form_a, form_b))
     deviations = [bundle.group_distance(a, b) for a, b in zip(va, vb)]

@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+
+from disconn.bundle import HopfBundle
 from disconn.rng import SplitMix64, substream
 
 
@@ -32,13 +35,12 @@ def test_angle_range():
     assert all(-math.pi < v <= math.pi for v in values)
 
 
-def test_normal_pair_moments():
-    rng = SplitMix64(9)
-    values = []
-    for _ in range(5_000):
-        a, b = rng.normal_pair()
-        values.extend((a, b))
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    assert abs(mean) < 0.05
-    assert abs(var - 1.0) < 0.1
+def test_sampled_sphere_point_moments():
+    # a uniform point of the unit 3-sphere: each component has mean 0 and
+    # second moment 1/4, and distinct components are uncorrelated
+    hopf = HopfBundle()
+    rows = np.array([hopf.sample_point(substream(9, i)).components() for i in range(5_000)])
+    assert np.all(np.abs(rows.mean(axis=0)) < 0.02)
+    second = rows.T @ rows / len(rows)
+    assert np.all(np.abs(np.diag(second) - 0.25) < 0.02)
+    assert np.all(np.abs(second - np.diag(np.diag(second))) < 0.02)

@@ -24,8 +24,8 @@ from disconn import (
     trivial_form_from_C,
     violation_from_record,
 )
-from disconn import riemannian, verify
-from disconn.connection import _RESAMPLE_LIMIT, answer_queries
+from disconn import connection, riemannian, verify
+from disconn.connection import _RESAMPLE_LIMIT, answer_queries, slice_probes
 from disconn.rng import substream
 from disconn.verify import CSV_HEADER
 
@@ -297,6 +297,127 @@ class TestDrawing:
         assert len(checks) == _RESAMPLE_LIMIT
 
 
+def _serial_draw_rows(steps, targets, streams, box, rejected, exhausted, offsets=None,
+                     drawn=None):
+    """The draw loop one sample at a time: each row a stateful stream read
+    through ``sample_point`` and ``sample_group``, restarted on a failed check."""
+    bundle = targets["form"].bundle
+    samples = []
+    for i, rng in enumerate(streams):
+        for _ in range(_RESAMPLE_LIMIT):
+            inputs = [*drawn[i]] if drawn else []
+            for kind, check in steps:
+                if kind == "group":
+                    inputs.append(bundle.sample_group(rng))
+                else:
+                    q = bundle.sample_point(rng, box=box)
+                    inputs.append(q if kind == "point" else bundle.project(q))
+                if check is not None and not check(targets, inputs):
+                    rejected[0] += 1
+                    break
+            else:
+                samples.append(tuple(inputs))
+                break
+        else:
+            raise exhausted(i)
+    return samples
+
+
+def _serial_streams(seed, *keys):
+    """``substream`` per row, for keys (and seed) that are ints or ranges."""
+    ranges = [x for x in (seed, *keys) if not isinstance(x, int)]
+    rows = len(ranges[0]) if ranges else 1
+    pick = lambda x, k: x if isinstance(x, int) else x[k]  # noqa: E731
+    return [substream(pick(seed, k), *(pick(key, k) for key in keys)) for k in range(rows)]
+
+
+@pytest.fixture
+def serial_draws(monkeypatch):
+    """Run the draws of verify, compare and slice_probes through the serial loop."""
+    for module in (verify, connection):
+        monkeypatch.setattr(module, "substream_states", _serial_streams)
+        monkeypatch.setattr(module, "_draw_rows", _serial_draw_rows)
+
+
+def _east_of(calls, x_floor=-math.inf):
+    """The closed form on pairs whose second base point has x > 0, counting
+    its domain calls, so that every draw check rejects about half its draws.
+    An ``x_floor`` also leaves out q1.x <= x_floor, which is not invariant
+    under the group (the section values, with x = 0, stay in), so that
+    checks of moved pairs reject draws too."""
+    closed = hopf_closed_form()
+    project = closed.bundle.project
+
+    def dom(q0, q1):
+        calls.append(None)
+        return closed.in_domain(q0, q1) and project(q1).x > 0 and q1.x > x_floor
+
+    return DiscreteConnectionForm(closed.bundle, closed.evaluate, dom, "closed-form")
+
+
+class TestRowDraws:
+    """The row loop against the serial loop on draws rejected at every check."""
+
+    def _both(self, request, run, **options):
+        calls = []
+        rows = run(_east_of(calls, **options))
+        row_calls = len(calls)
+        request.getfixturevalue("serial_draws")
+        calls.clear()
+        return rows, run(_east_of(calls, **options)), row_calls, len(calls)
+
+    def test_check_axioms_matches_the_serial_draws(self, request, monkeypatch):
+        # every draw check of every axiom rejects some draws
+        rejecting = set()
+
+        def watched(axiom, position, check):
+            def run(targets, drawn):
+                held = check(targets, drawn)
+                if not held:
+                    rejecting.add((axiom, position))
+                return held
+            return run
+
+        axioms = {axiom: spec._replace(steps=tuple(
+                      (kind, check and watched(axiom, position, check))
+                      for position, (kind, check) in enumerate(spec.steps)))
+                  for axiom, spec in verify._AXIOMS.items()}
+        monkeypatch.setattr(verify, "_AXIOMS", axioms)
+        # 300 samples: a full round of 256 and a partial one
+        rows, serial, row_calls, serial_calls = self._both(
+            request, lambda form: check_axioms(form, SampleConfig(seed=11, n_samples=300)),
+            x_floor=-0.5)
+        assert rows.to_json() == serial.to_json()
+        assert row_calls == serial_calls
+        assert rejecting == {(axiom, position) for axiom, spec in axioms.items()
+                             for position, (_, check) in enumerate(spec.steps) if check}
+
+    def test_compare_matches_the_serial_draws(self, request):
+        rows, serial, row_calls, serial_calls = self._both(
+            request, lambda form: compare_forms(hopf_closed_form(), form,
+                                                SampleConfig(seed=12, n_samples=400)))
+        assert rows.to_json() == serial.to_json()
+        assert row_calls == serial_calls
+
+    def test_slice_probes_match_the_serial_draws(self, request, hopf):
+        points = [hopf.sample_point(substream(13, k)) for k in range(5)]
+        rows, serial, row_calls, serial_calls = self._both(
+            request, lambda form: slice_probes(form, points, 6, seed=13))
+        assert rows == serial
+        assert row_calls == serial_calls
+
+    def test_nowhere_domain_exhausts_as_the_serial_draws(self, request, hopf):
+        for serial in (False, True):
+            if serial:
+                request.getfixturevalue("serial_draws")
+            nowhere = DiscreteConnectionForm(
+                hopf, lambda q0, q1: None, lambda q0, q1: False, "closed-form")
+            with pytest.raises(ProbeFailed, match=re.escape("exhausted (normalization)")):
+                check_axioms(nowhere, SampleConfig(seed=1, n_samples=10))
+            with pytest.raises(EmptyDomainIntersection, match="no draw for sample 0 "):
+                compare_forms(hopf_closed_form(), nowhere, SampleConfig(seed=1, n_samples=10))
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self):
         cfg = SampleConfig(seed=97, n_samples=200)
@@ -379,6 +500,18 @@ class TestSoundness:
         form = trivial_form_from_C(plane_bundle, make_c_function("linear", (0.5, -1.0), 2))
         with pytest.raises(ValueError, match="expected 2 base coordinates"):
             violation_from_record(form, axiom, _args(*entries))
+
+    @pytest.mark.parametrize("axiom,entries,message", [
+        ("roundtrip_form", ({"point": [1.0, 0.0, 0.0]}, {"point": [0.6, 0.8, 0.0, 0.0]}),
+         "expected 4 point components, got 3"),
+        ("roundtrip_form", ({"point": [1.0, 0.0, 0.0, 0.0]}, {"point": [0.6, 0.8, 0, 0, 0]}),
+         "expected 4 point components, got 5"),
+        ("lift_section", ({"point": [1.0, 0.0, 0.0, 0.0]}, {"base": [1.0, 0.0]}),
+         "expected 3 base components, got 2"),
+    ])
+    def test_recorded_hopf_input_of_the_wrong_length_raises(self, axiom, entries, message):
+        with pytest.raises(ValueError, match=message):
+            violation_from_record(hopf_closed_form(), axiom, _args(*entries))
 
 
 def _closed_on(extra):
