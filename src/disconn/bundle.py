@@ -26,7 +26,6 @@ from .algebra import (
     Quaternion,
     UnitQuaternion,
     canonical_angle,
-    circle_distance,
     hamilton,
     unit_components,
 )
@@ -48,8 +47,8 @@ class PrincipalBundle(abc.ABC):
     the fiber-translation map and a local section, plus the metric,
     sampling and serialization helpers used by the probes and the
     verification harness, and state ``dim_base`` and ``name``.
-    The group operations are exposed on the bundle so code written
-    against this contract stays correct for non-abelian groups.
+    Group elements are :class:`CircleElement` values, composed with ``*``
+    and compared with :func:`circle_distance`.
     """
 
     dim_base: int
@@ -114,19 +113,9 @@ class PrincipalBundle(abc.ABC):
         Used to parametrize horizontal slices as graphs over the base.
         """
 
-    # -- group operations --------------------------------------------------
-
-    def group_identity(self) -> CircleElement:
-        return CIRCLE_IDENTITY
-
-    def group_compose(self, a: CircleElement, b: CircleElement) -> CircleElement:
-        return a * b
-
     def group_inverse(self, a: CircleElement) -> CircleElement:
+        """``a.inverse()``."""
         return a.inverse()
-
-    def group_distance(self, a: CircleElement, b: CircleElement) -> float:
-        return circle_distance(a, b)
 
     # -- sampling ----------------------------------------------------------
 

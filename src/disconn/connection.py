@@ -230,7 +230,7 @@ class ReducedPair:
 
     ``rep_point`` and ``rep_group`` are the canonical representative of
     the adjoint-bundle class: the section value over the first base point
-    and the correspondingly conjugated group element.
+    and the form's value, since on U(1) the class of g is g itself.
     """
 
     base0: object
@@ -246,7 +246,7 @@ def decompose_pair(form: DiscreteConnectionForm, q0, q1) -> Decomposition:
     yields the horizontal partner, so act(g, h1) reconstructs q1.
     """
     g = form.evaluate(q0, q1)
-    h1 = form.bundle.act(form.bundle.group_inverse(g), q1)
+    h1 = form.bundle.act(g.inverse(), q1)
     return Decomposition(g, h1)
 
 
@@ -377,8 +377,7 @@ def lift_from_form(form: DiscreteConnectionForm,
         root, root_pairs, finish = form.split(
             [(q0, s) for (q0, _), s in zip(items, sections)])
         return root, root_pairs, lambda answers: [
-            bundle.act(bundle.group_inverse(g), s)
-            for g, s in zip(finish(answers), sections)]
+            bundle.act(g.inverse(), s) for g, s in zip(finish(answers), sections)]
 
     return DiscreteHorizontalLift(bundle, None, dom, form.provenance, split_fn=split)
 
@@ -412,20 +411,13 @@ def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
 def reduce_pair(form: DiscreteConnectionForm, q0, q1) -> ReducedPair:
     """Identify the group orbit of (q0, q1) with base points plus an adjoint class.
 
-    The class representative is canonicalized by translating q0 onto the
-    section value over its base point and conjugating the group factor by
-    the same translation.  The conjugation is performed even for abelian
-    groups so the data model stays correct beyond them.
+    The class is represented by the section value over the base point of
+    q0 and the form's value g: the group is U(1), on which conjugation
+    fixes every element, so the class of g is g.
     """
     bundle = form.bundle
-    g = form.evaluate(q0, q1)
     r0 = bundle.project(q0)
-    r1 = bundle.project(q1)
-    canonical = bundle.local_section(r0)
-    h = bundle.fiber_translation(q0, canonical)
-    rep_group = bundle.group_compose(
-        bundle.group_compose(h, g), bundle.group_inverse(h))
-    return ReducedPair(r0, r1, canonical, rep_group)
+    return ReducedPair(r0, bundle.project(q1), bundle.local_section(r0), form.evaluate(q0, q1))
 
 
 def reconstruct_pair(form: DiscreteConnectionForm, rp: ReducedPair):
@@ -474,7 +466,7 @@ def _slice_points(form: DiscreteConnectionForm, pairs: Sequence[tuple]) -> list:
     the form's domain or its residual exceeds that tolerance.
     """
     bundle = form.bundle
-    partners = [bundle.act(bundle.group_inverse(g), p)
+    partners = [bundle.act(g.inverse(), p)
                 for g, (_, p) in zip(answer_queries([(form, pairs)])[0], pairs)]
     partner_pairs = _in_probe_domain(form, [(q, h) for (q, _), h in zip(pairs, partners)])
     for g in answer_queries([(form, partner_pairs)])[0]:
@@ -554,17 +546,15 @@ def slice_probe(form: DiscreteConnectionForm, q, budget: int, **options) -> Slic
     return slice_probes(form, [q], budget, **options)[0]
 
 
-def tangent_split_check(form: DiscreteConnectionForm, q,
-                        *, drop_orbit: bool = False) -> bool:
+def tangent_split_check(form: DiscreteConnectionForm, q) -> bool:
     """Check that slice and orbit tangents at q together span the total tangent space.
 
     Slice tangents come from central finite differences of the slice
     parametrization over base directions, all 2 * dim_base slice points
     from one :func:`_slice_points` call on pairs checked where built; the
     orbit tangent from the derivative of the group action at the identity.
-    The combined matrix must have numerical rank dim_total (or dim_total -
-    dim_group when the orbit column is dropped, which checks the dimension
-    count).
+    The dim_total columns must have numerical rank dim_total, which also
+    makes the dim_base slice tangents independent.
     """
     bundle = form.bundle
     ends = _slice_points(form, _in_probe_domain(
@@ -572,15 +562,11 @@ def tangent_split_check(form: DiscreteConnectionForm, q,
                for t in (_FD_STEP, -_FD_STEP)]))
     columns = [bundle.embed_difference(plus, minus) / (2.0 * _FD_STEP)
                for plus, minus in zip(ends[::2], ends[1::2])]
-    if not drop_orbit:
-        gp = CircleElement(_FD_STEP)
-        plus = bundle.act(gp, q)
-        minus = bundle.act(bundle.group_inverse(gp), q)
-        columns.append(bundle.embed_difference(plus, minus) / (2.0 * _FD_STEP))
+    gp = CircleElement(_FD_STEP)
+    columns.append(bundle.embed_difference(bundle.act(gp, q), bundle.act(gp.inverse(), q))
+                   / (2.0 * _FD_STEP))
 
     matrix = np.column_stack(columns)
     # descending singular values: a zero matrix has rank 0 here as well
     svals = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(svals > svals[0] * _SVD_CUTOFF))
-    expected = bundle.dim_total - (bundle.dim_group if drop_orbit else 0)
-    return rank == expected
+    return int(np.sum(svals > svals[0] * _SVD_CUTOFF)) == bundle.dim_total

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .algebra import CircleElement, UnitQuaternion, canonical_angle, hamilton
+from .algebra import (CIRCLE_IDENTITY, CircleElement, UnitQuaternion, canonical_angle,
+                      circle_distance, hamilton)
 from .bundle import DEFAULT_BOX, HopfBundle
 from .connection import (
     DiscreteConnectionForm,
@@ -201,10 +202,8 @@ class VerificationReport:
 # _targets(form).
 
 def _normalization(form, inputs):
-    bundle = form.bundle
     (values,) = yield [("form", [(q, q) for (q,) in inputs])]
-    e = bundle.group_identity()
-    return [bundle.group_distance(g, e) for g in values]
+    return [circle_distance(g, CIRCLE_IDENTITY) for g in values]
 
 
 def _equivariance(form, inputs):
@@ -213,8 +212,7 @@ def _equivariance(form, inputs):
         ("form", [(q0, q1) for q0, q1, _, _ in inputs]),
         ("form", [(bundle.act(g0, q0), bundle.act(g1, q1)) for q0, q1, g0, g1 in inputs]),
     ]
-    return [bundle.group_distance(m, bundle.group_compose(
-                bundle.group_compose(g1, a), bundle.group_inverse(g0)))
+    return [circle_distance(m, g1 * a * g0.inverse())
             for a, m, (_, _, g0, g1) in zip(base, moved, inputs)]
 
 
@@ -255,7 +253,7 @@ def _lift_normalization(form, inputs):
 
 def _roundtrip_form(form, inputs):
     direct, recon = yield [("form", inputs), ("recovered", inputs)]
-    return [form.bundle.group_distance(a, b) for a, b in zip(direct, recon)]
+    return [circle_distance(a, b) for a, b in zip(direct, recon)]
 
 
 def _roundtrip_lift(form, inputs):
@@ -504,7 +502,7 @@ def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm
             f"no draw for sample {i} landed in the domains of both forms"))
     # the draw checked both domains
     va, vb = (answer_queries([(form, pairs)])[0] for form in (form_a, form_b))
-    deviations = [bundle.group_distance(a, b) for a, b in zip(va, vb)]
+    deviations = [circle_distance(a, b) for a, b in zip(va, vb)]
     worst = max(range(len(deviations)), key=lambda k: deviations[k])
     return FormComparison(
         bundle=bundle.name,

@@ -12,6 +12,7 @@ from disconn import (
     TrivialPoint,
     UnitQuaternion,
     canonical_angle,
+    circle_distance,
     decompose_pair,
     form_from_lift,
     hopf_closed_form,
@@ -155,8 +156,7 @@ class TestLiftFormConversions:
         recovered = form_from_lift(lift_from_form(form))
         for i in range(1000):
             q0, q1, _ = sample_hopf_pair(hopf, form, 202, i)
-            d = hopf.group_distance(form.evaluate(q0, q1),
-                                    recovered.evaluate(q0, q1))
+            d = circle_distance(form.evaluate(q0, q1), recovered.evaluate(q0, q1))
             assert d <= 1e-9
 
     def test_roundtrip_lift_to_form_to_lift(self, hopf):
@@ -185,7 +185,7 @@ class TestLiftFormConversions:
         pairs = [(line_bundle.sample_point(substream(206, i)),
                   line_bundle.sample_point(substream(207, i))) for i in range(50)]
         for g, h in zip(form.evaluate_many(pairs), recovered.evaluate_many(pairs)):
-            assert line_bundle.group_distance(g, h) <= 1e-12
+            assert circle_distance(g, h) <= 1e-12
 
     def test_queries_to_two_roots_rejected(self):
         pairs = [(ONE, HALF_J)]
@@ -292,11 +292,9 @@ class TestEquivarianceAndDomain:
             q0, q1, rng = sample_hopf_pair(hopf, form, 207, i)
             g0 = hopf.sample_group(rng)
             g1 = hopf.sample_group(rng)
-            expected = hopf.group_compose(
-                hopf.group_compose(g1, form.evaluate(q0, q1)),
-                hopf.group_inverse(g0))
+            expected = g1 * form.evaluate(q0, q1) * g0.inverse()
             actual = form.evaluate(hopf.act(g0, q0), hopf.act(g1, q1))
-            assert hopf.group_distance(actual, expected) <= 1e-9
+            assert circle_distance(actual, expected) <= 1e-9
 
     def test_disjoint_translates(self, hopf):
         # translating the second slot of a horizontal pair by g yields
@@ -314,7 +312,7 @@ class TestEquivarianceAndDomain:
             if abs(g.angle) <= 1e-6:
                 continue
             val = form.evaluate(q0, hopf.act(g, h1))
-            assert hopf.group_distance(val, g) <= 1e-9
+            assert circle_distance(val, g) <= 1e-9
             assert abs(val.angle) > 1e-7
 
     def test_domain_contains_diagonal_and_is_invariant(self, hopf):

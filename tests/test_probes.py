@@ -215,12 +215,6 @@ class TestTangentSplit:
         assert tangent_split_check(form, ONE)
         assert len(checks) == 2 * 2 * hopf.dim_base
 
-    def test_dropping_orbit_column_reduces_rank(self, hopf):
-        form = hopf_closed_form()
-        assert tangent_split_check(form, ONE, drop_orbit=True)
-        q = hopf.sample_point(substream(63, 4))
-        assert tangent_split_check(form, q, drop_orbit=True)
-
     @pytest.mark.parametrize("dim", [1, 2])
     def test_trivial_rank(self, dim):
         bundle = TrivialBundle(dim)
@@ -229,7 +223,6 @@ class TestTangentSplit:
         for i in range(5):
             q = bundle.sample_point(substream(64, i))
             assert tangent_split_check(form, q)
-            assert tangent_split_check(form, q, drop_orbit=True)
 
     def test_identity_group_element_constant(self):
         assert CIRCLE_IDENTITY.angle == 0.0
