@@ -255,8 +255,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_slice_probe(args) -> int:
     form = _build_form(args)
     bundle = form.bundle
-    rng = substream(args.seed, 0x9048)
-    points = [bundle.sample_point(rng, box=args.box) for _ in range(args.points)]
+    # one block of the stream's draws, a row per point: the serial sample_point loop's points
+    draws = substream(args.seed, 0x9048).next_row(args.points * bundle.point_draws)
+    points = bundle.sample_rows(("point",), draws.reshape(args.points, -1), args.box)[0]
     reports = slice_probes(form, points, args.budget, separation=args.separation,
                            seed=args.seed, box=args.box)
     results = [{

@@ -512,10 +512,13 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     one :func:`_slice_points` call serves every point, so a ProbeFailed at
     any point leaves no point computed.  The minimum cross distance must
     exceed ``separation``.  Raises InvalidConfig for a budget below one,
-    which would compare nothing.
+    which would compare nothing, and for a separation that is not finite
+    and above 0, which every probe would pass.
     """
     if budget < 1:
         raise InvalidConfig(f"budget must be at least 1, got {budget}")
+    if not (math.isfinite(separation) and separation > 0):
+        raise InvalidConfig(f"separation must be finite and above 0, got {separation}")
     bundle = form.bundle
     targets = {"form": form}
     exhausted = ProbeFailed(

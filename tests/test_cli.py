@@ -315,6 +315,41 @@ class TestUsageErrors:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("sweep", "--grid", "0:1"), "must be start:stop:step"),
+        (("sweep", "--grid", "0:1:0"), "step must be positive"),
+        (("sweep", "--grid", "1:0:0.1"), "grid is empty"),
+        (("sweep", "--grid", "1:2:0.1"), "no values inside (-pi/4, pi/4)"),
+        (("verify", "--bundle", "trivial", "--form", "trivial-c", "--c-family", "linear",
+          "--c-params", "a,b", "--samples", "5"), "could not parse parameter list"),
+    ], ids=["grid-two-parts", "grid-zero-step", "grid-empty", "grid-all-clipped",
+            "c-params-words"])
+    def test_malformed_value_rejected_with_one_error_line(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and reason in errors[0]
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("verify", "--bundle", "hopf", "--form", "closed", "--samples", "20", "--seed", "3"),
+     0, "verdict: pass"),
+    (("verify", "--bundle", "hopf", "--form", "lmw", "--steps", "16", "--samples", "40",
+      "--seed", "13"), 1, "verdict: fail"),
+    (("compare", "--bundle", "hopf", "--form-a", "geodesic", "--form-b", "closed",
+      "--steps", "16", "--samples", "10", "--seed", "3"), 0, "max deviation: "),
+    (("sweep", "--grid", "-0.2:0.2:0.1", "--steps", "32"), 0,
+     "derivative of the variant angle at 0: "),
+], ids=["verify-pass", "verify-fail", "compare", "sweep"])
+def test_text_format(capsys, argv, code, line):
+    got, out, err = run(capsys, *argv, "--format", "text")
+    assert got == code
+    assert err == ""
+    assert out.endswith("\n") and not out.startswith("{")
+    assert any(text.startswith(line) for text in out.splitlines())
+
 
 class TestSweepCommand:
     def test_default_grid_row_count(self, capsys, tmp_path):

@@ -54,6 +54,12 @@ class TestSliceProbe:
         with pytest.raises(InvalidConfig, match="budget"):
             slice_probe(hopf_closed_form(), ONE, budget)
 
+    @pytest.mark.parametrize("separation", [0.0, -1.0, math.nan, math.inf])
+    def test_separation_not_finite_and_positive_rejected(self, separation):
+        # every probe would pass a threshold of zero or below, and none of nan
+        with pytest.raises(InvalidConfig, match="separation"):
+            slice_probe(hopf_closed_form(), ONE, 4, separation=separation)
+
     def test_every_sample_is_drawn_away_from_the_probed_point(self, line_bundle,
                                                               monkeypatch):
         # in a box of half-width 3e-3 around q, two fiber directions in three

@@ -26,9 +26,9 @@ from disconn.rng import (
 )
 
 N_STREAMS = 10_000
-#: stream substream(31, LOG_STREAM) opens with a draw on which numpy's log
-#: and math.log differ, and the point it gives differs with them
-LOG_STREAM = 764
+#: the point that stream substream(31, LOG_STREAM) opens with moves when its
+#: two logs move up by one ulp
+LOG_STREAM = 0
 
 
 def bits(value):
@@ -150,11 +150,27 @@ def test_bundle_rows_match_the_serial_draws(bundle):
         assert bits(bundle.sample_group(rng)) == bits(CircleElement(serial_angle(ref_rng)))
 
 
-def test_hopf_rows_take_the_log_from_math():
-    # numpy's log differs from math.log in the last bit on this stream's
-    # first draw, and that bit reaches the point
-    u1 = ((substream(31, LOG_STREAM).next_u64() >> 11) + 1) * (1.0 / (1 << 53))
-    assert np.log(np.array([u1]))[0] != math.log(u1)
+@pytest.mark.parametrize("bundle", [HopfBundle(), TrivialBundle(1), TrivialBundle(3)],
+                         ids=["hopf", "trivial-r1", "trivial-r3"])
+@pytest.mark.parametrize("seed", [0, 5, 42, -3])
+def test_a_block_of_points_is_the_serial_points_of_its_stream(bundle, seed):
+    # as the slice-probe command reads its points: one block, a row per point
+    n, box = 100, 1.5
+    rng, ref = substream(seed, 0x9048), substream(seed, 0x9048)
+    block = rng.next_row(n * bundle.point_draws).reshape(n, -1)
+    points = bundle.sample_rows(("point",), block, box)[0]
+    assert list(map(bits, points)) == [bits(bundle.sample_point(ref, box=box))
+                                       for _ in range(n)]
+
+
+def test_hopf_rows_take_the_log_from_math(monkeypatch):
     hopf = HopfBundle()
-    (point,), = hopf.sample_rows(("point",), draw_rows(substream_states(31, [LOG_STREAM]), [0], 4))
+    block = draw_rows(substream_states(31, [LOG_STREAM]), [0], 4)
+    (point,), = hopf.sample_rows(("point",), block)
     assert bits(point) == bits(serial_point(hopf, substream(31, LOG_STREAM), None))
+    # mutation check, whatever numpy's own log gives on this CPU: the point's
+    # bits follow each result of math.log
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda u: math.nextafter(log(u), math.inf))
+    (moved,), = hopf.sample_rows(("point",), block)
+    assert bits(moved) != bits(point)
