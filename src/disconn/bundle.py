@@ -9,6 +9,11 @@ unit-quaternion bundle over the 2-sphere of unit imaginary quaternions.
 Distances on spheres are measured extrinsically (Euclidean in the ambient
 coordinates); every tolerance in this package refers to that metric.
 Bundle objects are immutable descriptors and all operations are pure.
+
+Sampled points reach the reports, so their bits must not depend on the
+CPU.  The transcendentals of sampling come from ``math`` (``log``, and
+``atan2`` in the fiber phase); the NumPy functions whose results reach a
+report are ``sqrt``, ``sin`` and ``cos``, besides arithmetic.
 """
 
 from __future__ import annotations

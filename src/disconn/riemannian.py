@@ -34,6 +34,11 @@ variant's exact 2 B(g, g') along the projected total-space arc g, with B
 symmetric and B(q, q) the base point of q.  All constructions are pure; forms built here are immutable
 and safe for concurrent evaluation.
 
+Integrated values reach the reports, so their bits must not depend on
+the CPU.  Arc lengths come from ``math.acos`` and phases from
+``math.atan2``; the NumPy functions whose results reach a report are
+``sqrt``, ``sin`` and ``cos``, besides arithmetic.
+
 Measured, and pinned by the test suite: the geodesic form's phase does
 not depend on the step count.  At 8 steps it agrees with
 :func:`hopf_closed_form` within 1e-14 on 2,000 drawn pairs (largest gap
@@ -219,7 +224,9 @@ def _arc_rows(a: np.ndarray, b: np.ndarray):
     dot = np.clip(np.sum(a * b, axis=0), -1.0, 1.0)
     if not _arc_exists(dot).all():
         raise AntipodalPoints("no unique minimizing arc between antipodal points")
-    omega = np.arccos(dot)
+    # math.acos, since numpy's arccos differs from it in the last bit on some
+    # inputs, and by CPU: one call per column, not per step
+    omega = np.array(list(map(math.acos, dot.tolist())))
     sin_omega = np.sin(omega)
     small = sin_omega < 1e-9
     any_small = small.any()
