@@ -224,8 +224,8 @@ def _arc_rows(a: np.ndarray, b: np.ndarray):
     dot = np.clip(np.sum(a * b, axis=0), -1.0, 1.0)
     if not _arc_exists(dot).all():
         raise AntipodalPoints("no unique minimizing arc between antipodal points")
-    # math.acos, since numpy's arccos differs from it in the last bit on some
-    # inputs, and by CPU: one call per column, not per step
+    # math.acos: numpy's arccos differs from it in the last bit on some inputs,
+    # depending on the CPU's SIMD kernels; one call per column, not per step
     omega = np.array(list(map(math.acos, dot.tolist())))
     sin_omega = np.sin(omega)
     small = sin_omega < 1e-9
