@@ -8,12 +8,17 @@ quaternion is checked finite and renormalized, and each field is set once.
 
 The Hamilton product has one kernel, :func:`hamilton`, on bare components:
 scalars and the integrator's (4, n) NumPy rows share it bit for bit.
+Rows of many values are reduced as their constructors reduce one value:
+:func:`canonical_rows` as ``CircleElement`` and :func:`unit_rows` as
+``UnitQuaternion``, with the same errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: construction drift below which unit quaternions renormalize silently
 RENORMALIZE_LIMIT = 1e-6
@@ -27,14 +32,6 @@ def hamilton(aw, ax, ay, az, bw, bx, by, bz):
             aw * bz + ax * by - ay * bx + az * bw)
 
 
-def unit_components(w: float, x: float, y: float, z: float) -> tuple:
-    """Components divided by their norm, as ``Quaternion.normalized`` makes them."""
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero quaternion")
-    return w / n, x / n, y / n, z / n
-
-
 def canonical_angle(theta: float) -> float:
     """Reduce an angle to the canonical interval (-pi, pi].
 
@@ -44,6 +41,18 @@ def canonical_angle(theta: float) -> float:
     if a <= -math.pi:
         a = math.pi
     return a
+
+
+def canonical_rows(theta: np.ndarray) -> np.ndarray:
+    """Circle angles, checked finite and reduced bit for bit as by :func:`canonical_angle`.
+
+    ``np.fmod`` is exact, and so is the one +-tau correction that turns it
+    into the remainder (Sterbenz), whichever CPU kernels NumPy dispatches.
+    """
+    if not np.isfinite(theta).all():
+        raise ValueError("circle angle must be finite")
+    a = np.fmod(theta, math.tau)
+    return np.where(a > math.pi, a - math.tau, np.where(a <= -math.pi, a + math.tau, a))
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,10 @@ class Quaternion:
         return math.sqrt(self.norm_squared())
 
     def normalized(self) -> "Quaternion":
-        return Quaternion(*unit_components(self.w, self.x, self.y, self.z))
+        n = self.norm()
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero quaternion")
+        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
@@ -140,6 +152,20 @@ class UnitQuaternion(Quaternion):
         for name, value in zip("wxyz", (w, x, y, z)):
             object.__setattr__(point, name, float(value))
         return point
+
+
+def unit_rows(w, x, y, z) -> np.ndarray:
+    """(4, n) rows of the points ``UnitQuaternion`` builds from these component rows."""
+    q = np.array([w, x, y, z], dtype=float)
+    # w*w + x*x + y*y + z*z in that order: a reduction over axis 0 adds row by row
+    n = np.sqrt(np.add.reduce(q * q, axis=0))
+    drift = np.abs(n - 1.0)
+    if not (drift <= RENORMALIZE_LIMIT).all():
+        if not np.isfinite(q).all():
+            raise ValueError("quaternion components must be finite")
+        raise ValueError(f"norm {n[~(drift <= RENORMALIZE_LIMIT)][0]} is too far from 1 "
+                         "to renormalize")
+    return np.where(drift > 0.0, q / n, q)
 
 
 Q_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

@@ -10,10 +10,16 @@ Distances on spheres are measured extrinsically (Euclidean in the ambient
 coordinates); every tolerance in this package refers to that metric.
 Bundle objects are immutable descriptors and all operations are pure.
 
+Every geometric and metric operation is one row kernel, on many values at
+once in the integrator's component-major layout: (4, n) points and bases
+of the quaternion bundle (a base's real part, 0 or -0.0, rides along),
+(d + 1, n) points and (d, n) bases of a trivial bundle, and (n,) angles.
+
 Sampled points reach the reports, so their bits must not depend on the
 CPU.  The transcendentals of sampling come from ``math`` (``log``, and
 ``atan2`` in the fiber phase); the NumPy functions whose results reach a
-report are ``sqrt``, ``sin`` and ``cos``, besides arithmetic.
+report are ``sqrt``, ``sin``, ``cos`` and the exact ``fmod``, besides
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from .algebra import (
     Quaternion,
     UnitQuaternion,
     canonical_angle,
+    canonical_rows,
     hamilton,
-    unit_components,
+    unit_rows,
 )
 from .errors import InvalidConfig, NotSameFiber, SectionUndefined
 from .rng import SplitMix64, angles, uniforms
@@ -54,6 +61,14 @@ class PrincipalBundle(abc.ABC):
     verification harness, and state ``dim_base`` and ``name``.
     Group elements are :class:`CircleElement` values, composed with ``*``
     and compared with :func:`circle_distance`.
+
+    Each geometric and metric operation is written once, as a row kernel
+    of the concrete geometry: ``project_rows``, ``act_rows`` (angles,
+    points), ``fiber_rows``, ``section_rows`` (the sections, NaN outside
+    the chart, and the chart mask), ``distance_rows`` and
+    ``base_distance_rows``.  The methods on values run it on a block of
+    one; :meth:`rows_of` and :meth:`values_of` convert values of a kind
+    ("point", "base" or "group") to rows and back.
     """
 
     dim_base: int
@@ -64,44 +79,50 @@ class PrincipalBundle(abc.ABC):
     def dim_total(self) -> int:
         return self.dim_base + self.dim_group
 
-    # -- geometry ---------------------------------------------------------
+    # -- geometry and metric: the row kernels on a block of one -------------
 
-    @abc.abstractmethod
+    def _one(self, kind: str, rows: np.ndarray):
+        return self.values_of(kind, rows)[0]
+
+    def columns_of(self, kind: str, *values) -> list[np.ndarray]:
+        """The rows of each value, a block of one column each."""
+        return [self.rows_of(kind, [v]) for v in values]
+
     def project(self, q):
         """Base point under the bundle projection."""
+        return self._one("base", self.project_rows(*self.columns_of("point", q)))
 
-    @abc.abstractmethod
     def act(self, g: CircleElement, q):
         """Left action of the group element ``g`` on the total point ``q``."""
+        (angle,), (point,) = self.columns_of("group", g), self.columns_of("point", q)
+        return self._one("point", self.act_rows(angle, point))
 
-    @abc.abstractmethod
     def fiber_translation(self, q0, q1) -> CircleElement:
         """Unique g with act(g, q0) = q1 for points on the same fiber.
 
         Raises NotSameFiber when the base points are further than
         ``FIBER_ATOL`` apart.
         """
+        return self._one("group", self.fiber_rows(*self.columns_of("point", q0, q1)))
 
-    @abc.abstractmethod
     def local_section(self, r):
-        """Section value over the base point ``r``.
+        """Section value over the base point ``r``; SectionUndefined outside its chart."""
+        section, defined = self.section_rows(*self.columns_of("base", r))
+        if not defined[0]:
+            raise SectionUndefined(f"the section chart of {self.name} excludes {r}")
+        return self._one("point", section)
 
-        Raises SectionUndefined outside the section's chart.
-        """
-
-    @abc.abstractmethod
     def section_defined(self, r) -> bool:
         """True when ``r`` lies in the local section's chart."""
+        return bool(self.section_rows(*self.columns_of("base", r))[1][0])
 
-    # -- metric ------------------------------------------------------------
-
-    @abc.abstractmethod
     def distance(self, q0, q1) -> float:
         """Extrinsic distance between total points."""
+        return float(self.distance_rows(*self.columns_of("point", q0, q1))[0])
 
-    @abc.abstractmethod
     def base_distance(self, r0, r1) -> float:
         """Extrinsic distance between base points."""
+        return float(self.base_distance_rows(*self.columns_of("base", r0, r1))[0])
 
     @abc.abstractmethod
     def embed_difference(self, q_plus, q_minus) -> np.ndarray:
@@ -122,6 +143,19 @@ class PrincipalBundle(abc.ABC):
         """``a.inverse()``."""
         return a.inverse()
 
+    def rows_of(self, kind: str, values) -> np.ndarray:
+        """Values of a kind as rows: angles, or one row per component."""
+        if kind == "group":
+            return np.array([g.angle for g in values], dtype=float)
+        return np.array([self._components(kind, v) for v in values], dtype=float).reshape(
+            -1, self.point_draws if kind == "point" else self.base_width).T.copy()
+
+    def values_of(self, kind: str, rows: np.ndarray) -> list:
+        """The values whose rows these are, bit for bit."""
+        if kind == "group":
+            return list(map(CircleElement, rows.tolist()))
+        return [self._value(kind, c) for c in rows.T.tolist()]
+
     # -- sampling ----------------------------------------------------------
 
     def draw_count(self, kind: str) -> int:
@@ -129,31 +163,32 @@ class PrincipalBundle(abc.ABC):
         return 1 if kind == "group" else self.point_draws
 
     def sample_rows(self, kinds: Sequence[str], block: np.ndarray,
-                    box: float = DEFAULT_BOX) -> list[list]:
-        """Per kind, one value per row of an (n, k) block, reading the row's draws
-        in order: a "point" reads ``point_draws`` (``box`` bounds flat base
-        charts), a "base" projects such a point, a "group" is one uniform angle."""
+                    box: float = DEFAULT_BOX) -> list[np.ndarray]:
+        """Per kind, the rows of one value per row of an (n, k) block, reading the
+        row's draws in order: a "point" reads ``point_draws`` (``box`` bounds flat
+        base charts), a "base" projects such a point, a "group" is one uniform angle."""
         columns, start = [], 0
         for kind in kinds:
             end = start + self.draw_count(kind)
             if kind == "group":
-                columns.append(list(map(CircleElement, angles(block[:, start]).tolist())))
+                columns.append(canonical_rows(angles(block[:, start])))
             else:
                 points = self._sample_points(block[:, start:end], box)
-                columns.append(points if kind == "point" else list(map(self.project, points)))
+                columns.append(points if kind == "point" else self.project_rows(points))
             start = end
         return columns
 
     @abc.abstractmethod
-    def _sample_points(self, block: np.ndarray, box: float) -> list:
-        """One random total point per row of an (n, ``point_draws``) block."""
+    def _sample_points(self, block: np.ndarray, box: float) -> np.ndarray:
+        """Rows of one random total point per row of an (n, ``point_draws``) block."""
 
     def sample_point(self, rng: SplitMix64, *, box: float = DEFAULT_BOX):
         """Random total point from the next draws of ``rng``: one row of :meth:`sample_rows`."""
-        return self.sample_rows(("point",), rng.next_row(self.point_draws), box)[0][0]
+        rows = self.sample_rows(("point",), rng.next_row(self.point_draws), box)[0]
+        return self.values_of("point", rows)[0]
 
     def sample_group(self, rng: SplitMix64) -> CircleElement:
-        return self.sample_rows(("group",), rng.next_row(1))[0][0]
+        return self.values_of("group", self.sample_rows(("group",), rng.next_row(1))[0])[0]
 
     # -- serialization (verification reports) ------------------------------
 
@@ -187,16 +222,29 @@ def _base_components(w, x, y, z) -> tuple:
     return hamilton(w, -x, -y, -z, *hamilton(0.0, 1.0, 0.0, 0.0, w, x, y, z))
 
 
-def _gap(aw, ax, ay, az, bw, bx, by, bz) -> float:
-    """Euclidean norm of a - b, summed in the order of ``Quaternion.norm``."""
+def _gap(aw, ax, ay, az, bw, bx, by, bz):
+    """Euclidean norm of the rows of a - b, summed in the order of ``Quaternion.norm``."""
     dw, dx, dy, dz = aw - bw, ax - bx, ay - by, az - bz
-    return math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
+    return np.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
 
 
-def _check_fiber(d: float) -> None:
-    """Raise NotSameFiber when two base points are ``d`` > FIBER_ATOL apart."""
-    if d > FIBER_ATOL:
-        raise NotSameFiber(f"base points are {d:.3e} apart (allowed {FIBER_ATOL:.1e})")
+def _square_sum(a, b):
+    """Sum over the rows of (a_k - b_k) ** 2, added left to right from 0.0, as
+    ``sum()`` added it before Python 3.12 compensated.  Each square is libm's
+    ``pow`` (``** 2`` on a float), which differs from d * d in the last bit on
+    some inputs."""
+    total = 0.0
+    for x, y in zip(a, b):
+        d = x - y
+        total = total + np.array([v ** 2 for v in d.ravel().tolist()]).reshape(d.shape)
+    return total
+
+
+def _check_fiber(d: np.ndarray) -> None:
+    """Raise NotSameFiber, naming the first, when base points are ``d`` > FIBER_ATOL apart."""
+    over = d[d > FIBER_ATOL]
+    if over.size:
+        raise NotSameFiber(f"base points are {over[0]:.3e} apart (allowed {FIBER_ATOL:.1e})")
 
 
 def _counted(data, count: int, what: str):
@@ -206,15 +254,18 @@ def _counted(data, count: int, what: str):
     return data
 
 
-def phase_components(q0: Quaternion, q1: Quaternion) -> tuple:
-    """The 1 and i components of q1 * conj(q0), whose phase carries q0 to q1."""
-    return hamilton(q1.w, q1.x, q1.y, q1.z, q0.w, -q0.x, -q0.y, -q0.z)[:2]
+def phase_components(q0, q1) -> tuple:
+    """The 1 and i components of q1 * conj(q0), whose phase carries q0 to q1, from
+    the components of q0 and q1 (floats or rows)."""
+    w, x, y, z = q0
+    return hamilton(*q1, w, -x, -y, -z)[:2]
 
 
-def fiber_phase(q0: Quaternion, q1: Quaternion) -> CircleElement:
-    """Phase of q1 * conj(q0): the fiber translation, and the closed-form connection."""
+def phase_rows(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Phase of q1 * conj(q0) on (4, n) rows, with ``math.atan2`` mapped: the
+    fiber translation, and the closed-form connection."""
     w, x = phase_components(q0, q1)
-    return CircleElement(math.atan2(x, w))
+    return canonical_rows(np.array(list(map(math.atan2, x.tolist(), w.tolist()))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,13 +276,13 @@ class HopfBundle(PrincipalBundle):
     project(q) = conj(q) * i * q, and the circle acts by left
     multiplication with cos(t) + sin(t) i.  Total points are
     UnitQuaternion, base points are imaginary unit Quaternion values.
-    Each operation computes on components through ``hamilton``, in the float
-    order of those expressions, and builds only its result.
+    Each row kernel computes on components through ``hamilton``, in the
+    float order of those expressions.
     """
 
     dim_base = 2
     name = "hopf"
-    point_draws = 4
+    point_draws = base_width = 4
 
     def __eq__(self, other):
         return isinstance(other, HopfBundle)
@@ -239,33 +290,31 @@ class HopfBundle(PrincipalBundle):
     def __hash__(self):
         return hash("hopf")
 
-    def project(self, q: UnitQuaternion) -> Quaternion:
-        return Quaternion(*_base_components(q.w, q.x, q.y, q.z))
+    def project_rows(self, q: np.ndarray) -> np.ndarray:
+        return np.array(_base_components(*q))
 
-    def act(self, g: CircleElement, q: UnitQuaternion) -> UnitQuaternion:
-        return UnitQuaternion(*hamilton(math.cos(g.angle), math.sin(g.angle), 0.0, 0.0,
-                                        q.w, q.x, q.y, q.z))
+    def act_rows(self, g: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return unit_rows(*hamilton(np.cos(g), np.sin(g), 0.0, 0.0, *q))
 
-    def fiber_translation(self, q0, q1) -> CircleElement:
-        _check_fiber(_gap(*_base_components(q0.w, q0.x, q0.y, q0.z),
-                          *_base_components(q1.w, q1.x, q1.y, q1.z)))
-        return fiber_phase(q0, q1)
+    def fiber_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        _check_fiber(_gap(*_base_components(*q0), *_base_components(*q1)))
+        return phase_rows(q0, q1)
 
-    def local_section(self, r: Quaternion) -> UnitQuaternion:
-        if not self.section_defined(r):
-            raise SectionUndefined("section chart excludes the base antipode of i")
-        w, x, y, z = hamilton(0.0, 1.0, 0.0, 0.0, r.w, r.x, r.y, r.z)
-        return UnitQuaternion(*unit_components(-1.0 + w, 0.0 + x, 0.0 + y, 0.0 + z))
+    def section_rows(self, r: np.ndarray) -> tuple:
+        # the chart excludes the base point -i
+        defined = _gap(*r, 0.0, -1.0, 0.0, 0.0) > SECTION_CHART_ATOL
+        w, x, y, z = hamilton(0.0, 1.0, 0.0, 0.0, *r[:, defined])
+        s = np.array([-1.0 + w, 0.0 + x, 0.0 + y, 0.0 + z])
+        out = np.full((4, r.shape[1]), np.nan)
+        out[:, defined] = unit_rows(*s / np.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]
+                                                 + s[3] * s[3]))
+        return out, defined
 
-    def section_defined(self, r: Quaternion) -> bool:
-        # distance to the excluded base point -i
-        return _gap(r.w, r.x, r.y, r.z, 0.0, -1.0, 0.0, 0.0) > SECTION_CHART_ATOL
+    def distance_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        return _gap(*q0, *q1)
 
-    def distance(self, q0: Quaternion, q1: Quaternion) -> float:
-        return _gap(q0.w, q0.x, q0.y, q0.z, q1.w, q1.x, q1.y, q1.z)
-
-    def base_distance(self, r0: Quaternion, r1: Quaternion) -> float:
-        return _gap(r0.w, r0.x, r0.y, r0.z, r1.w, r1.x, r1.y, r1.z)
+    def base_distance_rows(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+        return _gap(*r0, *r1)
 
     def embed_difference(self, q_plus, q_minus) -> np.ndarray:
         return np.array(q_plus.components()) - np.array(q_minus.components())
@@ -279,7 +328,7 @@ class HopfBundle(PrincipalBundle):
 
         return [curve(d) for d in dirs]
 
-    def _sample_points(self, block: np.ndarray, box: float) -> list[UnitQuaternion]:
+    def _sample_points(self, block: np.ndarray, box: float) -> np.ndarray:
         # Box-Muller on draw pairs (0, 1) and (2, 3), normalized; math.log,
         # since numpy's log differs from it in the last bit on some inputs
         u1 = uniforms(block[:, 0::2], 1)
@@ -287,7 +336,13 @@ class HopfBundle(PrincipalBundle):
         a = math.tau * uniforms(block[:, 1::2])
         (w, y), (x, z) = (r * np.cos(a)).T, (r * np.sin(a)).T
         n = np.sqrt(w * w + x * x + y * y + z * z)
-        return list(map(UnitQuaternion, *((c / n).tolist() for c in (w, x, y, z))))
+        return unit_rows(w / n, x / n, y / n, z / n)
+
+    def _components(self, kind: str, v) -> tuple:
+        return v.components()
+
+    def _value(self, kind: str, c: list):
+        return UnitQuaternion.restored(*c) if kind == "point" else Quaternion(*c)
 
     def describe_point(self, q: UnitQuaternion):
         return list(q.components())
@@ -337,30 +392,26 @@ class TrivialBundle(PrincipalBundle):
             raise ValueError(f"expected {self.dim} base coordinates, got {len(coords)}")
         return coords
 
-    def project(self, q: TrivialPoint) -> tuple[float, ...]:
-        return q.r
+    def project_rows(self, q: np.ndarray) -> np.ndarray:
+        return q[:-1]
 
-    def act(self, g: CircleElement, q: TrivialPoint) -> TrivialPoint:
-        return TrivialPoint(q.r, g * q.g)
+    def act_rows(self, g: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.vstack([q[:-1], canonical_rows(g + q[-1])])
 
-    def fiber_translation(self, q0, q1) -> CircleElement:
-        _check_fiber(self.base_distance(q0.r, q1.r))
+    def fiber_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        _check_fiber(self.base_distance_rows(q0[:-1], q1[:-1]))
         # q1.g * q0.g.inverse(), building only the result
-        return CircleElement(q1.g.angle + canonical_angle(-q0.g.angle))
+        return canonical_rows(q1[-1] + canonical_rows(-q0[-1]))
 
-    def local_section(self, r) -> TrivialPoint:
-        return TrivialPoint(self._coords(r), CIRCLE_IDENTITY)
+    def section_rows(self, r: np.ndarray) -> tuple:
+        return np.vstack([r, np.zeros(r.shape[1])]), np.ones(r.shape[1], dtype=bool)
 
-    def section_defined(self, r) -> bool:
-        return True
+    def distance_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        dg = canonical_rows(q0[-1] - q1[-1])
+        return np.sqrt(_square_sum(q0[:-1], q1[:-1]) + dg * dg)
 
-    def distance(self, q0: TrivialPoint, q1: TrivialPoint) -> float:
-        db2 = sum((a - b) ** 2 for a, b in zip(q0.r, q1.r))
-        dg = canonical_angle(q0.g.angle - q1.g.angle)
-        return math.sqrt(db2 + dg * dg)
-
-    def base_distance(self, r0, r1) -> float:
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(r0, r1)))
+    def base_distance_rows(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+        return np.sqrt(_square_sum(r0, r1))
 
     def embed_difference(self, q_plus: TrivialPoint, q_minus: TrivialPoint) -> np.ndarray:
         return np.array([*(a - b for a, b in zip(q_plus.r, q_minus.r)),
@@ -380,11 +431,20 @@ class TrivialBundle(PrincipalBundle):
     def point_draws(self) -> int:
         return self.dim + 1
 
-    def _sample_points(self, block: np.ndarray, box: float) -> list[TrivialPoint]:
+    @property
+    def base_width(self) -> int:
+        return self.dim
+
+    def _sample_points(self, block: np.ndarray, box: float) -> np.ndarray:
         # uniform in [-box, box) as uniform_in(-box, box) makes them: hi - lo is 2 box
-        coords = (-box + 2.0 * box * uniforms(block[:, :self.dim])).tolist()
-        return list(map(TrivialPoint, map(tuple, coords),
-                        map(CircleElement, angles(block[:, self.dim]).tolist())))
+        coords = -box + 2.0 * box * uniforms(block[:, :self.dim])
+        return np.vstack([coords.T, canonical_rows(angles(block[:, self.dim]))])
+
+    def _components(self, kind: str, v) -> tuple:
+        return (*v.r, v.g.angle) if kind == "point" else self._coords(v)
+
+    def _value(self, kind: str, c: list):
+        return TrivialPoint(tuple(c[:-1]), CircleElement(c[-1])) if kind == "point" else tuple(c)
 
     def describe_point(self, q: TrivialPoint):
         return {"r": list(q.r), "angle": q.g.angle}

@@ -257,7 +257,8 @@ def _cmd_slice_probe(args) -> int:
     bundle = form.bundle
     # one block of the stream's draws, a row per point: the serial sample_point loop's points
     draws = substream(args.seed, 0x9048).next_row(args.points * bundle.point_draws)
-    points = bundle.sample_rows(("point",), draws.reshape(args.points, -1), args.box)[0]
+    points = bundle.values_of("point", bundle.sample_rows(
+        ("point",), draws.reshape(args.points, -1), args.box)[0])
     reports = slice_probes(form, points, args.budget, separation=args.separation,
                            seed=args.seed, box=args.box)
     results = [{

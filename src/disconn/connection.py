@@ -19,6 +19,14 @@ under the product group action.  This module implements:
 * the reduced-space identification sending a pair to base points plus an
   adjoint-bundle class.
 
+Inside, targets compute on rows, many values at once in the bundle's
+component-major layout: a domain is a row mask and values come from one
+row evaluator.  Objects are built only at the public calls, each pair a
+column of a block.  A per-pair function given to a constructor
+(``evaluate_fn``, ``in_domain_fn``, a lift's ``fn``, a ``base_domain``
+or a C without ``rows``) is adapted into a row function
+once, at construction, which calls it per column on that column's objects.
+
 Forms and lifts are immutable after construction and their evaluations
 are pure, so concurrent evaluation is safe.
 """
@@ -27,14 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import CIRCLE_IDENTITY, CircleElement, canonical_angle
-from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle, TrivialPoint
-from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed, SectionUndefined
+from .algebra import CircleElement, canonical_rows
+from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle
+from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed
 from .rng import SplitMix64, draw_rows, substream_states
 
 #: a pair is horizontal when its group value has angle magnitude below this
@@ -52,52 +60,73 @@ DEFAULT_SEPARATION = 1e-2
 
 
 def _draw_rows(steps: tuple, targets: dict, states: np.ndarray, box: float,
-               rejected: list, exhausted: Callable, offsets: Optional[list] = None,
-               drawn: Optional[Sequence[tuple]] = None) -> list[tuple]:
-    """One sample of inputs from ``targets["form"]``'s bundle per stream state,
-    drawn after the row's ``drawn`` inputs from its draws past ``offsets[i]`` (0).
+               rejected: list, exhausted: Callable, offsets: Optional[np.ndarray] = None,
+               drawn: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
+    """Rows of one sample of inputs from ``targets["form"]``'s bundle per stream
+    state, drawn after the ``drawn`` input rows from its draws past ``offsets[i]``
+    (0), with the drawn rows first.
 
     ``steps`` is (kind, check) per input in draw order: kind is "point",
-    "base" or "group", and check(targets, inputs so far), if any, runs once
-    that input is drawn.  A failed check adds one to ``rejected[0]`` and moves
+    "base" or "group", and check(targets, input rows so far), if any, runs
+    once that input is drawn, on the rows every earlier check passed, and
+    returns their mask.  A failed check adds one to ``rejected[0]`` and moves
     the row's offset past the draws that attempt read; the rejected rows are
     redrawn together, and after ``_RESAMPLE_LIMIT`` passes ``exhausted(i)`` is
-    raised for the first row i left.  ``offsets`` ends past each row's sample.
+    raised for the first row i left.  ``offsets`` (uint64) ends past each
+    row's sample.
     """
     bundle = targets["form"].bundle
     kinds = [kind for kind, _ in steps]
     ends = list(accumulate(map(bundle.draw_count, kinds)))
-    offsets = [0] * len(states) if offsets is None else offsets
-    samples, rows = [None] * len(states), range(len(states))
+    offsets = np.zeros(len(states), dtype=np.uint64) if offsets is None else offsets
+    samples, rows = None, np.arange(len(states))
     for _ in range(_RESAMPLE_LIMIT):
-        block = draw_rows(states[rows], [offsets[i] for i in rows], ends[-1])
-        retry = []
-        for i, values in zip(rows, zip(*bundle.sample_rows(kinds, block, box))):
-            inputs = [*drawn[i]] if drawn else []
-            for (_, check), end, value in zip(steps, ends, values):
-                inputs.append(value)
-                if check is not None and not check(targets, inputs):
-                    retry.append(i)
-                    break
-            else:
-                samples[i] = tuple(inputs)
-            offsets[i] += end
-        rejected[0] += len(retry)
-        if not retry:
-            return samples
-        rows = retry
-    raise exhausted(rows[0])
+        values = bundle.sample_rows(kinds, draw_rows(states[rows], offsets[rows], ends[-1]), box)
+        samples = samples or [np.empty(v.shape[:-1] + (len(states),)) for v in values]
+        live, moved = np.arange(len(rows)), np.full(len(rows), ends[-1], dtype=np.uint64)
+        for j, ((_, check), end) in enumerate(zip(steps, ends)):
+            if check is not None and live.size:
+                held = check(targets, [*(d[..., rows[live]] for d in drawn),
+                                       *(v[..., live] for v in values[:j + 1])])
+                moved[live[~held]] = end
+                live = live[held]
+        for sample, v in zip(samples, values):
+            sample[..., rows[live]] = v[..., live]
+        offsets[rows] += moved
+        rows = np.delete(rows, live)
+        rejected[0] += len(rows)
+        if not len(rows):
+            return [*drawn, *samples]
+    raise exhausted(int(rows[0]))
+
+
+def _narrow(mask: np.ndarray, test: Callable, *rows: np.ndarray) -> np.ndarray:
+    """``mask`` where ``test`` holds too; it runs on the columns in the mask only."""
+    mask = mask.copy()
+    if mask.any():
+        mask[mask] = test(*(r[..., mask] for r in rows))
+    return mask
 
 
 def _pair_in(*names):
     """Check that the first and the latest input drawn, as a pair, lie in
     each named target's domain; with one input drawn that pair is (q, q)."""
     def check(targets, drawn):
+        held = np.ones(drawn[0].shape[-1], dtype=bool)
         for name in names:
-            if not targets[name].in_domain(drawn[0], drawn[-1]):
-                return False
-        return True
+            held = _narrow(held, targets[name].domain_rows, drawn[0], drawn[-1])
+        return held
     return check
+
+
+def _per_pair(bundle: PrincipalBundle, fn: Callable, kinds: tuple) -> Callable:
+    """Row function of a per-pair ``fn`` on values of ``kinds[:2]``: the rows of
+    its values of kind ``kinds[2]``, or for None its truth values as a mask."""
+    def rows(a, b):
+        values = list(map(fn, bundle.values_of(kinds[0], a), bundle.values_of(kinds[1], b)))
+        return np.array(values, dtype=bool) if kinds[2] is None else bundle.rows_of(
+            kinds[2], values)
+    return rows
 
 
 class _Target:
@@ -109,39 +138,49 @@ class _Target:
     evaluator of many pairs must give each pair the exact bits of a batch of
     one, since reports keep the values their batch computed.
 
-    ``split(items)`` is ``(root, root_items, finish)``, with the values
-    ``finish(root(root_items))`` and neither map reading the root's answers;
-    a target is its own root unless it has a ``split_fn``.
+    Items are the rows (a, b) of their pairs.  ``domain_rows(a, b)`` is
+    their domain mask, from the row function ``domain_rows`` or the per-pair
+    ``in_domain_fn``; a target's own values come from ``values_rows(a, b)``
+    or its per-pair ``fn``.  ``split(items)`` is ``(root, root_items,
+    finish)``, with the value rows ``finish(root._values_fn(*root_items))``
+    and neither map reading the root's answers; a target is its own root
+    unless it has a ``split_fn``.  A pair outside the domain of a public
+    call raises ``out_of_domain_error``.
     """
 
-    _out_of_domain_error = OutOfDomain
-
-    def __init__(self, bundle: PrincipalBundle,
-                 fn: Optional[Callable],
-                 in_domain_fn: Callable,
-                 provenance: str,
-                 *,
-                 split_fn: Optional[Callable] = None):
+    def __init__(self, bundle: PrincipalBundle, fn: Optional[Callable],
+                 in_domain_fn: Optional[Callable], provenance: str, *,
+                 values_rows: Optional[Callable] = None, domain_rows: Optional[Callable] = None,
+                 split_fn: Optional[Callable] = None, out_of_domain_error: type = OutOfDomain):
         self.bundle = bundle
         self.provenance = provenance
-        self._values_fn = lambda items: [fn(a, b) for a, b in items]
-        self._in_domain_fn = in_domain_fn
+        self._values_fn = values_rows or _per_pair(bundle, fn, self._kinds)
+        self.domain_rows = domain_rows or _per_pair(bundle, in_domain_fn,
+                                                    (*self._kinds[:2], None))
         self._split_fn = split_fn
+        self._out_of_domain_error = out_of_domain_error
+
+    def item_rows(self, items: Sequence[tuple]) -> tuple:
+        """The rows (a, b) of a list of pairs."""
+        return tuple(self.bundle.rows_of(kind, values)
+                     for kind, values in zip(self._kinds, zip(*items) if items else ((), ())))
 
     def in_domain(self, a, b) -> bool:
-        return self._in_domain_fn(a, b)
+        return bool(self.domain_rows(*self.item_rows([(a, b)]))[0])
 
-    def split(self, items: Sequence[tuple]) -> tuple:
+    def split(self, items: tuple) -> tuple:
         if self._split_fn is None:
-            return self._values_fn, items, list
+            return self, items, lambda answers: answers
         return self._split_fn(items)
 
     def _checked_values(self, items: Sequence[tuple]) -> list:
-        for a, b in items:
-            if not self._in_domain_fn(a, b):
-                raise self._out_of_domain_error(
-                    f"pair outside the domain of this {self.provenance} {self._noun}")
-        return answer_queries([(self, items)])[0]
+        if not items:
+            return []
+        rows = self.item_rows(items)
+        if not self.domain_rows(*rows).all():
+            raise self._out_of_domain_error(
+                f"pair outside the domain of this {self.provenance} {self._noun}")
+        return self.bundle.values_of(self._kinds[2], answer_queries([(self, rows)])[0])
 
 
 class DiscreteConnectionForm(_Target):
@@ -149,25 +188,15 @@ class DiscreteConnectionForm(_Target):
 
     ``provenance`` records how the form was built: one of ``closed-form``,
     ``C-built``, ``geodesic-built`` or ``lmw-variant``.  It is built from
-    a per-pair ``evaluate_fn``, an ``evaluate_many_fn`` on a list of pairs
-    or a ``split_fn`` to its root, and every caller evaluates it the same
-    way.  Domain checks and ``split`` are as for every target (see
-    :class:`_Target`).
+    a per-pair ``evaluate_fn`` (the first argument), a row evaluator
+    ``values_rows`` of point rows q0, q1 to (n,) angles, or a ``split_fn``
+    to its root, and every caller evaluates it the same way.  Domain
+    checks, ``split`` and ``out_of_domain_error`` are as for every target
+    (see :class:`_Target`).
     """
 
     _noun = "form"
-
-    def __init__(self, bundle: PrincipalBundle,
-                 evaluate_fn: Optional[Callable],
-                 in_domain_fn: Callable,
-                 provenance: str,
-                 *,
-                 evaluate_many_fn: Optional[Callable] = None,
-                 split_fn: Optional[Callable] = None,
-                 out_of_domain_error: type = OutOfDomain):
-        super().__init__(bundle, evaluate_fn, in_domain_fn, provenance, split_fn=split_fn)
-        self._values_fn = evaluate_many_fn or self._values_fn
-        self._out_of_domain_error = out_of_domain_error
+    _kinds = ("point", "point", "group")
 
     @property
     def flagged_non_connection(self) -> bool:
@@ -185,11 +214,12 @@ class DiscreteConnectionForm(_Target):
 class DiscreteHorizontalLift(_Target):
     """Map (q0, r1) to the unique horizontal partner of q0 over r1.
 
-    Built from a pointwise ``fn(q0, r1)`` like a form from its
-    ``evaluate_fn``; domain checks and ``split`` are as for every target.
+    Built from a pointwise ``fn(q0, r1)`` or a row evaluator like a form;
+    domain checks and ``split`` are as for every target.
     """
 
     _noun = "lift"
+    _kinds = ("point", "base", "point")
 
     def lift(self, q0, r1):
         """Horizontal partner of q0 over r1.
@@ -203,17 +233,21 @@ class DiscreteHorizontalLift(_Target):
         return self._checked_values(items)
 
 
-def answer_queries(queries: Sequence[tuple]) -> list[list]:
-    """Answers to (target, items) queries from one call to their root, if any items.
+def answer_queries(queries: Sequence[tuple]) -> list[np.ndarray]:
+    """Answer rows of (target, item rows) queries from one call to their root.
 
     The items must lie in their targets' domains; nothing here checks them.
     """
     splits = [target.split(items) for target, items in queries]
-    if len({root for root, _, _ in splits}) > 1:
+    if len({id(root) for root, _, _ in splits}) > 1:
         raise ValueError("queries must share one root")
-    root_items = [item for _, part, _ in splits for item in part]
-    answers = iter(splits[0][0](root_items) if root_items else ())
-    return [finish(islice(answers, len(part))) for _, part, finish in splits]
+    if not splits:
+        return []
+    sizes = [part[0].shape[-1] for _, part, _ in splits]
+    answers = splits[0][0]._values_fn(
+        *(np.concatenate(rows, axis=-1) for rows in zip(*(part for _, part, _ in splits))))
+    return [finish(answers[..., end - size:end])
+            for (_, _, finish), size, end in zip(splits, sizes, accumulate(sizes))]
 
 
 @dataclass(frozen=True)
@@ -260,10 +294,20 @@ _C_VALIDATION_SEED = 20240915
 _C_VALIDATION_SAMPLES = 32
 
 
+def _c_family(rows: Callable, dim: int) -> Callable:
+    """The per-pair C of a row function, which it carries as ``rows``: a C family
+    maps (dim, n) base rows r0, r1 to the (n,) canonical angles of C(r0, r1)."""
+    def c(r0, r1):
+        column = lambda r: np.array(r, dtype=float).reshape(dim, 1)  # noqa: E731
+        return CircleElement(float(rows(column(r0), column(r1))[0]))
+    c.rows = rows
+    return c
+
+
 def _constant_c(params: Sequence[float], dim: int) -> Callable:
     if params:
         raise InvalidC(f"constant family takes no parameters, got {tuple(params)}")
-    return lambda r0, r1: CIRCLE_IDENTITY
+    return _c_family(lambda r0, r1: np.zeros(r0.shape[-1]), dim)
 
 
 def _linear_c(params: Sequence[float], dim: int) -> Callable:
@@ -274,12 +318,19 @@ def _linear_c(params: Sequence[float], dim: int) -> Callable:
         raise InvalidC(f"linear family weights must be finite, got {weights}")
 
     def linear(r0, r1):
-        angle = sum(w * (b - a) for w, a, b in zip(weights, r0, r1))
-        if not math.isfinite(angle):
-            raise InvalidC(f"linear family angle at {r0}, {r1} is not finite: {angle}")
-        return CircleElement(angle)
+        # added left to right: from Python 3.12, sum() compensates
+        angle = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w, a, b in zip(weights, r0, r1):
+                angle = angle + w * (b - a)
+        bad = np.flatnonzero(~np.isfinite(angle))
+        if bad.size:
+            k = bad[0]
+            raise InvalidC(f"linear family angle at {tuple(r0[:, k].tolist())}, "
+                           f"{tuple(r1[:, k].tolist())} is not finite: {angle[k]}")
+        return canonical_rows(angle)
 
-    return linear
+    return _c_family(linear, dim)
 
 
 _C_FACTORIES = {"constant": _constant_c, "linear": _linear_c}
@@ -290,6 +341,8 @@ C_FAMILIES = tuple(_C_FACTORIES)
 def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> Callable:
     """Base-pair function from the fixed registry of parametric families.
 
+    The function maps two base points to a CircleElement, and its ``rows``
+    does so on (dim, n) base rows, returning (n,) canonical angles.
     ``constant`` takes no parameters (given any, it raises InvalidC) and
     always returns the identity.  ``linear`` returns
     exp(i * sum_k w_k (r1_k - r0_k)) with weights taken from ``params``
@@ -301,16 +354,23 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
     return _C_FACTORIES[family](params, dim)
 
 
-def _validate_c(bundle: TrivialBundle, c_fn: Callable) -> None:
+def _c_rows(bundle: TrivialBundle, c_fn: Callable, base_domain: Optional[Callable]) -> tuple:
+    """C and the base-pair domain as row functions, after checking C(r, r) = e
+    on probe points."""
+    c_rows = getattr(c_fn, "rows", None) or _per_pair(bundle, c_fn, ("base", "base", "group"))
     rng = SplitMix64(_C_VALIDATION_SEED)
     probes = [tuple(0.0 for _ in range(bundle.dim))]
     for _ in range(_C_VALIDATION_SAMPLES):
         probes.append(tuple(rng.uniform_in(-DEFAULT_BOX, DEFAULT_BOX)
                             for _ in range(bundle.dim)))
-    for r in probes:
-        g = c_fn(r, r)
-        if abs(g.angle) > _C_DIAGONAL_ATOL:
-            raise InvalidC(f"C({r}, {r}) has angle {g.angle:.3e}, expected identity")
+    rows = bundle.rows_of("base", probes)
+    angles = c_rows(rows, rows)
+    for r, angle in zip(probes, angles.tolist()):
+        if abs(angle) > _C_DIAGONAL_ATOL:
+            raise InvalidC(f"C({r}, {r}) has angle {angle:.3e}, expected identity")
+    if base_domain is None:
+        return c_rows, lambda r0, r1: np.ones(r0.shape[-1], dtype=bool)
+    return c_rows, _per_pair(bundle, base_domain, ("base", "base", None))
 
 
 def trivial_form_from_C(bundle: TrivialBundle, c_fn: Callable,
@@ -320,34 +380,28 @@ def trivial_form_from_C(bundle: TrivialBundle, c_fn: Callable,
     ``base_domain`` optionally restricts the base-pair domain; the total
     domain is its preimage under the double projection.
     """
-    _validate_c(bundle, c_fn)
+    c_rows, dom = _c_rows(bundle, c_fn, base_domain)
 
-    def ev(q0: TrivialPoint, q1: TrivialPoint) -> CircleElement:
+    def values(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
         # q1.g * C(r0, r1) * q0.g.inverse(), building only the result
-        c = c_fn(q0.r, q1.r)
-        return CircleElement(canonical_angle(q1.g.angle + c.angle)
-                             + canonical_angle(-q0.g.angle))
+        return canonical_rows(canonical_rows(q1[-1] + c_rows(q0[:-1], q1[:-1]))
+                              + canonical_rows(-q0[-1]))
 
-    def dom(q0: TrivialPoint, q1: TrivialPoint) -> bool:
-        return base_domain is None or base_domain(q0.r, q1.r)
-
-    return DiscreteConnectionForm(bundle, ev, dom, "C-built")
+    return DiscreteConnectionForm(bundle, None, None, "C-built", values_rows=values,
+                                  domain_rows=lambda q0, q1: dom(q0[:-1], q1[:-1]))
 
 
 def trivial_lift_from_C(bundle: TrivialBundle, c_fn: Callable,
                         *, base_domain: Optional[Callable] = None) -> DiscreteHorizontalLift:
     """Horizontal lift (q0, r1) -> (r1, g0 * C(r0, r1)^{-1}) on a trivial bundle."""
-    _validate_c(bundle, c_fn)
+    c_rows, dom = _c_rows(bundle, c_fn, base_domain)
 
-    def dom(q0: TrivialPoint, r1) -> bool:
-        return base_domain is None or base_domain(q0.r, tuple(r1))
-
-    def lift(q0: TrivialPoint, r1) -> TrivialPoint:
+    def lift(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         # g0 * C(r0, r1).inverse(), building only the result
-        r1 = tuple(r1)
-        return TrivialPoint(r1, CircleElement(q0.g.angle + canonical_angle(-c_fn(q0.r, r1).angle)))
+        return np.vstack([r1, canonical_rows(q0[-1] + canonical_rows(-c_rows(q0[:-1], r1)))])
 
-    return DiscreteHorizontalLift(bundle, lift, dom, "C-built")
+    return DiscreteHorizontalLift(bundle, None, None, "C-built", values_rows=lift,
+                                  domain_rows=lambda q0, r1: dom(q0[:-1], r1))
 
 
 # ---------------------------------------------------------------------------
@@ -360,26 +414,26 @@ def lift_from_form(form: DiscreteConnectionForm,
 
     The lift sends (q0, r1) to act(A(q0, s(r1))^{-1}, s(r1)) for a section
     s over the base.  The result does not depend on the section choice
-    (exercised by the test suite with a second chart, not assumed).
+    (exercised by the test suite with a second chart, not assumed).  A
+    ``section`` is a row kernel like the bundle's ``section_rows``: it maps
+    base rows to the section rows, NaN outside its chart, and the chart mask.
     """
     bundle = form.bundle
-    sec = section if section is not None else bundle.local_section
+    sec = bundle.section_rows if section is None else section
 
-    def dom(q0, r1) -> bool:
-        try:
-            s = sec(r1)
-        except SectionUndefined:
-            return False
-        return form.in_domain(q0, s)
+    def dom(q0, r1):
+        s, defined = sec(r1)
+        return _narrow(defined, form.domain_rows, q0, s)
 
     def split(items):
-        sections = [sec(r1) for _, r1 in items]
-        root, root_pairs, finish = form.split(
-            [(q0, s) for (q0, _), s in zip(items, sections)])
-        return root, root_pairs, lambda answers: [
-            bundle.act(g.inverse(), s) for g, s in zip(finish(answers), sections)]
+        q0, r1 = items
+        s = sec(r1)[0]
+        root, root_pairs, finish = form.split((q0, s))
+        return root, root_pairs, lambda answers: bundle.act_rows(
+            canonical_rows(-finish(answers)), s)
 
-    return DiscreteHorizontalLift(bundle, None, dom, form.provenance, split_fn=split)
+    return DiscreteHorizontalLift(bundle, None, None, form.provenance, domain_rows=dom,
+                                  split_fn=split)
 
 
 def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
@@ -391,17 +445,16 @@ def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
     """
     bundle = lift.bundle
 
-    def dom(q0, q1) -> bool:
-        return lift.in_domain(q0, bundle.project(q1))
+    def dom(q0, q1):
+        return lift.domain_rows(q0, bundle.project_rows(q1))
 
     def split(pairs):
-        root, root_items, finish = lift.split(
-            [(q0, bundle.project(q1)) for q0, q1 in pairs])
-        return root, root_items, lambda answers: [
-            bundle.fiber_translation(p, q1)
-            for p, (_, q1) in zip(finish(answers), pairs)]
+        q0, q1 = pairs
+        root, root_items, finish = lift.split((q0, bundle.project_rows(q1)))
+        return root, root_items, lambda answers: bundle.fiber_rows(finish(answers), q1)
 
-    return DiscreteConnectionForm(bundle, None, dom, lift.provenance, split_fn=split)
+    return DiscreteConnectionForm(bundle, None, None, lift.provenance, domain_rows=dom,
+                                  split_fn=split)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +500,16 @@ class SliceProbeReport:
     passed: bool
 
 
-def _in_probe_domain(form: DiscreteConnectionForm, pairs: list) -> list:
-    """The pairs, once each lies in the form's domain; else ProbeFailed."""
-    if not all(form.in_domain(q, p) for q, p in pairs):
+def _in_probe_domain(form: DiscreteConnectionForm, pairs: tuple) -> tuple:
+    """The pair rows, once each lies in the form's domain; else ProbeFailed."""
+    if not form.domain_rows(*pairs).all():
         raise ProbeFailed("probe left the form's domain")
     return pairs
 
 
-def _slice_points(form: DiscreteConnectionForm, pairs: Sequence[tuple]) -> list:
-    """Point of each p's fiber on the horizontal slice through q, per (q, p), checked.
+def _slice_points(form: DiscreteConnectionForm, pairs: tuple) -> np.ndarray:
+    """Point of each p's fiber on the horizontal slice through q, per (q, p)
+    column of the pair rows, checked.
 
     Equivariance gives every pair one vertical-times-horizontal split, so
     the slice through q meets the fiber of p at act(A(q, p)^{-1}, p), the
@@ -465,16 +519,15 @@ def _slice_points(form: DiscreteConnectionForm, pairs: Sequence[tuple]) -> list:
     ``HORIZONTAL_ANGLE_ATOL``.  Raises ProbeFailed when a partner leaves
     the form's domain or its residual exceeds that tolerance.
     """
-    bundle = form.bundle
-    partners = [bundle.act(g.inverse(), p)
-                for g, (_, p) in zip(answer_queries([(form, pairs)])[0], pairs)]
-    partner_pairs = _in_probe_domain(form, [(q, h) for (q, _), h in zip(pairs, partners)])
-    for g in answer_queries([(form, partner_pairs)])[0]:
-        if not abs(g.angle) <= HORIZONTAL_ANGLE_ATOL:
-            raise ProbeFailed(
-                f"slice point residual {abs(g.angle):.3e} exceeds "
-                f"{HORIZONTAL_ANGLE_ATOL:.0e}: the form is not equivariant "
-                f"along that fiber")
+    q, p = pairs
+    partners = form.bundle.act_rows(canonical_rows(-answer_queries([(form, pairs)])[0]), p)
+    residuals = np.abs(answer_queries([(form, _in_probe_domain(form, (q, partners)))])[0])
+    over = residuals[~(residuals <= HORIZONTAL_ANGLE_ATOL)]
+    if over.size:
+        raise ProbeFailed(
+            f"slice point residual {over[0]:.3e} exceeds "
+            f"{HORIZONTAL_ANGLE_ATOL:.0e}: the form is not equivariant "
+            f"along that fiber")
     return partners
 
 
@@ -484,14 +537,14 @@ def _fiber_direction_apart(targets, drawn) -> bool:
     Hopf bundle and 1-Lipschitz on trivial bundles, so the slice point on the
     fiber of p lies farther than the radius from q."""
     q, p, bundle = drawn[0], drawn[-1], targets["form"].bundle
-    return (targets["form"].in_domain(q, p) and bundle.base_distance(
-        bundle.project(q), bundle.project(p)) > 2.0 * _EXCLUSION_RADIUS)
+    return targets["form"].domain_rows(q, p) & (bundle.base_distance_rows(
+        bundle.project_rows(q), bundle.project_rows(p)) > 2.0 * _EXCLUSION_RADIUS)
 
 
 def _orbit_point_apart(targets, drawn) -> bool:
     """act(g, q) lies farther than ``_EXCLUSION_RADIUS`` from q."""
     q, g, bundle = drawn[0], drawn[-1], targets["form"].bundle
-    return bundle.distance(bundle.act(g, q), q) > _EXCLUSION_RADIUS
+    return bundle.distance_rows(bundle.act_rows(g, q), q) > _EXCLUSION_RADIUS
 
 
 #: after the probed q: a fiber direction p, then an orbit element g, each apart from q
@@ -525,19 +578,18 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
         "could not sample a fiber direction in the domain and apart from the point")
     rejected = [0]
     states = substream_states(range(seed, seed + len(points)), 0x511CE)
-    offsets, drawn = [0] * len(points), [(q,) for q in points]
+    offsets, drawn = np.zeros(len(points), dtype=np.uint64), [bundle.rows_of("point", points)]
     rounds = [_draw_rows(_PROBE_STEPS, targets, states, box, rejected, lambda _: exhausted,
                          offsets, drawn) for _ in range(budget)]
-    pairs, orbit_pts = [], []
-    for q, p, g in chain.from_iterable(zip(*rounds)):
-        pairs.append((q, p))
-        orbit_pts.append(bundle.act(g, q))
-    slice_pts = _slice_points(form, pairs)
+    # point k's budget samples in draw order, then point k + 1's
+    q, p, g = (np.stack(rows, axis=-1).reshape(*rows[0].shape[:-1], -1) for rows in zip(*rounds))
+    slice_pts, orbit_pts = _slice_points(form, (q, p)), bundle.act_rows(g, q)
 
     reports = []
     for index in range(len(points)):
         own = slice(index * budget, (index + 1) * budget)
-        min_sep = min(bundle.distance(s, o) for s in slice_pts[own] for o in orbit_pts[own])
+        min_sep = float(bundle.distance_rows(slice_pts[:, own, None],
+                                             orbit_pts[:, None, own]).min())
         reports.append(SliceProbeReport(budget=budget, min_separation=min_sep,
                                         threshold=separation, passed=min_sep > separation))
     return reports
@@ -560,9 +612,9 @@ def tangent_split_check(form: DiscreteConnectionForm, q) -> bool:
     makes the dim_base slice tangents independent.
     """
     bundle = form.bundle
-    ends = _slice_points(form, _in_probe_domain(
-        form, [(q, curve(t)) for curve in bundle.base_direction_curves(q)
-               for t in (_FD_STEP, -_FD_STEP)]))
+    ends = bundle.values_of("point", _slice_points(form, _in_probe_domain(form, form.item_rows(
+        [(q, curve(t)) for curve in bundle.base_direction_curves(q)
+         for t in (_FD_STEP, -_FD_STEP)]))))
     columns = [bundle.embed_difference(plus, minus) / (2.0 * _FD_STEP)
                for plus, minus in zip(ends[::2], ends[1::2])]
     gp = CircleElement(_FD_STEP)

@@ -53,8 +53,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CircleElement, Quaternion, UnitQuaternion, hamilton
-from .bundle import FIBER_ATOL, HopfBundle, fiber_phase, phase_components
+from .algebra import Quaternion, UnitQuaternion
+from .bundle import FIBER_ATOL, HopfBundle, phase_components, phase_rows
 from .connection import DiscreteConnectionForm
 from .errors import AntipodalPoints, InvalidConfig, OutOfRange, SolveFailed
 
@@ -92,7 +92,7 @@ def base_geodesic(r0: Quaternion, r1: Quaternion) -> GeodesicSegment:
     rescaling the round metric, so lengths are reported in the plain round
     metric.
     """
-    position, velocity, omega = _arc_rows(_columns([r0]), _columns([r1]))
+    position, velocity, omega = _arc_rows(*_HOPF.columns_of("base", r0, r1))
 
     def evaluator(t: float) -> Quaternion:
         return Quaternion(*position(t)[:, 0].tolist())
@@ -107,22 +107,6 @@ def base_geodesic(r0: Quaternion, r1: Quaternion) -> GeodesicSegment:
 # vectorized quaternion helpers (component-major: rows are the w, x, y, z
 # components of (4, n) quaternions, or of (3, n) base vectors)
 # ---------------------------------------------------------------------------
-
-def _columns(points) -> np.ndarray:
-    """Quaternions as the columns of a contiguous (4, n) array."""
-    return np.array([q.components() for q in points],
-                    dtype=float).reshape(-1, 4).T.copy()
-
-
-def _qmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array(hamilton(*a, *b))
-
-
-def _conj_rows(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[1:] *= -1.0
-    return out
-
 
 def _project_rows(q: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
     """Column-wise symmetric bilinear B(q, p) with B(q, q) = Im(conj(q) i q).
@@ -272,8 +256,8 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
     if _HOPF.base_distance(_HOPF.project(q0), segment.start) > FIBER_ATOL:
         raise ValueError("q0 does not lie over the start of the base segment")
     _check_steps(steps)
-    velocity = _arc_rows(_columns([segment.start]), _columns([segment.end]))[1]
-    start = _columns([q0])
+    velocity = _arc_rows(*_HOPF.columns_of("base", segment.start, segment.end))[1]
+    start = _HOPF.rows_of("point", [q0])
     states = [(0.0, start, None), *_integrate_rows(start, lambda t: velocity(t)[1:], steps)]
     trajectory = [(t, UnitQuaternion(*q[:, 0])) for t, q, _ in states]
     return LiftResult(trajectory[-1][1], trajectory, steps)
@@ -283,12 +267,13 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
 # connection forms on the quaternion bundle
 # ---------------------------------------------------------------------------
 
-def _phase_square_sum(q0: UnitQuaternion, q1: UnitQuaternion) -> float:
+def _phase_square_sum(q0, q1):
+    """|(q1 conj(q0))_(1, i)|^2 from the components of q0 and q1, floats or rows."""
     w, x = phase_components(q0, q1)
     return w * w + x * x
 
 
-def _hopf_in_domain(q0, q1) -> bool:
+def _hopf_in_domain(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     return _phase_square_sum(q0, q1) > DOMAIN_BUFFER
 
 
@@ -296,19 +281,19 @@ def hopf_closed_form() -> DiscreteConnectionForm:
     """Closed-form connection on the quaternion bundle: the fiber phase.
 
     The value at (q0, q1) is the phase of the complex part of
-    q1 * conj(q0) (:func:`~disconn.bundle.fiber_phase`), defined whenever
+    q1 * conj(q0) (:func:`~disconn.bundle.phase_rows`), defined whenever
     that part is nonzero.
     """
-    return DiscreteConnectionForm(_HOPF, fiber_phase, _hopf_in_domain, "closed-form")
+    return DiscreteConnectionForm(_HOPF, None, None, "closed-form", values_rows=phase_rows,
+                                  domain_rows=_hopf_in_domain)
 
 
-def _translate_endpoints(end: np.ndarray, q1: np.ndarray) -> list[CircleElement]:
+def _translate_endpoints(end: np.ndarray, q1: np.ndarray) -> np.ndarray:
     base_err = np.linalg.norm(_project_rows(end) - _project_rows(q1), axis=0)
     if np.any(base_err > LIFT_FIBER_ATOL):
         raise SolveFailed(
             f"integrated endpoint strayed {base_err.max():.3e} from the target fiber")
-    u = _qmul_rows(q1, _conj_rows(end))
-    return [CircleElement(math.atan2(x, w)) for w, x in zip(*u[:2].tolist())]
+    return phase_rows(end, q1)
 
 
 def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
@@ -316,28 +301,25 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
 
     ``base_velocity(q0, q1)`` returns the velocity field of the base paths
-    of a (4, n) batch.  ``in_domain`` is where the path's arc exists, so a
-    pair outside it raises AntipodalPoints.
+    of a (4, n) batch.  ``in_domain`` is the row mask of pairs whose path's
+    arc exists, so a pair outside it raises AntipodalPoints.
     """
     _check_steps(steps)
 
-    def ev_many(pairs) -> list[CircleElement]:
-        q0 = _columns(p[0] for p in pairs)
-        q1 = _columns(p[1] for p in pairs)
+    def ev_many(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
         for _, end, _ in _integrate_rows(q0, base_velocity(q0, q1), steps):
             pass  # keep only the last state
         return _translate_endpoints(end, q1)
 
-    return DiscreteConnectionForm(_HOPF, None, in_domain, provenance,
-                                  evaluate_many_fn=ev_many,
-                                  out_of_domain_error=AntipodalPoints)
+    return DiscreteConnectionForm(_HOPF, None, None, provenance, values_rows=ev_many,
+                                  domain_rows=in_domain, out_of_domain_error=AntipodalPoints)
 
 
 def _base_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:
     return _arc_rows(_project_rows(q0), _project_rows(q1))[1]
 
 
-def _base_arc_in_domain(q0: UnitQuaternion, q1: UnitQuaternion) -> bool:
+def _base_arc_in_domain(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
     # the base points of q0 and q1 have inner product 2 s - 1
     return _arc_exists(2.0 * _phase_square_sum(q0, q1) - 1.0)
 
@@ -355,8 +337,9 @@ def riemannian_form(steps: int = DEFAULT_STEPS) -> DiscreteConnectionForm:
                             "geodesic-built")
 
 
-def _lmw_in_domain(q0: UnitQuaternion, q1: UnitQuaternion) -> bool:
-    return _arc_exists(q0.dot(q1))
+def _lmw_in_domain(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    # summed in the order of Quaternion.dot
+    return _arc_exists(q0[0] * q1[0] + q0[1] * q1[1] + q0[2] * q1[2] + q0[3] * q1[3])
 
 
 def _projected_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:

@@ -16,11 +16,14 @@ input.  Every target states its items as pairs for the form and a map
 of the form's values, so a round evaluates the form once whatever the
 number of axioms; on an integrator-built form that is one Runge-Kutta
 integration.  Every form is checked in such rounds, each covering every
-axiom for a block of at most 256 samples.  Each axiom keeps only its
-failure count and its running worst input with the violation its round
-computed.
-Standalone re-evaluation (:func:`violation_from_record`) is the same
-runner on a round of one.
+axiom for a block of at most 256 samples.  Inside a round every sample
+is a column of component rows (see :mod:`disconn.bundle`), from the
+draw through the queries and answers to its violation, so a round
+builds no point or group element; each axiom keeps only its failure
+count and its running worst input with the violation its round
+computed, folded as ``max()`` folds, and that one input becomes values
+when the report describes it.  Standalone re-evaluation
+(:func:`violation_from_record`) is the same runner on a round of one.
 
 Sampling uses SplitMix64 streams addressed by (seed, axiom, sample
 index), so reports are byte-identical across runs and independent of
@@ -45,13 +48,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .algebra import (CIRCLE_IDENTITY, CircleElement, UnitQuaternion, canonical_angle,
-                      circle_distance, hamilton)
+                      canonical_rows, hamilton, unit_rows)
 from .bundle import DEFAULT_BOX, HopfBundle
 from .connection import (
     DiscreteConnectionForm,
     _draw_rows,
+    _narrow,
     _pair_in,
     answer_queries,
     form_from_lift,
@@ -196,85 +202,89 @@ class VerificationReport:
 # axioms, one spec each
 # ---------------------------------------------------------------------------
 #
-# An axiom's violations are a generator over (form, inputs).  It yields its
-# queries as a list of (target, items), receives one answer list per query,
-# and returns one violation per input; the targets are the keys of
-# _targets(form).
+# An axiom's violations are a generator over (form, inputs), the rows of
+# each input.  It yields its queries as a list of (target, item rows),
+# receives the answer rows of each query, and returns the row of
+# violations; the targets are the keys of _targets(form).
+
+def _angle_gap(a, b):
+    """circle_distance on angle rows."""
+    return np.abs(canonical_rows(a - b))
+
 
 def _normalization(form, inputs):
-    (values,) = yield [("form", [(q, q) for (q,) in inputs])]
-    return [circle_distance(g, CIRCLE_IDENTITY) for g in values]
+    (q,) = inputs
+    (values,) = yield [("form", (q, q))]
+    return _angle_gap(values, CIRCLE_IDENTITY.angle)
 
 
 def _equivariance(form, inputs):
     bundle = form.bundle
+    q0, q1, g0, g1 = inputs
     base, moved = yield [
-        ("form", [(q0, q1) for q0, q1, _, _ in inputs]),
-        ("form", [(bundle.act(g0, q0), bundle.act(g1, q1)) for q0, q1, g0, g1 in inputs]),
-    ]
-    return [circle_distance(m, g1 * a * g0.inverse())
-            for a, m, (_, _, g0, g1) in zip(base, moved, inputs)]
+        ("form", (q0, q1)), ("form", (bundle.act_rows(g0, q0), bundle.act_rows(g1, q1)))]
+    # g1 * base * g0.inverse()
+    return _angle_gap(moved, canonical_rows(canonical_rows(g1 + base) + canonical_rows(-g0)))
 
 
 def _diagonal_domain(form, inputs):
+    (q,) = inputs
     yield []
-    return [0.0 if form.in_domain(q, q) else 1.0 for (q,) in inputs]
+    return np.where(form.domain_rows(q, q), 0.0, 1.0)
 
 
 def _domain_invariance(form, inputs):
     bundle = form.bundle
+    q0, q1, g0, g1 = inputs
     yield []
-    return [0.0 if form.in_domain(bundle.act(g0, q0), bundle.act(g1, q1)) else 1.0
-            for q0, q1, g0, g1 in inputs]
+    return np.where(form.domain_rows(bundle.act_rows(g0, q0), bundle.act_rows(g1, q1)), 0.0, 1.0)
 
 
 def _lift_section(form, inputs):
     bundle = form.bundle
     (points,) = yield [("lift", inputs)]
-    return [bundle.base_distance(bundle.project(p), r1)
-            for p, (_, r1) in zip(points, inputs)]
+    return bundle.base_distance_rows(bundle.project_rows(points), inputs[1])
 
 
 def _lift_equivariance(form, inputs):
     bundle = form.bundle
-    moved, plain = yield [
-        ("lift", [(bundle.act(g, q0), r1) for q0, r1, g in inputs]),
-        ("lift", [(q0, r1) for q0, r1, _ in inputs]),
-    ]
-    return [bundle.distance(m, bundle.act(g, p))
-            for m, p, (_, _, g) in zip(moved, plain, inputs)]
+    q0, r1, g = inputs
+    moved, plain = yield [("lift", (bundle.act_rows(g, q0), r1)), ("lift", (q0, r1))]
+    return bundle.distance_rows(moved, bundle.act_rows(g, plain))
 
 
 def _lift_normalization(form, inputs):
     bundle = form.bundle
-    (points,) = yield [("lift", [(q0, bundle.project(q0)) for (q0,) in inputs])]
-    return [bundle.distance(p, q0) for p, (q0,) in zip(points, inputs)]
+    (q0,) = inputs
+    (points,) = yield [("lift", (q0, bundle.project_rows(q0)))]
+    return bundle.distance_rows(points, q0)
 
 
 def _roundtrip_form(form, inputs):
     direct, recon = yield [("form", inputs), ("recovered", inputs)]
-    return [circle_distance(a, b) for a, b in zip(direct, recon)]
+    return _angle_gap(direct, recon)
 
 
 def _roundtrip_lift(form, inputs):
     direct, recon = yield [("lift", inputs), ("lift2", inputs)]
-    return [form.bundle.distance(a, b) for a, b in zip(direct, recon)]
+    return form.bundle.distance_rows(direct, recon)
 
 
 def _antipodal_partner(bundle, q0, g):
-    """Group translate of j*q0, which lies over the base antipode of q0."""
-    return bundle.act(g, UnitQuaternion(*hamilton(0.0, 0.0, 1.0, 0.0, *q0.components())))
+    """Group translate of j*q0, which lies over the base antipode of q0, on rows."""
+    return bundle.act_rows(g, unit_rows(*hamilton(0.0, 0.0, 1.0, 0.0, *q0)))
 
 
 def _domain_properness(form, inputs):
+    q0, g = inputs
     yield []
-    return [1.0 if form.in_domain(q0, _antipodal_partner(form.bundle, q0, g)) else 0.0
-            for q0, g in inputs]
+    return np.where(form.domain_rows(q0, _antipodal_partner(form.bundle, q0, g)), 1.0, 0.0)
 
 
 class _Axiom(NamedTuple):
     #: (kind, check) per input in draw order; kind is "point", "base" or
-    #: "group", and check(targets, drawn) runs once that input is drawn
+    #: "group", and check(targets, drawn rows) runs once that input is drawn
+    #: and returns the mask of the rows that pass
     steps: tuple
     violations: Callable
 
@@ -282,18 +292,18 @@ class _Axiom(NamedTuple):
 def _moved_pair_in_form(targets, drawn):
     q0, q1, g0, g1 = drawn
     form = targets["form"]
-    return form.in_domain(form.bundle.act(g0, q0), form.bundle.act(g1, q1))
+    return form.domain_rows(form.bundle.act_rows(g0, q0), form.bundle.act_rows(g1, q1))
 
 
 def _plain_and_moved_pair_in_lift(targets, drawn):
-    q0, r1, g = drawn
     lift = targets["lift"]
-    return lift.in_domain(q0, r1) and lift.in_domain(lift.bundle.act(g, q0), r1)
+    return _narrow(lift.domain_rows(*drawn[:2]), lambda q0, r1, g: lift.domain_rows(
+        lift.bundle.act_rows(g, q0), r1), *drawn)
 
 
 def _own_fiber_in_lift(targets, drawn):
     lift = targets["lift"]
-    return lift.in_domain(drawn[0], lift.bundle.project(drawn[0]))
+    return lift.domain_rows(drawn[0], lift.bundle.project_rows(drawn[0]))
 
 
 _POINT, _BASE, _GROUP = ("point", None), ("base", None), ("group", None)
@@ -327,8 +337,8 @@ def _targets(form: DiscreteConnectionForm) -> dict:
             "lift2": lift_from_form(recovered)}
 
 
-def _run_round(targets: dict, jobs: list) -> list[list[float]]:
-    """Violations of each (axiom, inputs) job from one evaluation of the form."""
+def _run_round(targets: dict, jobs: list) -> list[np.ndarray]:
+    """Violation rows of each (axiom, input rows) job from one evaluation of the form."""
     form = targets["form"]
     axioms = [_AXIOMS[axiom].violations(form, inputs) for axiom, inputs in jobs]
     requests = [next(axiom) for axiom in axioms]
@@ -355,12 +365,24 @@ _KINDS = {
 }
 
 
-def _serialize_inputs(bundle, steps: tuple, inputs: tuple) -> dict:
+def _serialize_inputs(bundle, steps: tuple, inputs: Sequence[np.ndarray]) -> dict:
+    """The serialized input whose rows, one column each, are ``inputs``."""
     out = {}
-    for i, ((kind, _), value) in enumerate(zip(steps, inputs)):
+    for i, ((kind, _), rows) in enumerate(zip(steps, inputs)):
         key, describe, _ = _KINDS[kind]
-        out[f"arg{i}"] = {key: describe(bundle, value)}
+        out[f"arg{i}"] = {key: describe(bundle, bundle.values_of(kind, rows)[0])}
     return out
+
+
+def _worst_index(worst: Optional[float], violations: np.ndarray) -> Optional[int]:
+    """The sample of a block that becomes the running worst after ``worst``
+    (None before the first block), as max() folds the samples: the first
+    maximum wins and, since every comparison with NaN is false, a NaN only
+    as the very first sample.  None when the previous worst stays."""
+    k = int(np.argmax(np.where(np.isnan(violations), -np.inf, violations)))
+    if worst is None:
+        return k if violations[k] > violations[0] else 0
+    return k if violations[k] > worst else None
 
 
 def violation_from_record(form: DiscreteConnectionForm, axiom_id: str,
@@ -375,11 +397,12 @@ def violation_from_record(form: DiscreteConnectionForm, axiom_id: str,
     inputs = []
     for i, (kind, check) in enumerate(_AXIOMS[axiom_id].steps):
         key, _, restore = _KINDS[kind]
-        inputs.append(restore(form.bundle, worst_input[f"arg{i}"][key]))
-        if check is not None and not check(targets, inputs):
+        inputs.append(form.bundle.rows_of(kind, [restore(form.bundle,
+                                                         worst_input[f"arg{i}"][key])]))
+        if check is not None and not check(targets, inputs)[0]:
             raise OutOfDomain(f"recorded {axiom_id} input outside the domain it is drawn from")
-    ((violation,),) = _run_round(targets, [(axiom_id, [tuple(inputs)])])
-    return violation
+    ((violation,),) = _run_round(targets, [(axiom_id, inputs)])
+    return float(violation)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +433,7 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
                for index, axiom in enumerate(AXIOM_IDS)
                if axiom != "domain_properness" or properness]
     failures = dict.fromkeys(AXIOM_IDS, 0)
-    worst = {}  # axiom -> (violation, inputs), folded as max() would
+    worst = {}  # axiom -> (violation, input rows of one column), folded as max() would
     for start in range(0, cfg.n_samples, _ROUND_SAMPLES):
         samples = range(start, min(start + _ROUND_SAMPLES, cfg.n_samples))
         jobs = [(axiom, _draw_rows(steps, targets, substream_states(cfg.seed, index, samples),
@@ -418,13 +441,12 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
                 for index, axiom, steps, exhausted in checked]
         for (axiom, inputs), violations in zip(jobs, _run_round(targets, jobs)):
             tol = cfg.tolerance_for(axiom, form)
-            for v, sample in zip(violations, inputs):
-                # a NaN violation or tolerance counts as a failure, never a pass
-                failures[axiom] += not v <= tol
-                # the first maximum wins and every comparison with NaN is
-                # false, exactly as in max() over the whole sample
-                if axiom not in worst or v > worst[axiom][0]:
-                    worst[axiom] = (v, sample)
+            # a NaN violation or tolerance counts as a failure, never a pass
+            failures[axiom] += int(np.count_nonzero(~(violations <= tol)))
+            k = _worst_index(worst[axiom][0] if axiom in worst else None, violations)
+            if k is not None:
+                worst[axiom] = (float(violations[k]), [rows[..., k:k + 1].copy()
+                                                       for rows in inputs])
         # free this round's inputs before the next round draws its own
         del jobs, inputs, violations
 
@@ -502,16 +524,17 @@ def compare_forms(form_a: DiscreteConnectionForm, form_b: DiscreteConnectionForm
             f"no draw for sample {i} landed in the domains of both forms"))
     # the draw checked both domains
     va, vb = (answer_queries([(form, pairs)])[0] for form in (form_a, form_b))
-    deviations = [circle_distance(a, b) for a, b in zip(va, vb)]
-    worst = max(range(len(deviations)), key=lambda k: deviations[k])
+    deviations = _angle_gap(va, vb)
+    worst = _worst_index(None, deviations)
     return FormComparison(
         bundle=bundle.name,
         provenance_a=form_a.provenance,
         provenance_b=form_b.provenance,
         seed=cfg.seed,
-        n_samples=len(pairs),
-        max_deviation=deviations[worst],
-        worst_input=_serialize_inputs(bundle, _COMPARE_STEPS, pairs[worst]),
+        n_samples=deviations.size,
+        max_deviation=float(deviations[worst]),
+        worst_input=_serialize_inputs(bundle, _COMPARE_STEPS,
+                                      [rows[..., worst:worst + 1] for rows in pairs]),
     )
 
 

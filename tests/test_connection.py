@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from disconn import (
@@ -24,6 +25,7 @@ from disconn import (
     trivial_form_from_C,
     trivial_lift_from_C,
 )
+from disconn.algebra import hamilton, unit_rows
 from disconn.connection import HORIZONTAL_ANGLE_ATOL, answer_queries
 from disconn.rng import substream
 
@@ -214,10 +216,12 @@ class TestLiftFormConversions:
         calls = [(form.evaluate_many, pairs), (lift.lift_many, items),
                  (recovered.evaluate_many, pairs), (lift2.lift_many, items)]
         in_round.append(True)
-        answers = answer_queries([(call.__self__, batch) for call, batch in calls])
+        answers = answer_queries([(call.__self__, call.__self__.item_rows(batch))
+                                  for call, batch in calls])
         in_round.clear()
         for (call, batch), answer in zip(calls, answers):
-            assert repr(call(batch)) == repr(answer)
+            kind = "group" if batch is pairs else "point"
+            assert repr(call(batch)) == repr(hopf.values_of(kind, answer))
             outside = (ONE, J_POINT if batch is pairs else hopf.project(J_POINT))
             with pytest.raises(OutOfDomain):
                 call([outside])
@@ -234,9 +238,9 @@ class TestLiftFormConversions:
                                    base_domain=near)
         q0 = line_bundle.point(0.1, CircleElement(0.2))
         in_round.append(True)
-        (lifted,) = answer_queries([(lift, [(q0, (0.5,))])])
+        (lifted,) = answer_queries([(lift, lift.item_rows([(q0, (0.5,))]))])
         in_round.clear()
-        assert repr(lifted) == repr(lift.lift_many([(q0, (0.5,))]))
+        assert repr(line_bundle.values_of("point", lifted)) == repr(lift.lift_many([(q0, (0.5,))]))
         with pytest.raises(OutOfDomain):
             lift.lift(q0, (3.0,))
 
@@ -267,8 +271,12 @@ class TestLiftFormConversions:
         p = Quaternion(0.0, 0.0, 1.0, 0.0)
 
         def other_section(r):
-            rotated = (p * r) * p.conj()
-            return UnitQuaternion.from_quaternion(hopf.local_section(rotated) * p)
+            # rows of local_section(p r conj(p)) * p, with the chart mask
+            rotated = np.array(hamilton(*hamilton(*p.components(), *r), *p.conj().components()))
+            s, defined = hopf.section_rows(rotated)
+            out = np.full_like(s, np.nan)
+            out[:, defined] = unit_rows(*hamilton(*s[:, defined], *p.components()))
+            return out, defined
 
         form = hopf_closed_form()
         lift_a = lift_from_form(form)

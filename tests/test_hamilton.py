@@ -25,7 +25,6 @@ from disconn.errors import NotSameFiber, SectionUndefined
 from disconn.riemannian import (
     DOMAIN_BUFFER,
     _phase_square_sum,
-    _qmul_rows,
     hopf_closed_form,
 )
 from disconn.rng import substream
@@ -150,7 +149,7 @@ def test_row_product_matches_the_scalar_product_column_by_column(points):
     others = points[1:] + points[:1]
     a = np.array([q.components() for q in points]).T.copy()
     b = np.array([q.components() for q in others]).T.copy()
-    rows = _qmul_rows(a, b)
+    rows = np.array(hamilton(*a, *b))
     assert rows.shape == a.shape
     new = [repr(tuple(map(float, rows[:, n]))) for n in range(len(points))]
     ref = [repr((p * q).components()) for p, q in zip(points, others)]
@@ -194,7 +193,7 @@ def test_phase_closed_form_and_antipodal_partner(points, angles):
     form = hopf_closed_form()
     pairs = list(zip(points, points[1:] + points[:1])) + [
         (a, b) for a in signed_basis() for b in signed_basis()]
-    assert_same([bits(_phase_square_sum(p, q)) for p, q in pairs],
+    assert_same([bits(_phase_square_sum(p.components(), q.components())) for p, q in pairs],
                 [bits(ref_phase_square_sum(p, q)) for p, q in pairs], pairs)
     inside = [(p, q) for p, q in pairs if ref_phase_square_sum(p, q) > DOMAIN_BUFFER]
     assert len(inside) < len(pairs)
@@ -202,7 +201,9 @@ def test_phase_closed_form_and_antipodal_partner(points, angles):
                 [bits(CircleElement(math.atan2(ref_mul(q, p.conj()).x,
                                                ref_mul(q, p.conj()).w)))
                  for p, q in inside], inside)
-    new = [bits(_antipodal_partner(HOPF, q, g)) for g, q in zip(angles, points)]
+    partners = _antipodal_partner(HOPF, HOPF.rows_of("point", points),
+                                  HOPF.rows_of("group", angles))
+    new = [bits(UnitQuaternion.restored(*c)) for c in partners.T.tolist()]
     ref = [bits(ref_act(g, UnitQuaternion.from_quaternion(ref_mul(Q_J, q))))
            for g, q in zip(angles, points)]
     assert_same(new, ref, points)

@@ -67,9 +67,13 @@ class TestSliceProbe:
         # 1e-3 of the identity; the slice point (r, g_q) keeps |r| > 2e-3 and
         # the orbit point (0, g g_q) keeps |g| > 1e-3
         slice_pts = []
-        monkeypatch.setattr(connection, "_slice_points",
-                            lambda form, pairs: slice_pts.extend(
-                                _slice_points(form, pairs)) or slice_pts)
+
+        def recording(form, pairs):
+            rows = _slice_points(form, pairs)
+            slice_pts.extend(line_bundle.values_of("point", rows))
+            return rows
+
+        monkeypatch.setattr(connection, "_slice_points", recording)
         form = trivial_form_from_C(line_bundle, make_c_function("constant"))
         q = line_bundle.point(0.0)
         report = slice_probe(form, q, 64, seed=4, box=3e-3, separation=2.2e-3)
@@ -135,7 +139,8 @@ def test_slice_points_are_horizontal_partners_on_the_fiber(form):
         points = [bundle.sample_point(rng) for _ in range(8)]
         points = [p for p in points if form.in_domain(q, p)]
         assert points
-        for p, h in zip(points, _slice_points(form, [(q, p) for p in points])):
+        partners = _slice_points(form, form.item_rows([(q, p) for p in points]))
+        for p, h in zip(points, bundle.values_of("point", partners)):
             assert abs(form.evaluate(q, h).angle) <= HORIZONTAL_ANGLE_ATOL
             bundle.fiber_translation(p, h)  # raises NotSameFiber off the fiber
 

@@ -2,10 +2,12 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from disconn import (
     AXIOM_IDS,
+    CircleElement,
     DiscreteConnectionForm,
     EmptyDomainIntersection,
     InvalidConfig,
@@ -14,6 +16,7 @@ from disconn import (
     ProbeFailed,
     SampleConfig,
     TrivialBundle,
+    UnitQuaternion,
     check_axioms,
     compare_forms,
     counterexample_sweep,
@@ -179,13 +182,14 @@ class TestRounds:
         items = [(q0, hopf.project(q1)) for q0, q1 in pairs]
         forms = [(targets["form"], pairs), (targets["recovered"], pairs)]
         lifts = [(targets["lift"], items), (targets["lift2"], items)]
-        merged = answer_queries(forms + lifts)
+        merged = answer_queries([(target, target.item_rows(batch))
+                                 for target, batch in forms + lifts])
         assert len(pairs) > 3
         for (form, batch), values in zip(forms, merged[:2]):
-            assert [g.angle for g in form.evaluate_many(batch)] == [g.angle for g in values]
+            assert [g.angle for g in form.evaluate_many(batch)] == values.tolist()
         for (lift, batch), lifted in zip(lifts, merged[2:]):
-            assert ([p.components() for p in lift.lift_many(batch)]
-                    == [p.components() for p in lifted])
+            assert [p.components() for p in lift.lift_many(batch)] == [
+                tuple(c) for c in lifted.T.tolist()]
 
     def test_form_with_a_per_pair_evaluator_gives_the_same_report(self):
         form = riemannian_form(16)
@@ -196,13 +200,13 @@ class TestRounds:
 
     def test_blocks_fold_like_one_round(self):
         # more samples than one round holds: the worst input and failure
-        # count are folded across blocks
+        # count are folded across blocks, by the row evaluator and by a
+        # per-pair one alike
         closed = hopf_closed_form()
-        listed = DiscreteConnectionForm(
-            closed.bundle, closed.evaluate, closed.in_domain, closed.provenance,
-            evaluate_many_fn=lambda pairs: [closed.evaluate(*p) for p in pairs])
+        per_pair = DiscreteConnectionForm(
+            closed.bundle, closed.evaluate, closed.in_domain, closed.provenance)
         cfg = SampleConfig(seed=8, n_samples=verify._ROUND_SAMPLES + 60)
-        assert check_axioms(listed, cfg).to_json() == check_axioms(closed, cfg).to_json()
+        assert check_axioms(per_pair, cfg).to_json() == check_axioms(closed, cfg).to_json()
 
     def test_first_maximum_wins_across_blocks(self, monkeypatch):
         # every diagonal_domain violation is 0.0, so the worst input is the
@@ -298,29 +302,31 @@ class TestDrawing:
 
 
 def _serial_draw_rows(steps, targets, streams, box, rejected, exhausted, offsets=None,
-                     drawn=None):
+                     drawn=()):
     """The draw loop one sample at a time: each row a stateful stream read
-    through ``sample_point`` and ``sample_group``, restarted on a failed check."""
+    through ``sample_point`` and ``sample_group``, restarted on a failed check,
+    which sees the sample alone, as rows of one column."""
     bundle = targets["form"].bundle
     samples = []
     for i, rng in enumerate(streams):
         for _ in range(_RESAMPLE_LIMIT):
-            inputs = [*drawn[i]] if drawn else []
+            inputs = [d[..., i:i + 1] for d in drawn]
             for kind, check in steps:
                 if kind == "group":
-                    inputs.append(bundle.sample_group(rng))
+                    value = bundle.sample_group(rng)
                 else:
                     q = bundle.sample_point(rng, box=box)
-                    inputs.append(q if kind == "point" else bundle.project(q))
-                if check is not None and not check(targets, inputs):
+                    value = q if kind == "point" else bundle.project(q)
+                inputs.append(bundle.rows_of(kind, [value]))
+                if check is not None and not check(targets, inputs)[0]:
                     rejected[0] += 1
                     break
             else:
-                samples.append(tuple(inputs))
+                samples.append(inputs)
                 break
         else:
             raise exhausted(i)
-    return samples
+    return [np.concatenate(rows, axis=-1) for rows in zip(*samples)]
 
 
 def _serial_streams(seed, *keys):
@@ -373,7 +379,7 @@ class TestRowDraws:
         def watched(axiom, position, check):
             def run(targets, drawn):
                 held = check(targets, drawn)
-                if not held:
+                if not held.all():
                     rejecting.add((axiom, position))
                 return held
             return run
@@ -544,7 +550,9 @@ class TestDomainControls:
         (lambda q0, q1: q0 != q1, "normalization", (ONE,)),
     ])
     def test_recorded_input_outside_the_domain_raises(self, hopf, extra, axiom, inputs):
-        record = verify._serialize_inputs(hopf, verify._AXIOMS[axiom].steps, inputs)
+        steps = verify._AXIOMS[axiom].steps
+        record = verify._serialize_inputs(
+            hopf, steps, [hopf.rows_of(kind, [v]) for (kind, _), v in zip(steps, inputs)])
         with pytest.raises(OutOfDomain, match=f"recorded {axiom} input"):
             violation_from_record(_closed_on(extra), axiom, record)
 
@@ -660,3 +668,77 @@ class TestSamplingControls:
         report = check_axioms(hopf_closed_form(), SampleConfig(seed=1, n_samples=5))
         with pytest.raises(KeyError):
             report.axiom("nonexistent")
+
+
+def _scalar_fold(blocks, tol):
+    """The fold one sample at a time: the failure count, and the worst
+    (violation, sample index) as max() picks it over every sample."""
+    failures, worst = 0, None
+    for i, v in enumerate(v for block in blocks for v in block):
+        failures += not v <= tol
+        if worst is None or v > worst[0]:
+            worst = (v, i)
+    return failures, worst
+
+
+NAN = math.nan
+
+
+class TestWorstFold:
+    @pytest.mark.parametrize("blocks", [
+        [[NAN, 1.0, 2.0], [3.0, 0.5, 0.7]],     # a NaN as the first sample wins
+        [[1.0, NAN, 2.0], [NAN, 2.0, 0.1]],     # a later NaN never does; ties keep the first
+        [[0.5, 0.5, 0.25], [0.5]],              # ties within and across blocks
+        [[0.25, 0.75, 0.7], [NAN, NAN, NAN]],   # a later block of NaN only
+        [[-0.0, 0.0, -0.0], [0.0, 0.0]],        # signed zeros compare equal
+        [[NAN, NAN, NAN], [1.0, 2.0]],          # the first block NaN only
+    ])
+    def test_check_axioms_folds_violation_rows_as_max(self, monkeypatch, blocks):
+        # normalization's violations replaced by the blocks, one per round
+        rounds = iter(blocks)
+
+        def violations(form, inputs):
+            yield []
+            return np.array(next(rounds))
+
+        monkeypatch.setattr(verify, "AXIOM_IDS", ("normalization",))
+        monkeypatch.setattr(verify, "_ROUND_SAMPLES", len(blocks[0]))
+        monkeypatch.setattr(verify, "_AXIOMS", {"normalization": verify._AXIOMS[
+            "normalization"]._replace(violations=violations)})
+        form = hopf_closed_form()
+        cfg = SampleConfig(seed=4, n_samples=sum(map(len, blocks)), tolerance=0.6)
+        record = check_axioms(form, cfg).axiom("normalization")
+        failures, (value, index) = _scalar_fold(blocks, 0.6)
+        assert record.failures == failures
+        assert repr(record.max_violation) == repr(value)
+        worst = form.bundle.sample_point(substream(4, 0, index))
+        assert record.worst_input == {"arg0": {"point": form.bundle.describe_point(worst)}}
+
+    def test_worst_index_matches_max_on_random_blocks(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            blocks = [rng.choice([0.0, -0.0, 1.0, 2.0, NAN], size=rng.integers(1, 5))
+                      for _ in range(rng.integers(1, 4))]
+            worst, start = None, 0
+            for block in blocks:
+                k = verify._worst_index(None if worst is None else worst[0], block)
+                if k is not None:
+                    worst = (float(block[k]), start + k)
+                start += len(block)
+            _, (value, index) = _scalar_fold(blocks, 0.0)
+            assert (repr(worst[0]), worst[1]) == (repr(float(value)), index)
+
+
+def test_rounds_build_no_circle_elements_or_unit_quaternions(monkeypatch, line_bundle):
+    # a 1,000-sample run builds values only for the worst inputs it reports
+    built = {CircleElement: 0, UnitQuaternion: 0}
+    for cls in built:
+        def counting(self, *args, _init=cls.__init__, _cls=cls):
+            built[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for form in (hopf_closed_form(),
+                 trivial_form_from_C(line_bundle, make_c_function("linear", (0.5,), 1))):
+        built.update(dict.fromkeys(built, 0))
+        check_axioms(form, SampleConfig(seed=5, n_samples=1000))
+        assert built[CircleElement] < 100 and built[UnitQuaternion] < 100, built
