@@ -51,6 +51,8 @@ def canonical_rows(theta: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(theta).all():
         raise ValueError("circle angle must be finite")
+    if np.ndim(theta) == 0:  # one angle: the scalar reduction, which rows repeat
+        return np.float64(canonical_angle(float(theta)))
     a = np.fmod(theta, math.tau)
     return np.where(a > math.pi, a - math.tau, np.where(a <= -math.pi, a + math.tau, a))
 
@@ -155,7 +157,7 @@ class UnitQuaternion(Quaternion):
 
 
 def unit_rows(w, x, y, z) -> np.ndarray:
-    """(4, n) rows of the points ``UnitQuaternion`` builds from these component rows."""
+    """Rows of the points ``UnitQuaternion`` builds from these component rows."""
     q = np.array([w, x, y, z], dtype=float)
     # w*w + x*x + y*y + z*z in that order: a reduction over axis 0 adds row by row
     n = np.sqrt(np.add.reduce(q * q, axis=0))
@@ -163,8 +165,8 @@ def unit_rows(w, x, y, z) -> np.ndarray:
     if not (drift <= RENORMALIZE_LIMIT).all():
         if not np.isfinite(q).all():
             raise ValueError("quaternion components must be finite")
-        raise ValueError(f"norm {n[~(drift <= RENORMALIZE_LIMIT)][0]} is too far from 1 "
-                         "to renormalize")
+        far = np.extract(~(drift <= RENORMALIZE_LIMIT), n)[0]
+        raise ValueError(f"norm {far} is too far from 1 to renormalize")
     return np.where(drift > 0.0, q / n, q)
 
 

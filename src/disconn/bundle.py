@@ -13,7 +13,8 @@ Bundle objects are immutable descriptors and all operations are pure.
 Every geometric and metric operation is one row kernel, on many values at
 once in the integrator's component-major layout: (4, n) points and bases
 of the quaternion bundle (a base's real part, 0 or -0.0, rides along),
-(d + 1, n) points and (d, n) bases of a trivial bundle, and (n,) angles.
+(d + 1, n) points and (d, n) bases of a trivial bundle, and (n,) angles;
+one value drops the batch axis n.
 
 Sampled points reach the reports, so their bits must not depend on the
 CPU.  The transcendentals of sampling come from ``math`` (``log``, and
@@ -66,9 +67,10 @@ class PrincipalBundle(abc.ABC):
     of the concrete geometry: ``project_rows``, ``act_rows`` (angles,
     points), ``fiber_rows``, ``section_rows`` (the sections, NaN outside
     the chart, and the chart mask), ``distance_rows`` and
-    ``base_distance_rows``.  The methods on values run it on a block of
-    one; :meth:`rows_of` and :meth:`values_of` convert values of a kind
-    ("point", "base" or "group") to rows and back.
+    ``base_distance_rows``.  A kernel takes rows with a batch axis or, for
+    one value, without it; the methods on values run it on one value.
+    :meth:`rows_of` and :meth:`values_of` convert values of a kind
+    ("point", "base" or "group") to rows with a batch axis and back.
     """
 
     dim_base: int
@@ -79,23 +81,25 @@ class PrincipalBundle(abc.ABC):
     def dim_total(self) -> int:
         return self.dim_base + self.dim_group
 
-    # -- geometry and metric: the row kernels on a block of one -------------
+    # -- geometry and metric: the row kernels on one value ------------------
+
+    def _row(self, kind: str, v) -> np.ndarray:
+        """The rows of one value, without the batch axis: its angle or components."""
+        if kind == "group":
+            return np.float64(v.angle)
+        return np.array(self._components(kind, v), dtype=float)
 
     def _one(self, kind: str, rows: np.ndarray):
-        return self.values_of(kind, rows)[0]
-
-    def columns_of(self, kind: str, *values) -> list[np.ndarray]:
-        """The rows of each value, a block of one column each."""
-        return [self.rows_of(kind, [v]) for v in values]
+        """The value whose rows, without the batch axis, these are."""
+        return CircleElement(float(rows)) if kind == "group" else self._value(kind, rows.tolist())
 
     def project(self, q):
         """Base point under the bundle projection."""
-        return self._one("base", self.project_rows(*self.columns_of("point", q)))
+        return self._one("base", self.project_rows(self._row("point", q)))
 
     def act(self, g: CircleElement, q):
         """Left action of the group element ``g`` on the total point ``q``."""
-        (angle,), (point,) = self.columns_of("group", g), self.columns_of("point", q)
-        return self._one("point", self.act_rows(angle, point))
+        return self._one("point", self.act_rows(self._row("group", g), self._row("point", q)))
 
     def fiber_translation(self, q0, q1) -> CircleElement:
         """Unique g with act(g, q0) = q1 for points on the same fiber.
@@ -103,26 +107,26 @@ class PrincipalBundle(abc.ABC):
         Raises NotSameFiber when the base points are further than
         ``FIBER_ATOL`` apart.
         """
-        return self._one("group", self.fiber_rows(*self.columns_of("point", q0, q1)))
+        return self._one("group", self.fiber_rows(self._row("point", q0), self._row("point", q1)))
 
     def local_section(self, r):
         """Section value over the base point ``r``; SectionUndefined outside its chart."""
-        section, defined = self.section_rows(*self.columns_of("base", r))
-        if not defined[0]:
+        section, defined = self.section_rows(self._row("base", r))
+        if not defined:
             raise SectionUndefined(f"the section chart of {self.name} excludes {r}")
         return self._one("point", section)
 
     def section_defined(self, r) -> bool:
         """True when ``r`` lies in the local section's chart."""
-        return bool(self.section_rows(*self.columns_of("base", r))[1][0])
+        return bool(self.section_rows(self._row("base", r))[1])
 
     def distance(self, q0, q1) -> float:
         """Extrinsic distance between total points."""
-        return float(self.distance_rows(*self.columns_of("point", q0, q1))[0])
+        return float(self.distance_rows(self._row("point", q0), self._row("point", q1)))
 
     def base_distance(self, r0, r1) -> float:
         """Extrinsic distance between base points."""
-        return float(self.base_distance_rows(*self.columns_of("base", r0, r1))[0])
+        return float(self.base_distance_rows(self._row("base", r0), self._row("base", r1)))
 
     @abc.abstractmethod
     def embed_difference(self, q_plus, q_minus) -> np.ndarray:
@@ -242,7 +246,7 @@ def _square_sum(a, b):
 
 def _check_fiber(d: np.ndarray) -> None:
     """Raise NotSameFiber, naming the first, when base points are ``d`` > FIBER_ATOL apart."""
-    over = d[d > FIBER_ATOL]
+    over = np.extract(d > FIBER_ATOL, d)
     if over.size:
         raise NotSameFiber(f"base points are {over[0]:.3e} apart (allowed {FIBER_ATOL:.1e})")
 
@@ -261,11 +265,14 @@ def phase_components(q0, q1) -> tuple:
     return hamilton(*q1, w, -x, -y, -z)[:2]
 
 
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 def phase_rows(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """Phase of q1 * conj(q0) on (4, n) rows, with ``math.atan2`` mapped: the
+    """Phase of q1 * conj(q0) on point rows, with ``math.atan2`` mapped: the
     fiber translation, and the closed-form connection."""
     w, x = phase_components(q0, q1)
-    return canonical_rows(np.array(list(map(math.atan2, x.tolist(), w.tolist()))))
+    return canonical_rows(np.asarray(_ATAN2(x, w), dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,10 +310,10 @@ class HopfBundle(PrincipalBundle):
     def section_rows(self, r: np.ndarray) -> tuple:
         # the chart excludes the base point -i
         defined = _gap(*r, 0.0, -1.0, 0.0, 0.0) > SECTION_CHART_ATOL
-        w, x, y, z = hamilton(0.0, 1.0, 0.0, 0.0, *r[:, defined])
+        w, x, y, z = hamilton(0.0, 1.0, 0.0, 0.0, *r[..., defined])
         s = np.array([-1.0 + w, 0.0 + x, 0.0 + y, 0.0 + z])
-        out = np.full((4, r.shape[1]), np.nan)
-        out[:, defined] = unit_rows(*s / np.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]
+        out = np.full(r.shape, np.nan)
+        out[..., defined] = unit_rows(*s / np.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]
                                                  + s[3] * s[3]))
         return out, defined
 
@@ -396,7 +403,7 @@ class TrivialBundle(PrincipalBundle):
         return q[:-1]
 
     def act_rows(self, g: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return np.vstack([q[:-1], canonical_rows(g + q[-1])])
+        return np.concatenate([q[:-1], canonical_rows(g + q[-1])[None]])
 
     def fiber_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
         _check_fiber(self.base_distance_rows(q0[:-1], q1[:-1]))
@@ -404,7 +411,7 @@ class TrivialBundle(PrincipalBundle):
         return canonical_rows(q1[-1] + canonical_rows(-q0[-1]))
 
     def section_rows(self, r: np.ndarray) -> tuple:
-        return np.vstack([r, np.zeros(r.shape[1])]), np.ones(r.shape[1], dtype=bool)
+        return np.concatenate([r, np.zeros((1, *r.shape[1:]))]), np.ones(r.shape[1:], dtype=bool)
 
     def distance_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
         dg = canonical_rows(q0[-1] - q1[-1])

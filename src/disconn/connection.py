@@ -102,7 +102,7 @@ def _draw_rows(steps: tuple, targets: dict, states: np.ndarray, box: float,
 
 def _narrow(mask: np.ndarray, test: Callable, *rows: np.ndarray) -> np.ndarray:
     """``mask`` where ``test`` holds too; it runs on the columns in the mask only."""
-    mask = mask.copy()
+    mask = np.array(mask)
     if mask.any():
         mask[mask] = test(*(r[..., mask] for r in rows))
     return mask
@@ -123,6 +123,8 @@ def _per_pair(bundle: PrincipalBundle, fn: Callable, kinds: tuple) -> Callable:
     """Row function of a per-pair ``fn`` on values of ``kinds[:2]``: the rows of
     its values of kind ``kinds[2]``, or for None its truth values as a mask."""
     def rows(a, b):
+        if a.ndim == 1:  # one item, without the batch axis
+            return rows(a[:, None], b[:, None])[..., 0]
         values = list(map(fn, bundle.values_of(kinds[0], a), bundle.values_of(kinds[1], b)))
         return np.array(values, dtype=bool) if kinds[2] is None else bundle.rows_of(
             kinds[2], values)
@@ -165,22 +167,33 @@ class _Target:
         return tuple(self.bundle.rows_of(kind, values)
                      for kind, values in zip(self._kinds, zip(*items) if items else ((), ())))
 
+    def _rows(self, a, b) -> tuple:
+        """The rows of one item, without the batch axis."""
+        return self.bundle._row(self._kinds[0], a), self.bundle._row(self._kinds[1], b)
+
     def in_domain(self, a, b) -> bool:
-        return bool(self.domain_rows(*self.item_rows([(a, b)]))[0])
+        return bool(self.domain_rows(*self._rows(a, b)))
 
     def split(self, items: tuple) -> tuple:
         if self._split_fn is None:
             return self, items, lambda answers: answers
         return self._split_fn(items)
 
-    def _checked_values(self, items: Sequence[tuple]) -> list:
-        if not items:
-            return []
-        rows = self.item_rows(items)
+    def _answer(self, rows: tuple) -> np.ndarray:
+        """The value rows of item rows, each checked in the domain."""
         if not self.domain_rows(*rows).all():
             raise self._out_of_domain_error(
                 f"pair outside the domain of this {self.provenance} {self._noun}")
-        return self.bundle.values_of(self._kinds[2], answer_queries([(self, rows)])[0])
+        root, root_items, finish = self.split(rows)
+        return finish(root._values_fn(*root_items))
+
+    def _one(self, a, b):
+        return self.bundle._one(self._kinds[2], self._answer(self._rows(a, b)))
+
+    def _many(self, items: Sequence[tuple]) -> list:
+        if not items:
+            return []
+        return self.bundle.values_of(self._kinds[2], self._answer(self.item_rows(items)))
 
 
 class DiscreteConnectionForm(_Target):
@@ -204,11 +217,11 @@ class DiscreteConnectionForm(_Target):
         return self.provenance == "lmw-variant"
 
     def evaluate(self, q0, q1) -> CircleElement:
-        return self._checked_values([(q0, q1)])[0]
+        return self._one(q0, q1)
 
     def evaluate_many(self, pairs: Sequence[tuple]) -> list[CircleElement]:
         """Evaluate in-domain pairs, each exactly as a batch of one would."""
-        return self._checked_values(pairs)
+        return self._many(pairs)
 
 
 class DiscreteHorizontalLift(_Target):
@@ -227,10 +240,10 @@ class DiscreteHorizontalLift(_Target):
         Raises OutOfDomain for pairs outside the lift's domain, which for a
         form-derived lift excludes every r1 outside its section chart.
         """
-        return self._checked_values([(q0, r1)])[0]
+        return self._one(q0, r1)
 
     def lift_many(self, items: Sequence[tuple]) -> list:
-        return self._checked_values(items)
+        return self._many(items)
 
 
 def answer_queries(queries: Sequence[tuple]) -> list[np.ndarray]:
@@ -298,8 +311,8 @@ def _c_family(rows: Callable, dim: int) -> Callable:
     """The per-pair C of a row function, which it carries as ``rows``: a C family
     maps (dim, n) base rows r0, r1 to the (n,) canonical angles of C(r0, r1)."""
     def c(r0, r1):
-        column = lambda r: np.array(r, dtype=float).reshape(dim, 1)  # noqa: E731
-        return CircleElement(float(rows(column(r0), column(r1))[0]))
+        value = lambda r: np.array(r, dtype=float).reshape(dim)  # noqa: E731
+        return CircleElement(float(rows(value(r0), value(r1))))
     c.rows = rows
     return c
 
@@ -307,7 +320,7 @@ def _c_family(rows: Callable, dim: int) -> Callable:
 def _constant_c(params: Sequence[float], dim: int) -> Callable:
     if params:
         raise InvalidC(f"constant family takes no parameters, got {tuple(params)}")
-    return _c_family(lambda r0, r1: np.zeros(r0.shape[-1]), dim)
+    return _c_family(lambda r0, r1: np.zeros(r0.shape[1:]), dim)
 
 
 def _linear_c(params: Sequence[float], dim: int) -> Callable:
@@ -323,11 +336,11 @@ def _linear_c(params: Sequence[float], dim: int) -> Callable:
         with np.errstate(over="ignore", invalid="ignore"):
             for w, a, b in zip(weights, r0, r1):
                 angle = angle + w * (b - a)
-        bad = np.flatnonzero(~np.isfinite(angle))
-        if bad.size:
-            k = bad[0]
+        if not np.isfinite(angle).all():
+            k = np.flatnonzero(~np.isfinite(angle))[0]
+            r0, r1 = r0.reshape(dim, -1), r1.reshape(dim, -1)
             raise InvalidC(f"linear family angle at {tuple(r0[:, k].tolist())}, "
-                           f"{tuple(r1[:, k].tolist())} is not finite: {angle[k]}")
+                           f"{tuple(r1[:, k].tolist())} is not finite: {np.ravel(angle)[k]}")
         return canonical_rows(angle)
 
     return _c_family(linear, dim)
@@ -369,7 +382,7 @@ def _c_rows(bundle: TrivialBundle, c_fn: Callable, base_domain: Optional[Callabl
         if abs(angle) > _C_DIAGONAL_ATOL:
             raise InvalidC(f"C({r}, {r}) has angle {angle:.3e}, expected identity")
     if base_domain is None:
-        return c_rows, lambda r0, r1: np.ones(r0.shape[-1], dtype=bool)
+        return c_rows, lambda r0, r1: np.ones(r0.shape[1:], dtype=bool)
     return c_rows, _per_pair(bundle, base_domain, ("base", "base", None))
 
 
@@ -398,7 +411,8 @@ def trivial_lift_from_C(bundle: TrivialBundle, c_fn: Callable,
 
     def lift(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         # g0 * C(r0, r1).inverse(), building only the result
-        return np.vstack([r1, canonical_rows(q0[-1] + canonical_rows(-c_rows(q0[:-1], r1)))])
+        g = canonical_rows(q0[-1] + canonical_rows(-c_rows(q0[:-1], r1)))
+        return np.concatenate([r1, g[None]])
 
     return DiscreteHorizontalLift(bundle, None, None, "C-built", values_rows=lift,
                                   domain_rows=lambda q0, r1: dom(q0[:-1], r1))

@@ -92,7 +92,7 @@ def base_geodesic(r0: Quaternion, r1: Quaternion) -> GeodesicSegment:
     rescaling the round metric, so lengths are reported in the plain round
     metric.
     """
-    position, velocity, omega = _arc_rows(*_HOPF.columns_of("base", r0, r1))
+    position, velocity, omega = _arc_rows(*(_HOPF.rows_of("base", [r]) for r in (r0, r1)))
 
     def evaluator(t: float) -> Quaternion:
         return Quaternion(*position(t)[:, 0].tolist())
@@ -256,7 +256,8 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
     if _HOPF.base_distance(_HOPF.project(q0), segment.start) > FIBER_ATOL:
         raise ValueError("q0 does not lie over the start of the base segment")
     _check_steps(steps)
-    velocity = _arc_rows(*_HOPF.columns_of("base", segment.start, segment.end))[1]
+    ends = (_HOPF.rows_of("base", [r]) for r in (segment.start, segment.end))
+    velocity = _arc_rows(*ends)[1]
     start = _HOPF.rows_of("point", [q0])
     states = [(0.0, start, None), *_integrate_rows(start, lambda t: velocity(t)[1:], steps)]
     trajectory = [(t, UnitQuaternion(*q[:, 0])) for t, q, _ in states]
@@ -301,12 +302,15 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
 
     ``base_velocity(q0, q1)`` returns the velocity field of the base paths
-    of a (4, n) batch.  ``in_domain`` is the row mask of pairs whose path's
-    arc exists, so a pair outside it raises AntipodalPoints.
+    of a (4, n) batch, and one pair integrates as a batch of one.
+    ``in_domain`` is the row mask of pairs whose path's arc exists, so a
+    pair outside it raises AntipodalPoints.
     """
     _check_steps(steps)
 
     def ev_many(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        if q0.ndim == 1:
+            return ev_many(q0[:, None], q1[:, None])[0]
         for _, end, _ in _integrate_rows(q0, base_velocity(q0, q1), steps):
             pass  # keep only the last state
         return _translate_endpoints(end, q1)
