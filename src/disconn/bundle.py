@@ -10,11 +10,10 @@ Distances on spheres are measured extrinsically (Euclidean in the ambient
 coordinates); every tolerance in this package refers to that metric.
 Bundle objects are immutable descriptors and all operations are pure.
 
-Every geometric and metric operation is one row kernel, on many values at
-once in the integrator's component-major layout: (4, n) points and bases
-of the quaternion bundle (a base's real part, 0 or -0.0, rides along),
-(d + 1, n) points and (d, n) bases of a trivial bundle, and (n,) angles;
-one value drops the batch axis n.
+Each operation is one row kernel, on values in the integrator's
+component-major layout: (4, n) points and bases of the quaternion bundle
+(a base keeps its real part, 0 or -0.0), (d + 1, n) points and (d, n)
+bases of a trivial bundle, (n,) angles; one value drops the batch axis.
 
 Sampled points reach the reports, so their bits must not depend on the
 CPU.  The transcendentals of sampling come from ``math`` (``log``, and
@@ -56,21 +55,16 @@ DEFAULT_BOX = 2.0
 class PrincipalBundle(abc.ABC):
     """Contract for a principal bundle with structure group U(1).
 
-    Concrete geometries provide the projection, the left group action,
-    the fiber-translation map and a local section, plus the metric,
-    sampling and serialization helpers used by the probes and the
-    verification harness, and state ``dim_base`` and ``name``.
-    Group elements are :class:`CircleElement` values, composed with ``*``
-    and compared with :func:`circle_distance`.
-
-    Each geometric and metric operation is written once, as a row kernel
-    of the concrete geometry: ``project_rows``, ``act_rows`` (angles,
-    points), ``fiber_rows``, ``section_rows`` (the sections, NaN outside
+    A concrete geometry states ``dim_base`` and ``name`` and writes each
+    operation once, as a row kernel: ``project_rows``, ``act_rows``
+    (angles, points), ``fiber_rows``, ``section_rows`` (sections, NaN off
     the chart, and the chart mask), ``distance_rows`` and
-    ``base_distance_rows``.  A kernel takes rows with a batch axis or, for
-    one value, without it; the methods on values run it on one value.
-    :meth:`rows_of` and :meth:`values_of` convert values of a kind
-    ("point", "base" or "group") to rows with a batch axis and back.
+    ``base_distance_rows``; it also provides the sampling and serialization
+    helpers of the probes and the verification harness.  The methods on
+    values run the kernels on one value, and :meth:`rows_of` and
+    :meth:`values_of` convert values of a kind ("point", "base" or
+    "group") to rows and back.  Group elements are :class:`CircleElement`
+    values, composed with ``*`` and compared with :func:`circle_distance`.
     """
 
     dim_base: int
@@ -147,18 +141,13 @@ class PrincipalBundle(abc.ABC):
         """``a.inverse()``."""
         return a.inverse()
 
-    def rows_of(self, kind: str, values) -> np.ndarray:
-        """Values of a kind as rows: angles, or one row per component."""
-        if kind == "group":
-            return np.array([g.angle for g in values], dtype=float)
-        return np.array([self._components(kind, v) for v in values], dtype=float).reshape(
-            -1, self.point_draws if kind == "point" else self.base_width).T.copy()
+    def rows_of(self, kind: str, values: Sequence) -> np.ndarray:
+        """Values of a kind, at least one, as rows: angles, or one row per component."""
+        return np.array([self._row(kind, v) for v in values]).T.copy()
 
     def values_of(self, kind: str, rows: np.ndarray) -> list:
         """The values whose rows these are, bit for bit."""
-        if kind == "group":
-            return list(map(CircleElement, rows.tolist()))
-        return [self._value(kind, c) for c in rows.T.tolist()]
+        return [self._one(kind, c) for c in rows.T]
 
     # -- sampling ----------------------------------------------------------
 
@@ -233,10 +222,9 @@ def _gap(aw, ax, ay, az, bw, bx, by, bz):
 
 
 def _square_sum(a, b):
-    """Sum over the rows of (a_k - b_k) ** 2, added left to right from 0.0, as
-    ``sum()`` added it before Python 3.12 compensated.  Each square is libm's
-    ``pow`` (``** 2`` on a float), which differs from d * d in the last bit on
-    some inputs."""
+    """Sum over the rows of (a_k - b_k) ** 2, added left to right from 0.0 (from
+    Python 3.12 ``sum()`` compensates), each square Python's ``** 2`` on a float,
+    which differs from d * d in the last bit on some inputs."""
     total = 0.0
     for x, y in zip(a, b):
         d = x - y
@@ -282,14 +270,13 @@ class HopfBundle(PrincipalBundle):
     The projection conjugates the first imaginary basis element,
     project(q) = conj(q) * i * q, and the circle acts by left
     multiplication with cos(t) + sin(t) i.  Total points are
-    UnitQuaternion, base points are imaginary unit Quaternion values.
-    Each row kernel computes on components through ``hamilton``, in the
-    float order of those expressions.
+    UnitQuaternion, base points are imaginary unit Quaternion values.  The
+    kernels compute through ``hamilton``, in the float order of those terms.
     """
 
     dim_base = 2
     name = "hopf"
-    point_draws = base_width = 4
+    point_draws = 4
 
     def __eq__(self, other):
         return isinstance(other, HopfBundle)
@@ -437,10 +424,6 @@ class TrivialBundle(PrincipalBundle):
     @property
     def point_draws(self) -> int:
         return self.dim + 1
-
-    @property
-    def base_width(self) -> int:
-        return self.dim
 
     def _sample_points(self, block: np.ndarray, box: float) -> np.ndarray:
         # uniform in [-box, box) as uniform_in(-box, box) makes them: hi - lo is 2 box

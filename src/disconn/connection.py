@@ -5,8 +5,7 @@ total points, vanishing on the diagonal and transforming equivariantly
 under the product group action.  This module implements:
 
 * the form / lift objects with explicit domain predicates, each pair's
-  domain checked once, where it comes in (a public call or a draw), never
-  again on its way to the root target that answers it,
+  domain checked once, where it comes in (a public call or a draw),
 * the unique vertical-times-horizontal decomposition of a pair,
 * constructions of forms and lifts on trivial bundles from a base-pair
   function C,
@@ -19,16 +18,10 @@ under the product group action.  This module implements:
 * the reduced-space identification sending a pair to base points plus an
   adjoint-bundle class.
 
-Inside, targets compute on rows, many values at once in the bundle's
-component-major layout: a domain is a row mask and values come from one
-row evaluator.  Objects are built only at the public calls, each pair a
-column of a block.  A per-pair function given to a constructor
-(``evaluate_fn``, ``in_domain_fn``, a lift's ``fn``, a ``base_domain``
-or a C without ``rows``) is adapted into a row function
-once, at construction, which calls it per column on that column's objects.
-
-Forms and lifts are immutable after construction and their evaluations
-are pure, so concurrent evaluation is safe.
+Targets compute on rows in the bundle's layout (see :mod:`disconn.bundle`),
+so objects are built only at the public calls; a per-pair function given
+to a constructor is adapted into a row function once.  Forms and lifts
+are immutable and their evaluations pure, so concurrent evaluation is safe.
 """
 
 from __future__ import annotations
@@ -63,8 +56,7 @@ def _draw_rows(steps: tuple, targets: dict, states: np.ndarray, box: float,
                rejected: list, exhausted: Callable, offsets: Optional[np.ndarray] = None,
                drawn: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
     """Rows of one sample of inputs from ``targets["form"]``'s bundle per stream
-    state, drawn after the ``drawn`` input rows from its draws past ``offsets[i]``
-    (0), with the drawn rows first.
+    state, after the ``drawn`` input rows, from its draws past ``offsets[i]`` (0).
 
     ``steps`` is (kind, check) per input in draw order: kind is "point",
     "base" or "group", and check(targets, input rows so far), if any, runs
@@ -72,8 +64,7 @@ def _draw_rows(steps: tuple, targets: dict, states: np.ndarray, box: float,
     returns their mask.  A failed check adds one to ``rejected[0]`` and moves
     the row's offset past the draws that attempt read; the rejected rows are
     redrawn together, and after ``_RESAMPLE_LIMIT`` passes ``exhausted(i)`` is
-    raised for the first row i left.  ``offsets`` (uint64) ends past each
-    row's sample.
+    raised for the first row i left.  ``offsets`` ends past each row's sample.
     """
     bundle = targets["form"].bundle
     kinds = [kind for kind, _ in steps]
@@ -126,28 +117,22 @@ def _per_pair(bundle: PrincipalBundle, fn: Callable, kinds: tuple) -> Callable:
         if a.ndim == 1:  # one item, without the batch axis
             return rows(a[:, None], b[:, None])[..., 0]
         values = list(map(fn, bundle.values_of(kinds[0], a), bundle.values_of(kinds[1], b)))
-        return np.array(values, dtype=bool) if kinds[2] is None else bundle.rows_of(
-            kinds[2], values)
+        return bundle.rows_of(kinds[2], values) if kinds[2] else np.array(values, dtype=bool)
     return rows
 
 
 class _Target:
     """What forms and lifts share: values on pairs with an explicit domain.
 
-    A pair's domain is checked once, by whatever brings it in from outside:
-    the public calls check every pair, while ``split`` and
-    :func:`answer_queries` serve pairs already checked and never check.  An
-    evaluator of many pairs must give each pair the exact bits of a batch of
-    one, since reports keep the values their batch computed.
-
-    Items are the rows (a, b) of their pairs.  ``domain_rows(a, b)`` is
-    their domain mask, from the row function ``domain_rows`` or the per-pair
-    ``in_domain_fn``; a target's own values come from ``values_rows(a, b)``
-    or its per-pair ``fn``.  ``split(items)`` is ``(root, root_items,
-    finish)``, with the value rows ``finish(root._values_fn(*root_items))``
-    and neither map reading the root's answers; a target is its own root
-    unless it has a ``split_fn``.  A pair outside the domain of a public
-    call raises ``out_of_domain_error``.
+    Items are the rows (a, b) of their pairs, with a batch axis or, for one
+    pair at a public call, without it; ``domain_rows`` and ``values_rows``
+    map them to a domain mask and value rows (a per-pair ``in_domain_fn``
+    or ``fn`` is adapted instead), each pair with the exact bits of a batch
+    of one.  The public calls check every pair's domain, while ``split``
+    and :func:`answer_queries` serve pairs already checked.
+    ``split(items)`` is ``(root, root_items, finish)``, with the value rows
+    ``finish(root._values_fn(*root_items))`` and neither map reading the
+    root's answers; a target is its own root unless it has a ``split_fn``.
     """
 
     def __init__(self, bundle: PrincipalBundle, fn: Optional[Callable],
@@ -163,16 +148,11 @@ class _Target:
         self._out_of_domain_error = out_of_domain_error
 
     def item_rows(self, items: Sequence[tuple]) -> tuple:
-        """The rows (a, b) of a list of pairs."""
-        return tuple(self.bundle.rows_of(kind, values)
-                     for kind, values in zip(self._kinds, zip(*items) if items else ((), ())))
-
-    def _rows(self, a, b) -> tuple:
-        """The rows of one item, without the batch axis."""
-        return self.bundle._row(self._kinds[0], a), self.bundle._row(self._kinds[1], b)
+        """The rows (a, b) of a list of pairs, at least one."""
+        return tuple(map(self.bundle.rows_of, self._kinds, zip(*items)))
 
     def in_domain(self, a, b) -> bool:
-        return bool(self.domain_rows(*self._rows(a, b)))
+        return bool(self.domain_rows(*map(self.bundle._row, self._kinds, (a, b))))
 
     def split(self, items: tuple) -> tuple:
         if self._split_fn is None:
@@ -188,7 +168,8 @@ class _Target:
         return finish(root._values_fn(*root_items))
 
     def _one(self, a, b):
-        return self.bundle._one(self._kinds[2], self._answer(self._rows(a, b)))
+        rows = tuple(map(self.bundle._row, self._kinds, (a, b)))  # without the batch axis
+        return self.bundle._one(self._kinds[2], self._answer(rows))
 
     def _many(self, items: Sequence[tuple]) -> list:
         if not items:
@@ -202,10 +183,9 @@ class DiscreteConnectionForm(_Target):
     ``provenance`` records how the form was built: one of ``closed-form``,
     ``C-built``, ``geodesic-built`` or ``lmw-variant``.  It is built from
     a per-pair ``evaluate_fn`` (the first argument), a row evaluator
-    ``values_rows`` of point rows q0, q1 to (n,) angles, or a ``split_fn``
-    to its root, and every caller evaluates it the same way.  Domain
-    checks, ``split`` and ``out_of_domain_error`` are as for every target
-    (see :class:`_Target`).
+    ``values_rows`` of point rows to angles or a ``split_fn`` to its root,
+    and every caller evaluates it the same way (see :class:`_Target`).  A
+    pair outside the domain of a public call raises ``out_of_domain_error``.
     """
 
     _noun = "form"
@@ -309,10 +289,10 @@ _C_VALIDATION_SAMPLES = 32
 
 def _c_family(rows: Callable, dim: int) -> Callable:
     """The per-pair C of a row function, which it carries as ``rows``: a C family
-    maps (dim, n) base rows r0, r1 to the (n,) canonical angles of C(r0, r1)."""
+    maps base rows r0, r1 (one pair without the batch axis) to C's angles."""
     def c(r0, r1):
-        value = lambda r: np.array(r, dtype=float).reshape(dim)  # noqa: E731
-        return CircleElement(float(rows(value(r0), value(r1))))
+        r0, r1 = (np.array(r, dtype=float).reshape(dim) for r in (r0, r1))
+        return CircleElement(float(rows(r0, r1)))
     c.rows = rows
     return c
 
@@ -355,7 +335,7 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
     """Base-pair function from the fixed registry of parametric families.
 
     The function maps two base points to a CircleElement, and its ``rows``
-    does so on (dim, n) base rows, returning (n,) canonical angles.
+    does so on base rows, returning canonical angles.
     ``constant`` takes no parameters (given any, it raises InvalidC) and
     always returns the identity.  ``linear`` returns
     exp(i * sum_k w_k (r1_k - r0_k)) with weights taken from ``params``
@@ -573,14 +553,13 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     Slice points are the horizontal partners of random points p, checked
     to be horizontal (see :func:`_slice_points`), and orbit points random
     group translates of q; point k draws ``budget`` of each from seed
-    ``seed + k``, one row per point carrying its offset across the budget in
-    the row loop, which checks each (q, p) once and redraws any sample that
-    could land within ``_EXCLUSION_RADIUS`` of q.  All draws come first, then
-    one :func:`_slice_points` call serves every point, so a ProbeFailed at
-    any point leaves no point computed.  The minimum cross distance must
-    exceed ``separation``.  Raises InvalidConfig for a budget below one,
-    which would compare nothing, and for a separation that is not finite
-    and above 0, which every probe would pass.
+    ``seed + k`` in the row loop, which checks each (q, p) once and redraws
+    any sample that could land within ``_EXCLUSION_RADIUS`` of q.  One
+    :func:`_slice_points` call then serves every point, so a ProbeFailed
+    leaves no point computed.  The minimum cross distance must exceed
+    ``separation``.  Raises InvalidConfig for a budget below one and for a
+    separation that is not finite and above 0, which would make every
+    probe vacuous.
     """
     if budget < 1:
         raise InvalidConfig(f"budget must be at least 1, got {budget}")

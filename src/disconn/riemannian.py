@@ -289,14 +289,6 @@ def hopf_closed_form() -> DiscreteConnectionForm:
                                   domain_rows=_hopf_in_domain)
 
 
-def _translate_endpoints(end: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    base_err = np.linalg.norm(_project_rows(end) - _project_rows(q1), axis=0)
-    if np.any(base_err > LIFT_FIBER_ATOL):
-        raise SolveFailed(
-            f"integrated endpoint strayed {base_err.max():.3e} from the target fiber")
-    return phase_rows(end, q1)
-
-
 def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
                      provenance: str) -> DiscreteConnectionForm:
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
@@ -313,7 +305,11 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
             return ev_many(q0[:, None], q1[:, None])[0]
         for _, end, _ in _integrate_rows(q0, base_velocity(q0, q1), steps):
             pass  # keep only the last state
-        return _translate_endpoints(end, q1)
+        base_err = np.linalg.norm(_project_rows(end) - _project_rows(q1), axis=0)
+        if np.any(base_err > LIFT_FIBER_ATOL):
+            raise SolveFailed(
+                f"integrated endpoint strayed {base_err.max():.3e} from the target fiber")
+        return phase_rows(end, q1)
 
     return DiscreteConnectionForm(_HOPF, None, None, provenance, values_rows=ev_many,
                                   domain_rows=in_domain, out_of_domain_error=AntipodalPoints)

@@ -16,29 +16,27 @@ input.  Every target states its items as pairs for the form and a map
 of the form's values, so a round evaluates the form once whatever the
 number of axioms; on an integrator-built form that is one Runge-Kutta
 integration.  Every form is checked in such rounds, each covering every
-axiom for a block of at most 256 samples.  Inside a round every sample
-is a column of component rows (see :mod:`disconn.bundle`), from the
-draw through the queries and answers to its violation, so a round
-builds no point or group element; each axiom keeps only its failure
-count and its running worst input with the violation its round
-computed, folded as ``max()`` folds, and that one input becomes values
-when the report describes it.  Standalone re-evaluation
-(:func:`violation_from_record`) is the same runner on a round of one.
+axiom for a block of at most 256 samples, every sample a column of
+component rows (see :mod:`disconn.bundle`) from its draw to its
+violation.  Each axiom keeps only its failure count and its running
+worst input, folded as ``max()`` folds, with the violation its round
+computed; only that input is built as values, for the report.
+Standalone re-evaluation (:func:`violation_from_record`) is the same
+runner on a round of one.
 
 Sampling uses SplitMix64 streams addressed by (seed, axiom, sample
 index), so reports are byte-identical across runs and independent of
 the execution order of samples.  Points are drawn uniformly: on the
-total sphere via normalized 4-component Gaussians, on flat bases
-uniformly in a configurable box, with uniform angles for group
-elements.  An axiom's entry lists its inputs in draw order, each a kind
-(total point, base point or group element) with the domain check that
-runs once that input is drawn.  One row loop, ``connection._draw_rows``,
-draws an axiom's samples of a round, and :func:`compare_forms`'s from its
-own such table, each sample one row of counter-addressed draws.  A failed
-check counts one rejection in the report, and the row is redrawn from
-its next draws, up to 100 attempts per sample.  These are a run's only
-domain checks: rounds never check again, and a worst input, serialized
-through its table, passes the same checks when restored for its round of one.
+total sphere via normalized 4-component Gaussians, on flat bases in a
+configurable box, with uniform angles for group elements.  An axiom's
+entry, like :func:`compare_forms`'s table, lists its inputs in draw order,
+each a kind (total point, base point or group element) with the domain
+check that runs once that input is drawn.  The row loop
+``connection._draw_rows`` draws each sample from one row of
+counter-addressed draws and redraws a rejected row, up to 100 attempts,
+counting each rejection in the report.  These are a run's only domain
+checks: rounds never check again, and a restored worst input passes the
+same checks for its round of one.
 """
 
 from __future__ import annotations
@@ -66,20 +64,6 @@ from .connection import (
 from .errors import EmptyDomainIntersection, InvalidConfig, OutOfDomain, OutOfRange, ProbeFailed
 from .riemannian import DEFAULT_STEPS, beta_formula, lmw_form
 from .rng import substream_states
-
-#: axiom identifiers in report order
-AXIOM_IDS = (
-    "normalization",
-    "equivariance",
-    "diagonal_domain",
-    "domain_invariance",
-    "lift_section",
-    "lift_equivariance",
-    "lift_normalization",
-    "roundtrip_form",
-    "roundtrip_lift",
-    "domain_properness",
-)
 
 #: axioms that record 0 (held) or 1 (violated) and compare exactly, whatever the tolerance
 _DOMAIN_AXIOMS = frozenset({"diagonal_domain", "domain_invariance", "domain_properness"})
@@ -169,15 +153,9 @@ class VerificationReport:
             "seed": self.seed,
             "n_samples": self.n_samples,
             "resampled_out_of_domain": self.resampled_out_of_domain,
-            "axioms": [
-                {
-                    "id": a.axiom_id,
-                    "failures": a.failures,
-                    "max_violation": a.max_violation,
-                    "worst_input": a.worst_input,
-                }
-                for a in self.axioms
-            ],
+            "axioms": [{"id": a.axiom_id, "failures": a.failures,
+                        "max_violation": a.max_violation, "worst_input": a.worst_input}
+                       for a in self.axioms],
             "verdict": self.verdict,
         }
 
@@ -228,22 +206,18 @@ def _equivariance(form, inputs):
 
 
 def _diagonal_domain(form, inputs):
-    (q,) = inputs
     yield []
-    return np.where(form.domain_rows(q, q), 0.0, 1.0)
+    return np.where(form.domain_rows(inputs[0], inputs[0]), 0.0, 1.0)
 
 
 def _domain_invariance(form, inputs):
-    bundle = form.bundle
-    q0, q1, g0, g1 = inputs
     yield []
-    return np.where(form.domain_rows(bundle.act_rows(g0, q0), bundle.act_rows(g1, q1)), 0.0, 1.0)
+    return np.where(_moved_pair_in_form({"form": form}, inputs), 0.0, 1.0)
 
 
 def _lift_section(form, inputs):
-    bundle = form.bundle
     (points,) = yield [("lift", inputs)]
-    return bundle.base_distance_rows(bundle.project_rows(points), inputs[1])
+    return form.bundle.base_distance_rows(form.bundle.project_rows(points), inputs[1])
 
 
 def _lift_equivariance(form, inputs):
@@ -254,10 +228,9 @@ def _lift_equivariance(form, inputs):
 
 
 def _lift_normalization(form, inputs):
-    bundle = form.bundle
     (q0,) = inputs
-    (points,) = yield [("lift", (q0, bundle.project_rows(q0)))]
-    return bundle.distance_rows(points, q0)
+    (points,) = yield [("lift", (q0, form.bundle.project_rows(q0)))]
+    return form.bundle.distance_rows(points, q0)
 
 
 def _roundtrip_form(form, inputs):
@@ -308,6 +281,7 @@ def _own_fiber_in_lift(targets, drawn):
 
 _POINT, _BASE, _GROUP = ("point", None), ("base", None), ("group", None)
 
+#: the axioms in report order
 _AXIOMS = {
     "normalization": _Axiom((("point", _pair_in("form")),), _normalization),
     "equivariance": _Axiom(
@@ -327,6 +301,8 @@ _AXIOMS = {
     # drawn over antipodal base points, so outside the domain by design
     "domain_properness": _Axiom((_POINT, _GROUP), _domain_properness),
 }
+#: axiom identifiers in report order
+AXIOM_IDS = tuple(_AXIOMS)
 
 
 def _targets(form: DiscreteConnectionForm) -> dict:
@@ -375,10 +351,9 @@ def _serialize_inputs(bundle, steps: tuple, inputs: Sequence[np.ndarray]) -> dic
 
 
 def _worst_index(worst: Optional[float], violations: np.ndarray) -> Optional[int]:
-    """The sample of a block that becomes the running worst after ``worst``
-    (None before the first block), as max() folds the samples: the first
-    maximum wins and, since every comparison with NaN is false, a NaN only
-    as the very first sample.  None when the previous worst stays."""
+    """The sample of a block that replaces the running ``worst`` (None before the
+    first block) as max() folds: the first maximum wins, and a NaN only as the
+    very first sample, since every comparison with NaN is false."""
     k = int(np.argmax(np.where(np.isnan(violations), -np.inf, violations)))
     if worst is None:
         return k if violations[k] > violations[0] else 0
@@ -418,11 +393,6 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     domain-properness probe runs only on the quaternion bundle, where pairs
     over antipodal base points exist by construction; each of its samples
     is a counted out-of-domain rejection.
-
-    Every form is checked in rounds that cover every axiom for a block of
-    at most ``_ROUND_SAMPLES`` samples, one evaluation of the form each.
-    Each axiom keeps only its failure count and its running worst input,
-    and reports the violation its round computed for that input.
     """
     bundle = form.bundle
     targets = _targets(form)
