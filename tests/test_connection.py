@@ -271,11 +271,12 @@ class TestLiftFormConversions:
         p = Quaternion(0.0, 0.0, 1.0, 0.0)
 
         def other_section(r):
-            # rows of local_section(p r conj(p)) * p, with the chart mask
+            # rows of local_section(p r conj(p)) * p, with the chart mask; like
+            # every section kernel it serves rows with and without the batch axis
             rotated = np.array(hamilton(*hamilton(*p.components(), *r), *p.conj().components()))
             s, defined = hopf.section_rows(rotated)
             out = np.full_like(s, np.nan)
-            out[:, defined] = unit_rows(*hamilton(*s[:, defined], *p.components()))
+            out[..., defined] = unit_rows(*hamilton(*s[..., defined], *p.components()))
             return out, defined
 
         form = hopf_closed_form()

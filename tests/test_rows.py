@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from disconn.algebra import (Q_I, CircleElement, Quaternion, UnitQuaternion, canonical_angle,
-                             canonical_rows, hamilton)
+                             canonical_rows, hamilton, unit_rows)
 from disconn.bundle import (FIBER_ATOL, SECTION_CHART_ATOL, HopfBundle, TrivialBundle,
                             TrivialPoint)
-from disconn.connection import make_c_function
+from disconn.connection import (lift_from_form, make_c_function, trivial_form_from_C,
+                                trivial_lift_from_C)
 from disconn.errors import NotSameFiber, SectionUndefined
+from disconn.riemannian import hopf_closed_form
 from disconn.rng import (
     _GAMMA,
     _MASK,
@@ -203,9 +205,14 @@ def test_row_canonical_angle_matches_the_scalar_reduction():
     ref = np.array([canonical_angle(t) for t in theta.tolist()])
     assert np.array_equal(new.view(np.int64), ref.view(np.int64))
     assert canonical_rows(np.array([-pi, -0.0])).tolist() == [pi, -0.0]
+    # one angle, without the batch axis, as a public call on one value reduces it
+    one = np.array([canonical_rows(np.float64(t)) for t in special])
+    assert np.array_equal(one.view(np.int64), ref[:len(special)].view(np.int64))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^circle angle must be finite$"):
             canonical_rows(np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="^circle angle must be finite$"):
+            canonical_rows(np.float64(bad))
 
 
 def ref_trivial(bundle, name, *args):
@@ -334,7 +341,7 @@ def test_row_kernels_match_the_value_arithmetic(bundle):
         values = [bundle.values_of(kind, rows) for kind, rows in args]
         expected = [outcome(ref, bundle, name, *column) for column in zip(*values)]
         assert kernel_outcomes(bundle, name, out_kind, args) == expected, name
-        # the method on a value is the kernel on a block of one
+        # the method runs the kernel on one value, without the batch axis
         method = getattr(bundle, name)
         assert [outcome(method, *column) for column in list(zip(*values))[:200]] == expected[:200]
         if isinstance(bundle, HopfBundle) and name == "local_section":
@@ -346,6 +353,38 @@ def test_row_kernels_match_the_value_arithmetic(bundle):
         (_, g), (_, q) = kernel_cases(bundle, 2000)["act"][1]
         moved = np.array(hamilton(np.cos(g), np.sin(g), 0.0, 0.0, *q))[:, 2000:]
         assert (np.sqrt(np.sum(moved * moved, axis=0)) != 1.0).all()
+
+
+@pytest.mark.parametrize("family", ["closed", "linear", "constant"])
+def test_one_pair_without_the_batch_axis_has_the_bits_of_its_batch_column(family):
+    # a public call on one pair runs the row code on NumPy scalars and short
+    # vectors; its value, and its domain verdict, are those of the pair's column
+    if family == "closed":
+        bundle, form = HopfBundle(), hopf_closed_form()
+    else:
+        bundle = TrivialBundle(3)
+        params = (0.5, -1.0, 2.0) if family == "linear" else ()
+        form = trivial_form_from_C(bundle, make_c_function(family, params, 3))
+    lifts = [lift_from_form(form)] + (
+        [] if family == "closed" else [trivial_lift_from_C(bundle, make_c_function(
+            family, params, 3))])
+    states = substream_states(91, range(400))
+    q0, q1 = bundle.sample_rows(("point", "point"),
+                                draw_rows(states, [0] * 400, 2 * bundle.point_draws))
+    if family == "closed":
+        # j * q0 lies over the base antipode of q0, outside the closed form's domain
+        q1[:, :50] = unit_rows(*hamilton(0.0, 0.0, 1.0, 0.0, *q0[:, :50]))
+    p0, p1 = bundle.values_of("point", q0), bundle.values_of("point", q1)
+    mask = form.domain_rows(q0, q1)
+    assert [form.in_domain(a, b) for a, b in zip(p0, p1)] == mask.tolist()
+    assert mask.sum() >= 350 and mask.all() != (family == "closed")
+    pairs = [(a, b) for a, b, ok in zip(p0, p1, mask) if ok]
+    assert list(map(bits, form.evaluate_many(pairs))) == [bits(form.evaluate(*p)) for p in pairs]
+    for lift in lifts:
+        items = [(a, bundle.project(b)) for a, b in zip(p0, p1)]
+        items = [item for item in items if lift.in_domain(*item)]
+        assert len(items) > 300
+        assert list(map(bits, lift.lift_many(items))) == [bits(lift.lift(*i)) for i in items]
 
 
 def test_coordinates_add_left_to_right(monkeypatch):
