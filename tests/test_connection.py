@@ -11,7 +11,6 @@ from disconn import (
     Quaternion,
     TrivialBundle,
     TrivialPoint,
-    UnitQuaternion,
     canonical_angle,
     circle_distance,
     decompose_pair,
