@@ -46,15 +46,14 @@ def canonical_angle(theta: float) -> float:
 def canonical_rows(theta: np.ndarray) -> np.ndarray:
     """Circle angles, checked finite and reduced bit for bit as by :func:`canonical_angle`.
 
-    ``np.fmod`` is exact, and so is the one +-tau correction that turns it
-    into the remainder (Sterbenz), whichever CPU kernels NumPy dispatches.
+    ``np.fmod`` is exact, and so is the one +-tau correction, towards 0, that
+    turns it into the remainder (Sterbenz), whichever CPU kernels NumPy
+    dispatches.  One angle without the batch axis comes back as a NumPy scalar.
     """
     if not np.isfinite(theta).all():
         raise ValueError("circle angle must be finite")
-    if np.ndim(theta) == 0:  # one angle: the scalar reduction, which rows repeat
-        return np.float64(canonical_angle(float(theta)))
     a = np.fmod(theta, math.tau)
-    return np.where(a > math.pi, a - math.tau, np.where(a <= -math.pi, a + math.tau, a))
+    return np.where((a > math.pi) | (a <= -math.pi), a - np.copysign(math.tau, a), a)[()]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import CircleElement, canonical_rows
 from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle
-from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed
+from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed, SectionUndefined
 from .rng import SplitMix64, draw_rows, substream_states
 
 #: a pair is horizontal when its group value has angle magnitude below this
@@ -118,6 +118,24 @@ def _per_pair(bundle: PrincipalBundle, fn: Callable, kinds: tuple) -> Callable:
             return rows(a[:, None], b[:, None])[..., 0]
         values = list(map(fn, bundle.values_of(kinds[0], a), bundle.values_of(kinds[1], b)))
         return bundle.rows_of(kinds[2], values) if kinds[2] else np.array(values, dtype=bool)
+    return rows
+
+
+def _per_point_section(bundle: PrincipalBundle, section: Callable) -> Callable:
+    """Row kernel of a per-point ``section``: its point rows, NaN where it raises
+    SectionUndefined, and the mask of the base points its chart holds."""
+    def rows(r):
+        if r.ndim == 1:  # one base point, without the batch axis
+            s, defined = rows(r[:, None])
+            return s[:, 0], defined[0]
+        out = np.full_like(bundle.section_rows(r)[0], np.nan)  # the shape of section rows
+        defined = np.ones(r.shape[-1], dtype=bool)
+        for k, v in enumerate(bundle.values_of("base", r)):
+            try:
+                out[:, k] = bundle._row("point", section(v))
+            except SectionUndefined:
+                defined[k] = False
+        return out, defined
     return rows
 
 
@@ -409,11 +427,15 @@ def lift_from_form(form: DiscreteConnectionForm,
     The lift sends (q0, r1) to act(A(q0, s(r1))^{-1}, s(r1)) for a section
     s over the base.  The result does not depend on the section choice
     (exercised by the test suite with a second chart, not assumed).  A
-    ``section`` is a row kernel like the bundle's ``section_rows``: it maps
-    base rows to the section rows, NaN outside its chart, and the chart mask.
+    ``section`` maps a base point to a total point over it and raises
+    SectionUndefined outside its chart; it is adapted once into a row
+    kernel, unless it carries one as ``rows``, which maps base rows to the
+    section rows, NaN outside the chart, and the chart mask, as the bundle's
+    ``section_rows`` does.
     """
     bundle = form.bundle
-    sec = bundle.section_rows if section is None else section
+    sec = bundle.section_rows if section is None else (
+        getattr(section, "rows", None) or _per_point_section(bundle, section))
 
     def dom(q0, r1):
         s, defined = sec(r1)

@@ -37,7 +37,9 @@ and safe for concurrent evaluation.
 Integrated values reach the reports, so their bits must not depend on
 the CPU.  Arc lengths come from ``math.acos`` and phases from
 ``math.atan2``; the NumPy functions whose results reach a report are
-``sqrt``, ``sin`` and ``cos``, besides arithmetic.
+``sqrt``, ``sin`` and ``cos`` (also in the group action, which takes them
+from NumPy on angle rows) and the exact ``fmod`` that reduces phases to
+canonical angles, besides arithmetic.
 
 Measured, and pinned by the test suite: the geodesic form's phase does
 not depend on the step count.  At 8 steps it agrees with

@@ -153,9 +153,15 @@ class VerificationReport:
             "seed": self.seed,
             "n_samples": self.n_samples,
             "resampled_out_of_domain": self.resampled_out_of_domain,
-            "axioms": [{"id": a.axiom_id, "failures": a.failures,
-                        "max_violation": a.max_violation, "worst_input": a.worst_input}
-                       for a in self.axioms],
+            "axioms": [
+                {
+                    "id": a.axiom_id,
+                    "failures": a.failures,
+                    "max_violation": a.max_violation,
+                    "worst_input": a.worst_input,
+                }
+                for a in self.axioms
+            ],
             "verdict": self.verdict,
         }
 
@@ -393,6 +399,11 @@ def check_axioms(form: DiscreteConnectionForm, cfg: SampleConfig) -> Verificatio
     domain-properness probe runs only on the quaternion bundle, where pairs
     over antipodal base points exist by construction; each of its samples
     is a counted out-of-domain rejection.
+
+    Every form is checked in rounds that cover every axiom for a block of
+    at most ``_ROUND_SAMPLES`` samples, one evaluation of the form each.
+    Each axiom keeps only its failure count and its running worst input,
+    and reports the violation its round computed for that input.
     """
     bundle = form.bundle
     targets = _targets(form)

@@ -11,6 +11,7 @@ from disconn import (
     Quaternion,
     TrivialBundle,
     TrivialPoint,
+    UnitQuaternion,
     canonical_angle,
     circle_distance,
     decompose_pair,
@@ -24,8 +25,7 @@ from disconn import (
     trivial_form_from_C,
     trivial_lift_from_C,
 )
-from disconn.algebra import hamilton, unit_rows
-from disconn.connection import HORIZONTAL_ANGLE_ATOL, answer_queries
+from disconn.connection import HORIZONTAL_ANGLE_ATOL, _per_point_section, answer_queries
 from disconn.rng import substream
 
 from conftest import HALF_J, I_POINT, J_POINT, K_BASE, ONE
@@ -270,13 +270,8 @@ class TestLiftFormConversions:
         p = Quaternion(0.0, 0.0, 1.0, 0.0)
 
         def other_section(r):
-            # rows of local_section(p r conj(p)) * p, with the chart mask; like
-            # every section kernel it serves rows with and without the batch axis
-            rotated = np.array(hamilton(*hamilton(*p.components(), *r), *p.conj().components()))
-            s, defined = hopf.section_rows(rotated)
-            out = np.full_like(s, np.nan)
-            out[..., defined] = unit_rows(*hamilton(*s[..., defined], *p.components()))
-            return out, defined
+            rotated = (p * r) * p.conj()
+            return UnitQuaternion.from_quaternion(hopf.local_section(rotated) * p)
 
         form = hopf_closed_form()
         lift_a = lift_from_form(form)
@@ -291,6 +286,39 @@ class TestLiftFormConversions:
             checked += 1
             assert hopf.distance(lift_a.lift(q0, r1), lift_b.lift(q0, r1)) <= 1e-9
         assert checked > 450
+
+    def test_per_point_section_is_adapted_to_rows(self, hopf):
+        # the bundle's own section given per point, and given with its row
+        # kernel as ``rows``, lifts bit for bit as the default section does,
+        # and each excludes the base point -i its chart leaves out
+        def per_point(r):
+            return hopf.local_section(r)
+
+        def with_rows(r):
+            raise AssertionError("a section with rows is not called per point")
+        with_rows.rows = hopf.section_rows
+
+        form = hopf_closed_form()
+        lifts = [lift_from_form(form, section=s) for s in (None, per_point, with_rows)]
+        rng = substream(216, 0)
+        items = [(hopf.sample_point(rng), hopf.project(hopf.sample_point(rng)))
+                 for _ in range(200)]
+        items = [item for item in items if lifts[0].in_domain(*item)]
+        assert len(items) > 150
+        excluded = Quaternion(0.0, -1.0, 0.0, 0.0)
+        mixed = lifts[0].item_rows(items[:3] + [(items[0][0], excluded)])
+        adapted = _per_point_section(hopf, per_point)
+        for got, want in zip(adapted(mixed[1]), hopf.section_rows(mixed[1])):
+            assert np.array_equal(got, want, equal_nan=True)
+        for got, want in zip(adapted(mixed[1][:, 3]), hopf.section_rows(mixed[1][:, 3])):
+            assert np.array_equal(got, want, equal_nan=True)
+        for lift in lifts:
+            assert repr(lift.lift_many(items)) == repr(lifts[0].lift_many(items))
+            assert repr(lift.lift(*items[0])) == repr(lifts[0].lift(*items[0]))
+            assert not lift.in_domain(items[0][0], excluded)
+            assert lift.domain_rows(*mixed).tolist() == [True, True, True, False]
+            with pytest.raises(OutOfDomain):
+                lift.lift(items[0][0], excluded)
 
 
 class TestEquivarianceAndDomain:
