@@ -16,6 +16,7 @@ PYTHONPATH=src python -m disconn.cli compare --bundle hopf --form-a geodesic --f
 PYTHONPATH=src python -m disconn.cli sweep --steps 256 > tests/golden/sweep.out 2> tests/golden/sweep.err
 PYTHONPATH=src python -m disconn.cli slice-probe --bundle hopf --form closed --points 2 --budget 8 --seed 42 > tests/golden/probe-closed.out 2> tests/golden/probe-closed.err
 PYTHONPATH=src python -m disconn.cli slice-probe --bundle hopf --form geodesic --points 1 --steps 16 --budget 4 --seed 11 > tests/golden/probe-geodesic.out 2> tests/golden/probe-geodesic.err
+PYTHONPATH=src python -m disconn.cli slice-probe --bundle hopf --form geodesic --points 1 --steps 128 --budget 1 --seed 1764603822 > tests/golden/probe-geodesic-1.out 2> tests/golden/probe-geodesic-1.err
 
 The exit code of each case is recorded in ``CASES``.
 """
@@ -59,6 +60,11 @@ CASES = {
     "probe-geodesic": (
         "slice-probe --bundle hopf --form geodesic --points 1 --steps 16 --budget 4 "
         "--seed 11", 0),
+    # both rounds integrate one pair each, so the report comes from the
+    # one-column path
+    "probe-geodesic-1": (
+        "slice-probe --bundle hopf --form geodesic --points 1 --steps 128 --budget 1 "
+        "--seed 1764603822", 0),
 }
 
 
