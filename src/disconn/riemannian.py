@@ -25,7 +25,10 @@ A batch is stored component-major: n quaternions as a (4, n) array whose
 rows are the w, x, y, z components, and n base vectors as (3, n).  Every
 helper works elementwise on those contiguous component rows, so each
 pair's result does not depend on how many pairs share the batch, and a
-non-finite stage is caught once per step on the renormalized state.
+non-finite stage is caught once per step on the renormalized state.  One
+column integrates on Python floats through the same stage kernel: float
+arithmetic, ``math.sqrt`` and ``np.sqrt`` all round correctly, so it keeps
+the bits of a batch column, without a NumPy call per length-1 row.
 
 Both integrated forms lift from q0 and translate onto q1 under one fiber
 guard and one antipodal guard, a single pair as a batch of one; they
@@ -113,38 +116,32 @@ def base_geodesic(r0: Quaternion, r1: Quaternion) -> GeodesicSegment:
 def _project_rows(q: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
     """Column-wise symmetric bilinear B(q, p) with B(q, q) = Im(conj(q) i q).
 
-    2 B(q, p) is the derivative of the projection at q along p.  Terms are
-    grouped as (a b + b a) - (c d + d c), which is 2 (a b - c d) bit for
-    bit when p is q.
+    2 B(q, p) is the derivative of the projection at q along p, on rows
+    with an optional leading time axis.  Terms are grouped as (a b + b a) -
+    (c d + d c), which is 2 (a b - c d) bit for bit when p is q.
     """
     p = q if p is None else p
-    w, x, y, z = q
-    pw, px, py, pz = p
-    out = np.empty((3, q.shape[1]))
-    out[0] = w * pw + x * px - y * py - z * pz
-    out[1] = (x * py + y * px) - (w * pz + z * pw)
-    out[2] = (w * py + y * pw) + (x * pz + z * px)
-    return out
-
-
-def _normalize_rows(q: np.ndarray) -> np.ndarray:
-    return q / np.sqrt(np.add.reduce(q * q, axis=0))
+    w, x, y, z = np.moveaxis(q, -2, 0)
+    pw, px, py, pz = np.moveaxis(p, -2, 0)
+    return np.stack([w * pw + x * px - y * py - z * pz,
+                     (x * py + y * px) - (w * pz + z * pw),
+                     (w * py + y * pw) + (x * pz + z * px)], axis=-2)
 
 
 # ---------------------------------------------------------------------------
 # the horizontal integrator
 # ---------------------------------------------------------------------------
 
-def _stage_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _stage_rows(q, v) -> list:
     """Per-column horizontal velocity h = q (v x r) / (2 |q|^2) over base velocity v.
 
-    Written elementwise on the component rows, so every column is computed
-    by the same operations whatever the batch size.  A zero q gives a
-    non-finite h, which the integrator's guard reports.
+    Written elementwise on components, rows or floats, so every column is
+    computed by the same operations whatever the batch size.  A zero q gives
+    a non-finite h (on floats ZeroDivisionError), which the integrator reports.
     """
     w, x, y, z = q
     v0, v1, v2 = v
-    ww, xx, yy, zz = q * q
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
     norm2 = ww + xx + yy + zz
     r0 = (ww + xx - yy - zz) / norm2
     r1 = 2.0 * (x * y - w * z) / norm2
@@ -153,12 +150,10 @@ def _stage_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     u0 = (v1 * r2 - v2 * r1) * half
     u1 = (v2 * r0 - v0 * r2) * half
     u2 = (v0 * r1 - v1 * r0) * half
-    h = np.empty_like(q)
-    h[0] = -(x * u0 + y * u1 + z * u2)
-    h[1] = w * u0 + y * u2 - z * u1
-    h[2] = w * u1 - x * u2 + z * u0
-    h[3] = w * u2 + x * u1 - y * u0
-    return h
+    return [-(x * u0 + y * u1 + z * u2),
+            w * u0 + y * u2 - z * u1,
+            w * u1 - x * u2 + z * u0,
+            w * u2 + x * u1 - y * u0]
 
 
 def _check_steps(steps: int) -> None:
@@ -166,33 +161,74 @@ def _check_steps(steps: int) -> None:
         raise InvalidConfig(f"steps must be at least 1, got {steps}")
 
 
-def _integrate_rows(q0: np.ndarray, velocity_fn: Callable[[float], np.ndarray], steps: int):
+#: base velocities (times x columns) per field call, so memory does not grow with steps
+FIELD_BLOCK = 4096
+_NON_FINITE = "non-finite stage velocity in the horizontal lift"
+
+
+def _field_blocks(velocity_fn: Callable, steps: int, columns: int):
+    """Velocity field at the stage times 0, dt/2, dt, ..., 1, a block of times per call."""
+    dt, size, end = 1.0 / steps, max(1, FIELD_BLOCK // (columns or 1)), 2 * steps + 1
+    for lo in range(0, end, size):
+        # n dt and n dt + dt/2 as a step rounds them; NumPy's integer
+        # division here would add about 0.2 MB of code to the resident set
+        yield velocity_fn(np.array([i // 2 * dt + i % 2 * (0.5 * dt)
+                                    for i in range(lo, min(lo + size, end))]))
+
+
+def _rk4_rows(q: np.ndarray, dt: float, k1, k2, k3, k4) -> np.ndarray:
+    q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q = q / np.sqrt(np.add.reduce(q * q, axis=0))
+    if not np.isfinite(q).all():
+        raise SolveFailed(_NON_FINITE)
+    return q
+
+
+def _axpy_floats(q: list, c: float, k: list) -> list:
+    return [q[0] + c * k[0], q[1] + c * k[1], q[2] + c * k[2], q[3] + c * k[3]]
+
+
+def _rk4_floats(q: list, dt: float, k1, k2, k3, k4) -> list:
+    c = dt / 6.0
+    w, x, y, z = [q[i] + c * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4)]
+    norm = math.sqrt(w * w + x * x + y * y + z * z)  # np.add.reduce's order
+    q = [w / norm, x / norm, y / norm, z / norm]
+    if not all(map(math.isfinite, q)):
+        raise SolveFailed(_NON_FINITE)
+    return q
+
+
+def _integrate_rows(q0: np.ndarray, velocity_fn: Callable, steps: int):
     """Classical four-stage Runge-Kutta over the unit interval, one step per item.
 
-    ``q0`` is a (4, n) batch and ``velocity_fn(t)`` returns the (3, n) base
-    velocities at time t; the state is renormalized to the sphere after
-    every step.  A non-finite stage velocity carries into the renormalized
-    state, which is checked once per step.  Yields, after each step, its
-    end time t, the state q at t and the step's first-stage velocity k1,
-    taken where it started.  The public entries check ``steps``.
+    ``q0`` is a (4, n) batch and ``velocity_fn(t)`` returns the (len(t), 3, n)
+    base velocities at a 1-d array of times t.  Each step renormalizes the
+    state to the sphere and checks it finite, which catches a non-finite
+    stage, then yields its end time t, the state q at t and its first-stage
+    velocity k1, taken where it started: (4, n) rows, or for one column lists
+    of four floats.  The public entries check ``steps``.
     """
-    q = q0
     dt = 1.0 / steps
-    v_t = velocity_fn(0.0)
+    blocks = _field_blocks(velocity_fn, steps, q0.shape[1])
+    if q0.shape[1] == 1:
+        q, stage, axpy, rk4 = q0[:, 0].tolist(), _stage_rows, _axpy_floats, _rk4_floats
+        values = (v for block in blocks for v in block[:, :, 0].tolist())
+    else:
+        q, axpy, rk4 = q0, lambda q, c, k: q + c * k, _rk4_rows
+        stage = lambda q, v: np.array(_stage_rows(q, v))  # noqa: E731
+        values = (v for block in blocks for v in block)
+    v_next = next(values)
     for n in range(steps):
-        t = n * dt
-        v_mid = velocity_fn(t + 0.5 * dt)
-        v_next = velocity_fn((n + 1) * dt)
-        k1 = _stage_rows(q, v_t)
-        k2 = _stage_rows(q + (0.5 * dt) * k1, v_mid)
-        k3 = _stage_rows(q + (0.5 * dt) * k2, v_mid)
-        k4 = _stage_rows(q + dt * k3, v_next)
-        q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        q = _normalize_rows(q)
-        if not np.isfinite(q).all():
-            raise SolveFailed("non-finite stage velocity in the horizontal lift")
+        v_t, v_mid, v_next = v_next, next(values), next(values)
+        try:
+            k1 = stage(q, v_t)
+            k2 = stage(axpy(q, 0.5 * dt, k1), v_mid)
+            k3 = stage(axpy(q, 0.5 * dt, k2), v_mid)
+            k4 = stage(axpy(q, dt, k3), v_next)
+            q = rk4(q, dt, k1, k2, k3, k4)
+        except ZeroDivisionError:  # floats raise where rows carry inf
+            raise SolveFailed(_NON_FINITE) from None
         yield (n + 1) * dt, q, k1
-        v_t = v_next
 
 
 def _arc_exists(dot):
@@ -203,9 +239,9 @@ def _arc_exists(dot):
 def _arc_rows(a: np.ndarray, b: np.ndarray):
     """Position and velocity fields of the column-wise constant-speed arcs a to b.
 
-    Returns the two fields and the arc lengths omega.  Nearly equal
-    columns follow the chord; a column without a unique arc raises
-    AntipodalPoints.
+    Returns the two fields, of a time or of a 1-d array of times as a
+    leading axis, and the arc lengths omega.  Nearly equal columns follow
+    the chord; a column without a unique arc raises AntipodalPoints.
     """
     dot = np.clip(np.sum(a * b, axis=0), -1.0, 1.0)
     if not _arc_exists(dot).all():
@@ -220,16 +256,18 @@ def _arc_rows(a: np.ndarray, b: np.ndarray):
     scale = np.where(small, 0.0, omega / safe)
     chord = b - a
 
-    def position(t: float) -> np.ndarray:
+    def position(t) -> np.ndarray:
+        t = np.asarray(t)[..., None, None]
         p = (np.sin((1.0 - t) * omega) / safe) * a + (np.sin(t * omega) / safe) * b
         if any_small:
-            p[:, small] = (a + t * chord)[:, small]
+            p[..., small] = (a + t * chord)[..., small]
         return p
 
-    def velocity(t: float) -> np.ndarray:
+    def velocity(t) -> np.ndarray:
+        t = np.asarray(t)[..., None, None]
         v = scale * (-np.cos((1.0 - t) * omega) * a + np.cos(t * omega) * b)
         if any_small:
-            v[:, small] = chord[:, small]
+            v[..., small] = chord[:, small]
         return v
 
     return position, velocity, omega
@@ -261,8 +299,9 @@ def horizontal_lift_path(segment: GeodesicSegment, q0: UnitQuaternion,
     ends = (_HOPF.rows_of("base", [r]) for r in (segment.start, segment.end))
     velocity = _arc_rows(*ends)[1]
     start = _HOPF.rows_of("point", [q0])
-    states = [(0.0, start, None), *_integrate_rows(start, lambda t: velocity(t)[1:], steps)]
-    trajectory = [(t, UnitQuaternion(*q[:, 0])) for t, q, _ in states]
+    states = [(0.0, start[:, 0], None),
+              *_integrate_rows(start, lambda t: velocity(t)[:, 1:], steps)]
+    trajectory = [(t, UnitQuaternion(*q)) for t, q, _ in states]
     return LiftResult(trajectory[-1][1], trajectory, steps)
 
 
@@ -307,6 +346,7 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
             return ev_many(q0[:, None], q1[:, None])[0]
         for _, end, _ in _integrate_rows(q0, base_velocity(q0, q1), steps):
             pass  # keep only the last state
+        end = np.reshape(end, q0.shape)
         base_err = np.linalg.norm(_project_rows(end) - _project_rows(q1), axis=0)
         if np.any(base_err > LIFT_FIBER_ATOL):
             raise SolveFailed(

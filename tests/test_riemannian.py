@@ -11,6 +11,7 @@ from disconn import (
     OutOfRange,
     Q_I,
     Quaternion,
+    SolveFailed,
     UnitQuaternion,
     base_geodesic,
     beta_formula,
@@ -23,6 +24,7 @@ from disconn import (
 )
 from disconn.algebra import hamilton
 from disconn.riemannian import (
+    _arc_rows,
     _integrate_rows,
     _project_rows,
     _stage_rows,
@@ -195,20 +197,49 @@ class TestClosedFormStage:
     def test_matches_the_scalar_transcription_bit_for_bit(self, scale):
         q, v = _stage_inputs(1000, 8, scale)
         expected = [_stage_scalar(qk, vk) for qk, vk in zip(q.T.tolist(), v.T.tolist())]
-        assert _stage_rows(q, v).T.tolist() == expected
+        assert np.array(_stage_rows(q, v)).T.tolist() == expected
 
     def test_row_does_not_depend_on_batch_size(self):
         q, v = _stage_inputs(64, 4, 1.1)
-        batch = _stage_rows(q, v)
+        batch = np.array(_stage_rows(q, v))
         for k in range(64):
-            assert np.array_equal(_stage_rows(q[:, k:k + 1], v[:, k:k + 1])[:, 0], batch[:, k])
+            single = np.array(_stage_rows(q[:, k:k + 1], v[:, k:k + 1]))
+            assert np.array_equal(single[:, 0], batch[:, k])
+        # the integrator runs one column on floats and a batch on rows; each
+        # column of a batch of lifts gives the same bits either way, along
+        # arcs and along chords (equal or nearly equal base points)
+        b, steps = hopf(), 16
+        starts, others = ([UnitQuaternion(*c) for c in _stage_inputs(64, seed)[0].T.tolist()]
+                          for seed in (9, 10))
+        ends = [b.project(p) for p in others]
+        ends[:8] = [b.project(p) for p in starts[:8]]
+        ends[8:16] = [b.project(b.act(CircleElement(1e-12), p)) for p in starts[8:16]]
+        base = [b.rows_of("base", [b.project(p) for p in starts]), b.rows_of("base", ends)]
+        velocity = _arc_rows(*base)[1]
+        batch = list(_integrate_rows(b.rows_of("point", starts), lambda t: velocity(t)[:, 1:],
+                                     steps))
+        for k, start in enumerate(starts):
+            column = _arc_rows(*(r[:, k:k + 1] for r in base))[1]
+            single = _integrate_rows(b.rows_of("point", [start]),
+                                     lambda t: column(t)[:, 1:], steps)
+            for (t, end, k1), (t_batch, end_batch, k1_batch) in zip(single, batch, strict=True):
+                assert (t, end, k1) == (t_batch, end_batch[:, k].tolist(), k1_batch[:, k].tolist())
+            lift = horizontal_lift_path(base_geodesic(b.project(start), ends[k]), start, steps)
+            assert lift.trajectory[1:] == [(t, UnitQuaternion(*end[:, k].tolist()))
+                                           for t, end, _ in batch]
 
-    def test_non_finite_stage_raises(self):
-        from disconn import SolveFailed
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_non_finite_stage_raises(self, columns):
+        # floats raise ZeroDivisionError where rows give inf; both carriers
+        # report a zero start and a NaN velocity alike
+        start = np.tile([[1.0], [0.0], [0.0], [0.0]], (1, columns))
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert not np.isfinite(_stage_rows(np.zeros((4, 1)), np.ones((3, 1)))).any()
+            assert not np.isfinite(np.array(_stage_rows(np.zeros((4, 1)), np.ones((3, 1))))).any()
             with pytest.raises(SolveFailed, match="non-finite stage velocity"):
-                list(_integrate_rows(np.zeros((4, 1)), lambda t: np.ones((3, 1)), 4))
+                list(_integrate_rows(np.zeros((4, columns)),
+                                     lambda t: np.ones((len(t), 3, columns)), 4))
+            with pytest.raises(SolveFailed, match="non-finite stage velocity"):
+                list(_integrate_rows(start, lambda t: np.full((len(t), 3, columns), np.nan), 4))
 
 
 class TestProjectionRows:
@@ -258,11 +289,11 @@ class TestHorizontalLift:
         # each step's first-stage velocity k1 has no vertical part <k1, i q>
         # at the state q the step starts from
         def velocity(t):
-            return np.array(seg.velocity(t).components()[1:]).reshape(3, 1)
+            return np.array([seg.velocity(s).components()[1:] for s in t]).reshape(-1, 3, 1)
 
-        q = np.array([[1.0], [0.0], [0.0], [0.0]])
-        for _, end, k1 in _integrate_rows(q, velocity, 64):
-            assert abs((Q_I * Quaternion(*q[:, 0])).dot(Quaternion(*k1[:, 0]))) <= 1e-6
+        q = [1.0, 0.0, 0.0, 0.0]
+        for _, end, k1 in _integrate_rows(np.array(q).reshape(4, 1), velocity, 64):
+            assert abs((Q_I * Quaternion(*q)).dot(Quaternion(*k1))) <= 1e-6
             q = end
         for t, point in res.trajectory:
             assert b.base_distance(b.project(point), seg.evaluator(t)) <= 1e-6
@@ -298,6 +329,15 @@ class TestHorizontalLift:
                 assert coarse / fine >= 8.0, f"ratios {errs}"
 
 
+def _evaluates(form, q0, q1):
+    """Whether the pair's integrated endpoint lands within the fiber guard."""
+    try:
+        form.evaluate(q0, q1)
+    except SolveFailed:
+        return False
+    return True
+
+
 class TestGeodesicForm:
     def test_horizontal_reference_pair(self):
         form = riemannian_form(256)
@@ -314,16 +354,25 @@ class TestGeodesicForm:
         with pytest.raises(OutOfDomain):
             form.evaluate(ONE, J_POINT)
 
-    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
-    def test_single_and_batch_paths_agree(self, factory):
+    @pytest.mark.parametrize("factory, steps", [
+        pytest.param(riemannian_form, 64, id="riemannian_form"),
+        pytest.param(lmw_form, 64, id="lmw_form"),
+        # few steps, where endpoints stray far from the exact lift
+        pytest.param(riemannian_form, 4, id="riemannian_form-4"),
+        pytest.param(lmw_form, 8, id="lmw_form-8")])
+    def test_single_and_batch_paths_agree(self, factory, steps):
         b = hopf()
-        form = factory(64)
+        form = factory(steps)
         pairs = []
         for i in range(20):
             rng = substream(74, i)
             q0, q1 = b.sample_point(rng), b.sample_point(rng)
             if form.in_domain(q0, q1):
                 pairs.append((q0, q1))
+        if steps < 16:
+            # one stray endpoint would stop the whole batch
+            pairs = [p for p in pairs if _evaluates(form, *p)]
+        assert len(pairs) >= 10
         batch = form.evaluate_many(pairs)
         # a single pair is a batch of one, so it gives the same bits
         for (q0, q1), g in zip(pairs, batch):
@@ -354,6 +403,8 @@ class TestGeodesicForm:
     @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
     def test_empty_batch(self, factory):
         assert factory(8).evaluate_many([]) == []
+        # the row evaluator too, whose field blocks are sized per column
+        assert factory(8)._values_fn(np.zeros((4, 0)), np.zeros((4, 0))).shape == (0,)
 
     @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
     def test_domain_is_where_the_form_evaluates(self, factory):
