@@ -2,11 +2,17 @@
 
 Subcommands: ``verify`` (axiom certification), ``compare`` (two forms on
 shared samples), ``sweep`` (counterexample table as CSV) and
-``slice-probe`` (slice/orbit separation at random points).
+``slice-probe`` (slice/orbit separation at random points), with the
+options ``_COMMANDS`` lists. An option takes ``--name value`` or
+``--name=value`` (``-o`` is ``--output``), and the token after it is its
+value even when it starts with ``-``. A unique prefix stands for an
+option, an exact name wins, and the last of a repeated option wins.
+``--version``, and ``-h``/``--help`` before or after a command, exit 0.
 
 Exit codes: 0 on success/pass, 1 when a verification fails (axiom
 verdict ``fail`` or a probe below threshold), 2 on usage or
-configuration errors, including sizes that would make a run vacuous,
+configuration errors, each one ``error:`` line: an unknown or ambiguous
+option, a missing or malformed value, sizes that would make a run vacuous,
 undefined or unbounded (``--steps``, ``--points`` or ``--budget`` below
 1, a ``--box`` not above 0 or whose squared diameter (2 box)^2 dim
 overflows, a non-finite or non-positive ``--separation``, ``--dim``
@@ -22,11 +28,11 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__
@@ -116,60 +122,110 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, sides: tuple = ("",)) -> None:
-    """Options shared by the subcommands that build forms, with one ``--form``
-    and its C options per side: ``("",)``, or ``("-a", "-b")`` for ``compare``."""
-    parser.add_argument("--bundle", choices=("hopf", "trivial"), required=True)
-    parser.add_argument("--dim", type=int, default=None,
-                        help="base dimension of a trivial-c form")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None,
-                        help="integrator steps of a geodesic or lmw form")
-    parser.add_argument("--box", type=float, default=None,
-                        help="half-width of a trivial-c form's sampling box")
-    parser.add_argument("-o", "--output", default=None)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
+def _form_options(sides: tuple = ("",)) -> dict:
+    """Options of the commands that build forms: ``--form`` and its C options per side."""
+    options = {
+        "--bundle": (("hopf", "trivial"), None, True, "bundle the forms live on"),
+        "--dim": (int, None, False, "base dimension of a trivial-c form"),
+        "--seed": (int, None, False, f"seed (default DISCONN_SEED, else {SampleConfig.seed})"),
+        "--steps": (int, None, False, "integrator steps of a geodesic or lmw form"),
+        "--box": (float, None, False, "half-width of a trivial-c form's sampling box"),
+        "--output": (str, None, False, "write to this file instead of stdout"),
+        "--format": (("json", "text"), "json", False, "report format"),
+    }
     for side in sides:
-        parser.add_argument(f"--form{side}", choices=tuple(_FORMS), required=True)
-        parser.add_argument(f"--c-family{side}", choices=C_FAMILIES, default=None,
-                            help=f"C family of a trivial-c form (default {C_FAMILIES[0]})")
-        parser.add_argument(f"--c-params{side}", default=None,
-                            help="comma-separated parameters of the C family")
+        options[f"--form{side}"] = (tuple(_FORMS), None, True, "connection form")
+        options[f"--c-family{side}"] = (C_FAMILIES, None, False,
+                                        f"C family of a trivial-c form (default {C_FAMILIES[0]})")
+        options[f"--c-params{side}"] = (str, None, False, "comma-separated C family parameters")
+    return options
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="disconn",
-        description="Discrete connections on principal circle bundles: "
-                    "verify axioms, compare constructions, reproduce the "
-                    "counterexample sweep.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+#: command -> (help, {option: (converter or tuple of choices, default, required, help)})
+_COMMANDS = {
+    "verify": ("certify connection-form axioms", {
+        **_form_options(),
+        "--samples": (int, SampleConfig.n_samples, False, "samples per axiom"),
+        "--tolerance": (float, None, False, "override the tolerance of every measured axiom"),
+    }),
+    "compare": ("compare two forms on shared samples", {
+        **_form_options(("-a", "-b")),
+        "--samples": (int, SampleConfig.n_samples, False, "shared samples"),
+    }),
+    "sweep": ("counterexample table over a theta grid", {
+        "--grid": (str, "-0.7:0.7:0.05", False, "start:stop:step, clipped to (-pi/4, pi/4)"),
+        "--steps": (int, DEFAULT_STEPS, False, "integrator steps"),
+        "--output": (str, None, False, "write to this file instead of stdout"),
+        "--format": (("csv", "text"), "csv", False, "table format"),
+    }),
+    "slice-probe": ("slice/orbit separation at random points", {
+        **_form_options(),
+        "--points": (int, 10, False, "points to probe"),
+        "--budget": (int, 32, False, "slice and orbit samples per point"),
+        "--separation": (float, DEFAULT_SEPARATION, False, "least separation that passes"),
+    }),
+}
+#: the long option each short form stands for
+_SHORT = {"-h": "--help", "-o": "--output"}
 
-    p_verify = sub.add_parser("verify", help="certify connection-form axioms")
-    _add_common(p_verify)
-    p_verify.add_argument("--samples", type=int, default=SampleConfig.n_samples)
-    p_verify.add_argument("--tolerance", type=float, default=None,
-                          help="override the tolerance of every measured axiom")
 
-    p_compare = sub.add_parser("compare", help="compare two forms on shared samples")
-    _add_common(p_compare, ("-a", "-b"))
-    p_compare.add_argument("--samples", type=int, default=SampleConfig.n_samples)
+def _help(command: Optional[str] = None) -> str:
+    """The usage of ``disconn``, or of one of its commands, from ``_COMMANDS``."""
+    if command is None:
+        usage = "{" + ",".join(_COMMANDS) + "} [options]"
+        rows = [(name, text) for name, (text, _) in _COMMANDS.items()]
+        rows += [("--version", "print the version and exit")]
+    else:
+        usage, rows = f"{command} [options]\n\n{_COMMANDS[command][0]}", []
+        for name, (kind, default, required, text) in _COMMANDS[command][1].items():
+            kinds = "|".join(kind) if isinstance(kind, tuple) else kind.__name__
+            note = "; required" if required else "" if default is None else f"; default {default}"
+            names = [short for short, long in _SHORT.items() if long == name] + [name]
+            rows.append((", ".join(names), f"{text} [{kinds}{note}]"))
+    rows.append(("-h, --help", "show this help and exit"))
+    return "\n".join([f"usage: disconn {usage}", ""]
+                     + [f"  {left:<16}{right}" for left, right in rows]) + "\n"
 
-    p_sweep = sub.add_parser("sweep", help="counterexample table over a theta grid")
-    p_sweep.add_argument("--grid", default="-0.7:0.7:0.05",
-                         help="start:stop:step, clipped to (-pi/4, pi/4)")
-    p_sweep.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p_sweep.add_argument("-o", "--output", default=None)
-    p_sweep.add_argument("--format", choices=("csv", "text"), default="csv")
 
-    p_probe = sub.add_parser("slice-probe",
-                             help="slice/orbit separation at random points")
-    _add_common(p_probe)
-    p_probe.add_argument("--points", type=int, default=10)
-    p_probe.add_argument("--budget", type=int, default=32)
-    p_probe.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
-    return parser
+def _parse_args(argv: list) -> Optional[SimpleNamespace]:
+    """The command of ``argv`` and every option of it as attributes, or None
+    once ``--help`` or ``--version`` has printed its text."""
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    if command is not None and command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}: choose from {', '.join(_COMMANDS)}")
+    options, given = _COMMANDS[command][1] if command else {}, {}
+    names = (*options, "--help") if command else ("--help", "--version")
+    tokens = iter(argv[1:] if command else argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        name = _SHORT.get(name, name)
+        matches = [name] if name in names else [
+            known for known in names if name.startswith("--") and known.startswith(name)]
+        if len(matches) != 1:
+            raise UsageError(f"ambiguous option {name}: could match {', '.join(matches)}"
+                             if matches else f"unexpected argument {token!r}")
+        name = matches[0]
+        if name in ("--help", "--version"):
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            sys.stdout.write(_help(command) if name == "--help" else f"{__version__}\n")
+            return None
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise UsageError(f"{name} expects a value")
+        kind = options[name][0]
+        try:  # a choice not in its tuple raises from index
+            given[name] = kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            kinds = "one of " + ", ".join(kind) if isinstance(kind, tuple) else kind.__name__
+            raise UsageError(f"{name} must be {kinds}, got {value!r}") from None
+    if command is None:
+        raise UsageError(f"a command is required: one of {', '.join(_COMMANDS)}")
+    missing = [name for name, spec in options.items() if spec[2] and name not in given]
+    if missing:
+        raise UsageError(f"{command} requires {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): given.get(name, spec[1]) for name, spec in options.items()})
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -289,26 +345,12 @@ def _cmd_slice_probe(args) -> int:
     return 0 if payload["verdict"] == "pass" else 1
 
 
-def _merge_grid_value(argv: list) -> list:
-    # argparse mistakes a leading-dash grid like "-0.7:0.7:0.05" for an
-    # option; splice it into --grid=... form
-    out, tokens = [], iter(argv)
-    for token in tokens:
-        value = next(tokens, None) if token == "--grid" else None
-        out.append(token if value is None else f"--grid={value}")
-    return out
-
-
 def run_cli(argv: Optional[list] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_grid_value(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            return 0
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         if hasattr(args, "bundle"):

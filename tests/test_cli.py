@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import disconn
 from disconn import HopfBundle, ProbeFailed, slice_probe
 from disconn import cli
 from disconn.cli import run_cli
@@ -331,6 +336,105 @@ class TestUsageErrors:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and reason in errors[0]
         assert "Traceback" not in err
+
+
+VERIFY_CLOSED = ("verify", "--bundle", "hopf", "--form", "closed")
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, attribute, value", [
+        ((*VERIFY_CLOSED, "--samples=7"), "samples", 7),
+        ((*VERIFY_CLOSED, "--tolerance=-1e-3"), "tolerance", -1e-3),
+        ((*VERIFY_CLOSED, "-o", "report.json"), "output", "report.json"),
+        ((*VERIFY_CLOSED, "-o=report.json"), "output", "report.json"),
+        ((*VERIFY_CLOSED, "--samples", "5", "--samples", "9"), "samples", 9),
+        ((*VERIFY_CLOSED, "--samp", "5"), "samples", 5),
+        ((*VERIFY_CLOSED, "--format", "text"), "form", "closed"),
+        (("verify", "--bundle", "trivial", "--form", "trivial-c", "--c-params", "-1,2"),
+         "c_params", "-1,2"),
+        (("sweep", "--grid", "-0.7:0.7:0.05"), "grid", "-0.7:0.7:0.05"),
+        (("sweep",), "grid", "-0.7:0.7:0.05"),
+        (("compare", "--bundle", "hopf", "--form-a", "closed", "--form-b", "geodesic",
+          "--c-family-b", "linear"), "c_family_b", "linear"),
+    ], ids=["equals", "equals-negative", "short-output", "short-output-equals",
+            "repeated-last-wins", "unique-prefix", "exact-name-beside-longer", "negative-list",
+            "negative-grid", "default", "compare-side"])
+    def test_accepted(self, argv, attribute, value):
+        assert getattr(cli._parse_args(list(argv)), attribute) == value
+
+    @pytest.mark.parametrize("argv", [
+        (*VERIFY_CLOSED, "--for", "json"),
+        ("verify", "--form", "closed"),
+        ("verify", "--bundle", "hopf"),
+        ("compare", "--bundle", "hopf", "--form-a", "closed"),
+        (*VERIFY_CLOSED, "--samples"),
+        (*VERIFY_CLOSED, "--samples", "1e3"),
+        (*VERIFY_CLOSED, "--tolerance", "small"),
+        (*VERIFY_CLOSED, "--format", "yaml"),
+        ("verify", "--bundle", "circle", "--form", "closed"),
+        (*VERIFY_CLOSED, "stray"),
+        (*VERIFY_CLOSED, "-x"),
+        (*VERIFY_CLOSED, "--version"),
+        (*VERIFY_CLOSED, "--help=yes"),
+        ("--version=1",),
+        ("--seed", "3", "verify"),
+        ("certify",),
+        (),
+    ], ids=["ambiguous-prefix", "missing-bundle", "missing-form", "missing-form-b",
+            "no-value", "bad-int", "bad-float", "bad-choice", "bad-bundle", "stray-argument",
+            "unknown-short", "version-after-command", "help-with-value", "version-with-value",
+            "option-before-command", "unknown-command", "no-command"])
+    def test_refused_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("params", ["-1e-3", "-1,2"])
+    def test_value_starting_with_a_dash(self, capsys, params):
+        argv = ("verify", "--bundle", "trivial", "--form", "trivial-c", "--c-family", "linear",
+                "--dim", str(params.count(",") + 1), "--samples", "20", "--seed", "3")
+        spaced = run(capsys, *argv, "--c-params", params)
+        joined = run(capsys, *argv, f"--c-params={params}")
+        assert spaced == joined
+        assert spaced[0] == 0 and json.loads(spaced[1])["verdict"] == "pass"
+
+    def test_grid_starting_with_a_dash(self, capsys):
+        spaced = run(capsys, "sweep", "--grid", "-0.2:0.2:0.1", "--steps", "16")
+        joined = run(capsys, "sweep", "--grid=-0.2:0.2:0.1", "--steps", "16")
+        assert spaced == joined
+        assert spaced[0] == 0 and len(spaced[1].splitlines()) == 6
+
+    def test_version(self, capsys):
+        assert run(capsys, "--version") == (0, f"{disconn.__version__}\n", "")
+
+    def test_help(self, capsys):
+        for flag in ("-h", "--help", "--he"):
+            code, out, err = run(capsys, flag)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: disconn ")
+            assert all(command in out for command in cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_command_help_names_every_option(self, capsys, command):
+        # help wins over a missing required option
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert run(capsys, command, "-h")[1] == out
+        assert out.startswith(f"usage: disconn {command} ")
+        names = {word.rstrip(",") for line in out.splitlines() for word in line.split()}
+        assert set(cli._COMMANDS[command][1]) <= names
+
+    def test_import_loads_no_argparse(self):
+        # the parser is the module's own; argparse and gettext cost a fresh
+        # interpreter milliseconds per call
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; before = set(sys.modules); import disconn.cli; "
+                "print(sorted({'argparse', 'gettext'} & (set(sys.modules) - before)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv, code, line", [
