@@ -18,10 +18,10 @@ under the product group action.  This module implements:
 * the reduced-space identification sending a pair to base points plus an
   adjoint-bundle class.
 
-Targets compute on rows in the bundle's layout (see :mod:`disconn.bundle`),
-so objects are built only at the public calls; a per-pair function given
-to a constructor is adapted into a row function once.  Forms and lifts
-are immutable and their evaluations pure, so concurrent evaluation is safe.
+Targets are built from row functions in the bundle's layout (see
+:mod:`disconn.bundle`), so objects are built only at the public calls.
+Forms and lifts are immutable and their evaluations pure, so concurrent
+evaluation is safe.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import CircleElement, canonical_rows
 from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle
-from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed, SectionUndefined
+from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed
 from .rng import SplitMix64, draw_rows, substream_states
 
 #: a pair is horizontal when its group value has angle magnitude below this
@@ -50,6 +50,12 @@ _FD_STEP = 1e-5
 _SVD_CUTOFF = 1e-6
 #: default distance a slice sample must keep from every orbit sample
 DEFAULT_SEPARATION = 1e-2
+
+
+def _finite_above_zero(name: str, value: float) -> None:
+    """Raise InvalidConfig unless ``value`` is finite and above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidConfig(f"{name} must be finite and above 0, got {value}")
 
 
 def _draw_rows(steps: tuple, targets: dict, states: np.ndarray, box: float,
@@ -110,58 +116,26 @@ def _pair_in(*names):
     return check
 
 
-def _per_pair(bundle: PrincipalBundle, fn: Callable, kinds: tuple) -> Callable:
-    """Row function of a per-pair ``fn`` on values of ``kinds[:2]``: the rows of
-    its values of kind ``kinds[2]``, or for None its truth values as a mask."""
-    def rows(a, b):
-        if a.ndim == 1:  # one item, without the batch axis
-            return rows(a[:, None], b[:, None])[..., 0]
-        values = list(map(fn, bundle.values_of(kinds[0], a), bundle.values_of(kinds[1], b)))
-        return bundle.rows_of(kinds[2], values) if kinds[2] else np.array(values, dtype=bool)
-    return rows
-
-
-def _per_point_section(bundle: PrincipalBundle, section: Callable) -> Callable:
-    """Row kernel of a per-point ``section``: its point rows, NaN where it raises
-    SectionUndefined, and the mask of the base points its chart holds."""
-    def rows(r):
-        if r.ndim == 1:  # one base point, without the batch axis
-            s, defined = rows(r[:, None])
-            return s[:, 0], defined[0]
-        out = np.full_like(bundle.section_rows(r)[0], np.nan)  # the shape of section rows
-        defined = np.ones(r.shape[-1], dtype=bool)
-        for k, v in enumerate(bundle.values_of("base", r)):
-            try:
-                out[:, k] = bundle._row("point", section(v))
-            except SectionUndefined:
-                defined[k] = False
-        return out, defined
-    return rows
-
-
 class _Target:
     """What forms and lifts share: values on pairs with an explicit domain.
 
     Items are the rows (a, b) of their pairs, with a batch axis or, for one
     pair at a public call, without it; ``domain_rows`` and ``values_rows``
-    map them to a domain mask and value rows (a per-pair ``in_domain_fn``
-    or ``fn`` is adapted instead), each pair with the exact bits of a batch
-    of one.  The public calls check every pair's domain, while ``split``
-    and :func:`answer_queries` serve pairs already checked.
+    map them to a domain mask and value rows, each pair with the exact bits
+    of a batch of one.  The public calls check every pair's domain, while
+    ``split`` and :func:`answer_queries` serve pairs already checked.
     ``split(items)`` is ``(root, root_items, finish)``, with the value rows
     ``finish(root._values_fn(*root_items))`` and neither map reading the
     root's answers; a target is its own root unless it has a ``split_fn``.
     """
 
-    def __init__(self, bundle: PrincipalBundle, fn: Optional[Callable],
-                 in_domain_fn: Optional[Callable], provenance: str, *,
-                 values_rows: Optional[Callable] = None, domain_rows: Optional[Callable] = None,
-                 split_fn: Optional[Callable] = None, out_of_domain_error: type = OutOfDomain):
+    def __init__(self, bundle: PrincipalBundle, provenance: str, domain_rows: Callable,
+                 values_rows: Optional[Callable] = None, *, split_fn: Optional[Callable] = None,
+                 out_of_domain_error: type = OutOfDomain):
         self.bundle = bundle
         self.provenance = provenance
-        self._values_fn = values_rows or _per_pair(bundle, fn, self._kinds)
-        self.domain_rows = domain_rows or _per_pair(bundle, in_domain_fn,
-                                                    (*self._kinds[:2], None))
+        self.domain_rows = domain_rows
+        self._values_fn = values_rows
         self._split_fn = split_fn
         self._out_of_domain_error = out_of_domain_error
 
@@ -199,11 +173,11 @@ class DiscreteConnectionForm(_Target):
     """Group-valued map on pairs of total points with an explicit domain.
 
     ``provenance`` records how the form was built: one of ``closed-form``,
-    ``C-built``, ``geodesic-built`` or ``lmw-variant``.  It is built from
-    a per-pair ``evaluate_fn`` (the first argument), a row evaluator
-    ``values_rows`` of point rows to angles or a ``split_fn`` to its root,
-    and every caller evaluates it the same way (see :class:`_Target`).  A
-    pair outside the domain of a public call raises ``out_of_domain_error``.
+    ``C-built``, ``geodesic-built`` or ``lmw-variant``.  It is built from a
+    row mask ``domain_rows`` and either a row evaluator ``values_rows`` of
+    point rows to angles or a ``split_fn`` to its root, and every caller
+    evaluates it the same way (see :class:`_Target`).  A pair outside the
+    domain of a public call raises ``out_of_domain_error``.
     """
 
     _noun = "form"
@@ -225,8 +199,8 @@ class DiscreteConnectionForm(_Target):
 class DiscreteHorizontalLift(_Target):
     """Map (q0, r1) to the unique horizontal partner of q0 over r1.
 
-    Built from a pointwise ``fn(q0, r1)`` or a row evaluator like a form;
-    domain checks and ``split`` are as for every target.
+    Built like a form, on point rows q0 and base rows r1, with point rows
+    as values; domain checks and ``split`` are as for every target.
     """
 
     _noun = "lift"
@@ -305,20 +279,10 @@ _C_VALIDATION_SEED = 20240915
 _C_VALIDATION_SAMPLES = 32
 
 
-def _c_family(rows: Callable, dim: int) -> Callable:
-    """The per-pair C of a row function, which it carries as ``rows``: a C family
-    maps base rows r0, r1 (one pair without the batch axis) to C's angles."""
-    def c(r0, r1):
-        r0, r1 = (np.array(r, dtype=float).reshape(dim) for r in (r0, r1))
-        return CircleElement(float(rows(r0, r1)))
-    c.rows = rows
-    return c
-
-
 def _constant_c(params: Sequence[float], dim: int) -> Callable:
     if params:
         raise InvalidC(f"constant family takes no parameters, got {tuple(params)}")
-    return _c_family(lambda r0, r1: np.zeros(r0.shape[1:]), dim)
+    return lambda r0, r1: np.zeros(r0.shape[1:])
 
 
 def _linear_c(params: Sequence[float], dim: int) -> Callable:
@@ -341,7 +305,7 @@ def _linear_c(params: Sequence[float], dim: int) -> Callable:
                            f"{tuple(r1[:, k].tolist())} is not finite: {np.ravel(angle)[k]}")
         return canonical_rows(angle)
 
-    return _c_family(linear, dim)
+    return linear
 
 
 _C_FACTORIES = {"constant": _constant_c, "linear": _linear_c}
@@ -350,12 +314,12 @@ C_FAMILIES = tuple(_C_FACTORIES)
 
 
 def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> Callable:
-    """Base-pair function from the fixed registry of parametric families.
+    """Base-pair function C from the fixed registry of parametric families.
 
-    The function maps two base points to a CircleElement, and its ``rows``
-    does so on base rows, returning canonical angles.
-    ``constant`` takes no parameters (given any, it raises InvalidC) and
-    always returns the identity.  ``linear`` returns
+    C is a row function: it maps ``(dim, n)`` base rows r0, r1 to the
+    ``(n,)`` canonical angles of C(r0, r1), and the ``(dim,)`` rows of one
+    pair to one angle.  ``constant`` takes no parameters (given any, it
+    raises InvalidC) and always returns the identity.  ``linear`` returns
     exp(i * sum_k w_k (r1_k - r0_k)) with weights taken from ``params``
     (default: all ones), which must be finite; a pair at which that angle
     overflows raises InvalidC.
@@ -365,55 +329,54 @@ def make_c_function(family: str, params: Sequence[float] = (), dim: int = 1) -> 
     return _C_FACTORIES[family](params, dim)
 
 
-def _c_rows(bundle: TrivialBundle, c_fn: Callable, base_domain: Optional[Callable]) -> tuple:
-    """C and the base-pair domain as row functions, after checking C(r, r) = e
-    on probe points."""
-    c_rows = getattr(c_fn, "rows", None) or _per_pair(bundle, c_fn, ("base", "base", "group"))
+def _c_domain(bundle: TrivialBundle, c_fn: Callable, base_domain: Optional[Callable]) -> Callable:
+    """The base-pair domain mask, every pair without ``base_domain``, after
+    checking C(r, r) = e on probe points; a NaN angle fails that check."""
     rng = SplitMix64(_C_VALIDATION_SEED)
     probes = [tuple(0.0 for _ in range(bundle.dim))]
     for _ in range(_C_VALIDATION_SAMPLES):
         probes.append(tuple(rng.uniform_in(-DEFAULT_BOX, DEFAULT_BOX)
                             for _ in range(bundle.dim)))
     rows = bundle.rows_of("base", probes)
-    angles = c_rows(rows, rows)
+    angles = c_fn(rows, rows)
     for r, angle in zip(probes, angles.tolist()):
-        if abs(angle) > _C_DIAGONAL_ATOL:
+        if not abs(angle) <= _C_DIAGONAL_ATOL:
             raise InvalidC(f"C({r}, {r}) has angle {angle:.3e}, expected identity")
-    if base_domain is None:
-        return c_rows, lambda r0, r1: np.ones(r0.shape[1:], dtype=bool)
-    return c_rows, _per_pair(bundle, base_domain, ("base", "base", None))
+    return base_domain or (lambda r0, r1: np.ones(r0.shape[1:], dtype=bool))
 
 
 def trivial_form_from_C(bundle: TrivialBundle, c_fn: Callable,
                         *, base_domain: Optional[Callable] = None) -> DiscreteConnectionForm:
     """Connection form g1 * C(r0, r1) * g0^{-1} on a trivial bundle.
 
-    ``base_domain`` optionally restricts the base-pair domain; the total
-    domain is its preimage under the double projection.
+    ``c_fn`` is a row function as :func:`make_c_function` returns one.
+    ``base_domain`` optionally restricts the base-pair domain: a row mask
+    of base rows r0, r1 shaped like C's angles.  The total domain is its
+    preimage under the double projection.
     """
-    c_rows, dom = _c_rows(bundle, c_fn, base_domain)
+    dom = _c_domain(bundle, c_fn, base_domain)
 
     def values(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
         # q1.g * C(r0, r1) * q0.g.inverse(), building only the result
-        return canonical_rows(canonical_rows(q1[-1] + c_rows(q0[:-1], q1[:-1]))
+        return canonical_rows(canonical_rows(q1[-1] + c_fn(q0[:-1], q1[:-1]))
                               + canonical_rows(-q0[-1]))
 
-    return DiscreteConnectionForm(bundle, None, None, "C-built", values_rows=values,
-                                  domain_rows=lambda q0, q1: dom(q0[:-1], q1[:-1]))
+    return DiscreteConnectionForm(bundle, "C-built", lambda q0, q1: dom(q0[:-1], q1[:-1]),
+                                  values)
 
 
 def trivial_lift_from_C(bundle: TrivialBundle, c_fn: Callable,
                         *, base_domain: Optional[Callable] = None) -> DiscreteHorizontalLift:
-    """Horizontal lift (q0, r1) -> (r1, g0 * C(r0, r1)^{-1}) on a trivial bundle."""
-    c_rows, dom = _c_rows(bundle, c_fn, base_domain)
+    """Horizontal lift (q0, r1) -> (r1, g0 * C(r0, r1)^{-1}) on a trivial bundle,
+    from a row ``c_fn`` and ``base_domain`` as :func:`trivial_form_from_C` takes."""
+    dom = _c_domain(bundle, c_fn, base_domain)
 
     def lift(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:
         # g0 * C(r0, r1).inverse(), building only the result
-        g = canonical_rows(q0[-1] + canonical_rows(-c_rows(q0[:-1], r1)))
+        g = canonical_rows(q0[-1] + canonical_rows(-c_fn(q0[:-1], r1)))
         return np.concatenate([r1, g[None]])
 
-    return DiscreteHorizontalLift(bundle, None, None, "C-built", values_rows=lift,
-                                  domain_rows=lambda q0, r1: dom(q0[:-1], r1))
+    return DiscreteHorizontalLift(bundle, "C-built", lambda q0, r1: dom(q0[:-1], r1), lift)
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +390,12 @@ def lift_from_form(form: DiscreteConnectionForm,
     The lift sends (q0, r1) to act(A(q0, s(r1))^{-1}, s(r1)) for a section
     s over the base.  The result does not depend on the section choice
     (exercised by the test suite with a second chart, not assumed).  A
-    ``section`` maps a base point to a total point over it and raises
-    SectionUndefined outside its chart; it is adapted once into a row
-    kernel, unless it carries one as ``rows``, which maps base rows to the
-    section rows, NaN outside the chart, and the chart mask, as the bundle's
-    ``section_rows`` does.
+    ``section`` is a row kernel like the bundle's ``section_rows``, the
+    default: it maps base rows to point rows over them, NaN outside its
+    chart, and the chart mask.
     """
     bundle = form.bundle
-    sec = bundle.section_rows if section is None else (
-        getattr(section, "rows", None) or _per_point_section(bundle, section))
+    sec = section or bundle.section_rows
 
     def dom(q0, r1):
         s, defined = sec(r1)
@@ -448,8 +408,7 @@ def lift_from_form(form: DiscreteConnectionForm,
         return root, root_pairs, lambda answers: bundle.act_rows(
             canonical_rows(-finish(answers)), s)
 
-    return DiscreteHorizontalLift(bundle, None, None, form.provenance, domain_rows=dom,
-                                  split_fn=split)
+    return DiscreteHorizontalLift(bundle, form.provenance, dom, split_fn=split)
 
 
 def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
@@ -469,8 +428,7 @@ def form_from_lift(lift: DiscreteHorizontalLift) -> DiscreteConnectionForm:
         root, root_items, finish = lift.split((q0, bundle.project_rows(q1)))
         return root, root_items, lambda answers: bundle.fiber_rows(finish(answers), q1)
 
-    return DiscreteConnectionForm(bundle, None, None, lift.provenance, domain_rows=dom,
-                                  split_fn=split)
+    return DiscreteConnectionForm(bundle, lift.provenance, dom, split_fn=split)
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +537,16 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     any sample that could land within ``_EXCLUSION_RADIUS`` of q.  One
     :func:`_slice_points` call then serves every point, so a ProbeFailed
     leaves no point computed.  The minimum cross distance must exceed
-    ``separation``.  Raises InvalidConfig for a budget below one and for a
-    separation that is not finite and above 0, which would make every
-    probe vacuous.
+    ``separation``.  Raises InvalidConfig for no points, a budget below one,
+    and a separation or box that is not finite and above 0, which would
+    make every probe vacuous or draw outside any box.
     """
+    if not len(points):
+        raise InvalidConfig("slice probes need at least one point")
     if budget < 1:
         raise InvalidConfig(f"budget must be at least 1, got {budget}")
-    if not (math.isfinite(separation) and separation > 0):
-        raise InvalidConfig(f"separation must be finite and above 0, got {separation}")
+    _finite_above_zero("separation", separation)
+    _finite_above_zero("box", box)
     bundle = form.bundle
     targets = {"form": form}
     exhausted = ProbeFailed(

@@ -34,8 +34,8 @@ Both integrated forms lift from q0 and translate onto q1 under one fiber
 guard and one antipodal guard, a single pair as a batch of one; they
 differ in the base velocity only: the minimizing base arc's, or the
 variant's exact 2 B(g, g') along the projected total-space arc g, with B
-symmetric and B(q, q) the base point of q.  All constructions are pure; forms built here are immutable
-and safe for concurrent evaluation.
+symmetric and B(q, q) the base point of q.  All constructions are pure;
+forms built here are immutable and safe for concurrent evaluation.
 
 Integrated values reach the reports, so their bits must not depend on
 the CPU.  Arc lengths come from ``math.acos`` and phases from
@@ -326,8 +326,7 @@ def hopf_closed_form() -> DiscreteConnectionForm:
     q1 * conj(q0) (:func:`~disconn.bundle.phase_rows`), defined whenever
     that part is nonzero.
     """
-    return DiscreteConnectionForm(_HOPF, None, None, "closed-form", values_rows=phase_rows,
-                                  domain_rows=_hopf_in_domain)
+    return DiscreteConnectionForm(_HOPF, "closed-form", _hopf_in_domain, phase_rows)
 
 
 def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
@@ -353,8 +352,8 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
                 f"integrated endpoint strayed {base_err.max():.3e} from the target fiber")
         return phase_rows(end, q1)
 
-    return DiscreteConnectionForm(_HOPF, None, None, provenance, values_rows=ev_many,
-                                  domain_rows=in_domain, out_of_domain_error=AntipodalPoints)
+    return DiscreteConnectionForm(_HOPF, provenance, in_domain, ev_many,
+                                  out_of_domain_error=AntipodalPoints)
 
 
 def _base_arc_velocity(q0: np.ndarray, q1: np.ndarray) -> Callable:

@@ -55,6 +55,7 @@ from .bundle import DEFAULT_BOX, HopfBundle
 from .connection import (
     DiscreteConnectionForm,
     _draw_rows,
+    _finite_above_zero,
     _narrow,
     _pair_in,
     answer_queries,
@@ -101,8 +102,7 @@ class SampleConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidConfig(f"n_samples must be at least 1, got {self.n_samples}")
-        if not (math.isfinite(self.box) and self.box > 0):
-            raise InvalidConfig(f"box must be finite and above 0, got {self.box}")
+        _finite_above_zero("box", self.box)
         if self.tolerance is not None and not math.isfinite(self.tolerance):
             raise InvalidConfig(f"tolerance must be finite, got {self.tolerance}")
 

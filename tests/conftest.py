@@ -1,9 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
 from disconn import (
-    CircleElement,
     DiscreteConnectionForm,
     HopfBundle,
     Quaternion,
@@ -11,6 +11,8 @@ from disconn import (
     UnitQuaternion,
     hopf_closed_form,
 )
+from disconn.algebra import canonical_rows
+from disconn.bundle import phase_rows
 
 ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 I_POINT = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
@@ -31,20 +33,47 @@ def count_root_calls(form):
     calls = []
     evaluate = form._values_fn
     # one pair at a public call comes without the batch axis
-    form._values_fn = lambda a, b: calls.append(a.shape[1] if a.ndim > 1 else 1) or evaluate(a, b)
+    form._values_fn = lambda a, b: calls.append(columns(a)) or evaluate(a, b)
     return calls
+
+
+def columns(rows):
+    """Number of items in rows: one without the batch axis."""
+    return rows.shape[-1] if rows.ndim > 1 else 1
+
+
+def at_point(rows, point):
+    """Row mask of the columns of point rows that equal ``point``."""
+    return (rows.T == np.array(point.components())).all(axis=-1)
+
+
+def closed_form_where(mask=None, term=None, checked=None):
+    """The closed form on the part of its domain where the row mask ``mask``
+    holds, its angles plus the row term ``term``, reduced to canonical angles.
+
+    ``mask`` and ``term`` map point rows q0, q1, with or without the batch
+    axis, as the form's own row functions do.  Each domain call adds the
+    number of pairs it checks to the list ``checked``, if one is given.
+    """
+    closed = hopf_closed_form()
+
+    def domain(q0, q1):
+        if checked is not None:
+            checked.append(columns(q0))
+        held = closed.domain_rows(q0, q1)
+        return held if mask is None else held & mask(q0, q1)
+
+    def values(q0, q1):
+        angles = phase_rows(q0, q1)
+        return angles if term is None else canonical_rows(angles + term(q0, q1))
+
+    return DiscreteConnectionForm(closed.bundle, "closed-form", domain, values)
 
 
 def closed_form_broken_at(bad):
     """The closed form, except that pairs starting at ``bad`` gain 0.1 q1.w,
     so its slice through ``bad`` is not horizontal along most fibers."""
-    closed = hopf_closed_form()
-
-    def ev(q0, q1):
-        g = closed.evaluate(q0, q1)
-        return CircleElement(g.angle + 0.1 * q1.w) if q0 == bad else g
-
-    return DiscreteConnectionForm(closed.bundle, ev, closed.in_domain, "closed-form")
+    return closed_form_where(term=lambda q0, q1: np.where(at_point(q0, bad), 0.1 * q1[0], 0.0))
 
 
 @pytest.fixture(scope="session")

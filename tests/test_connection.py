@@ -5,13 +5,11 @@ import pytest
 
 from disconn import (
     CircleElement,
-    DiscreteConnectionForm,
     InvalidC,
     OutOfDomain,
     Quaternion,
     TrivialBundle,
     TrivialPoint,
-    UnitQuaternion,
     canonical_angle,
     circle_distance,
     decompose_pair,
@@ -25,10 +23,11 @@ from disconn import (
     trivial_form_from_C,
     trivial_lift_from_C,
 )
-from disconn.connection import HORIZONTAL_ANGLE_ATOL, _per_point_section, answer_queries
+from disconn.algebra import hamilton
+from disconn.connection import HORIZONTAL_ANGLE_ATOL, answer_queries
 from disconn.rng import substream
 
-from conftest import HALF_J, I_POINT, J_POINT, K_BASE, ONE
+from conftest import HALF_J, I_POINT, J_POINT, K_BASE, ONE, closed_form_where
 
 
 def sample_hopf_pair(hopf, form, stream_id, i):
@@ -99,9 +98,14 @@ class TestTrivialConstructions:
             assert form.evaluate(q, q).angle == 0.0
 
     def test_invalid_c_rejected(self, line_bundle):
-        broken = lambda r0, r1: CircleElement(0.5)  # noqa: E731
+        broken = lambda r0, r1: np.full(r0.shape[1:], 0.5)  # noqa: E731
         with pytest.raises(InvalidC):
             trivial_form_from_C(line_bundle, broken)
+        # a NaN angle fails the check C(r, r) = e
+        nan_c = lambda r0, r1: np.full(r0.shape[1:], math.nan)  # noqa: E731
+        for build in (trivial_form_from_C, trivial_lift_from_C):
+            with pytest.raises(InvalidC, match="has angle nan"):
+                build(line_bundle, nan_c)
         with pytest.raises(InvalidC):
             make_c_function("nope")
         with pytest.raises(InvalidC):
@@ -197,15 +201,14 @@ class TestLiftFormConversions:
         # a round serves pairs that a draw already checked: it answers all
         # four targets without calling the domain function, with the bits
         # of each target's public call, and those public calls still check
-        closed = hopf_closed_form()
         in_round = []
 
         def dom(q0, q1):
             if in_round:
                 raise AssertionError("a round checked a domain")
-            return closed.in_domain(q0, q1)
+            return True
 
-        form = DiscreteConnectionForm(hopf, closed.evaluate, dom, "closed-form")
+        form = closed_form_where(dom)
         lift = lift_from_form(form)
         recovered = form_from_lift(lift)
         lift2 = lift_from_form(recovered)
@@ -266,12 +269,14 @@ class TestLiftFormConversions:
 
     def test_section_independence(self, hopf):
         # second chart: right-translate the section by p = j, which moves
-        # its excluded base point to +i
-        p = Quaternion(0.0, 0.0, 1.0, 0.0)
+        # its excluded base point to +i; as rows, NaN stays NaN off the chart,
+        # and a product of unit quaternions is unit to rounding
+        p = (0.0, 0.0, 1.0, 0.0)
 
         def other_section(r):
-            rotated = (p * r) * p.conj()
-            return UnitQuaternion.from_quaternion(hopf.local_section(rotated) * p)
+            rotated = np.array(hamilton(*hamilton(*p, *r), 0.0, 0.0, -1.0, 0.0))
+            s, defined = hopf.section_rows(rotated)
+            return np.array(hamilton(*s, *p)), defined
 
         form = hopf_closed_form()
         lift_a = lift_from_form(form)
@@ -287,19 +292,12 @@ class TestLiftFormConversions:
             assert hopf.distance(lift_a.lift(q0, r1), lift_b.lift(q0, r1)) <= 1e-9
         assert checked > 450
 
-    def test_per_point_section_is_adapted_to_rows(self, hopf):
-        # the bundle's own section given per point, and given with its row
-        # kernel as ``rows``, lifts bit for bit as the default section does,
-        # and each excludes the base point -i its chart leaves out
-        def per_point(r):
-            return hopf.local_section(r)
-
-        def with_rows(r):
-            raise AssertionError("a section with rows is not called per point")
-        with_rows.rows = hopf.section_rows
-
+    def test_section_row_kernel_lifts_as_the_default(self, hopf):
+        # the bundle's own section kernel, given as ``section``, lifts bit for
+        # bit as the default section does, and excludes the base point -i its
+        # chart leaves out
         form = hopf_closed_form()
-        lifts = [lift_from_form(form, section=s) for s in (None, per_point, with_rows)]
+        lifts = [lift_from_form(form, section=s) for s in (None, hopf.section_rows)]
         rng = substream(216, 0)
         items = [(hopf.sample_point(rng), hopf.project(hopf.sample_point(rng)))
                  for _ in range(200)]
@@ -307,11 +305,6 @@ class TestLiftFormConversions:
         assert len(items) > 150
         excluded = Quaternion(0.0, -1.0, 0.0, 0.0)
         mixed = lifts[0].item_rows(items[:3] + [(items[0][0], excluded)])
-        adapted = _per_point_section(hopf, per_point)
-        for got, want in zip(adapted(mixed[1]), hopf.section_rows(mixed[1])):
-            assert np.array_equal(got, want, equal_nan=True)
-        for got, want in zip(adapted(mixed[1][:, 3]), hopf.section_rows(mixed[1][:, 3])):
-            assert np.array_equal(got, want, equal_nan=True)
         for lift in lifts:
             assert repr(lift.lift_many(items)) == repr(lifts[0].lift_many(items))
             assert repr(lift.lift(*items[0])) == repr(lifts[0].lift(*items[0]))
@@ -450,7 +443,7 @@ class TestResultOnlyTrivialArithmetic:
     """
 
     BUNDLE = TrivialBundle(3)
-    C = staticmethod(make_c_function("linear", (0.5, -1.0, 2.0), 3))
+    C_ROWS = staticmethod(make_c_function("linear", (0.5, -1.0, 2.0), 3))
     #: base points at which C is pi
     C_AT_PI = ((0.0, 0.0, 0.0), (math.tau, 0.0, 0.0))
 
@@ -467,8 +460,12 @@ class TestResultOnlyTrivialArithmetic:
             yield TrivialPoint(r0, CircleElement(math.pi)), TrivialPoint(r1, g1)
             yield TrivialPoint(self.C_AT_PI[0], g0), TrivialPoint(self.C_AT_PI[1], g1)
 
+    def C(self, r0, r1):
+        """C at one base pair, as a group element."""
+        return CircleElement(float(self.C_ROWS(np.array(r0), np.array(r1))))
+
     def test_c_built_value(self):
-        form = trivial_form_from_C(self.BUNDLE, self.C)
+        form = trivial_form_from_C(self.BUNDLE, self.C_ROWS)
         checked = 0
         for q0, q1 in self.draws(24):
             c = self.C(q0.r, q1.r)
@@ -482,7 +479,7 @@ class TestResultOnlyTrivialArithmetic:
         assert checked > 1_000
 
     def test_c_built_lift(self):
-        lift = trivial_lift_from_C(self.BUNDLE, self.C)
+        lift = trivial_lift_from_C(self.BUNDLE, self.C_ROWS)
         checked = 0
         for q0, q1 in self.draws(25):
             c = self.C(q0.r, q1.r)

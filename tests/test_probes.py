@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from disconn import (
@@ -19,11 +20,12 @@ from disconn import (
     trivial_form_from_C,
 )
 from disconn import connection
+from disconn.bundle import phase_rows
 from disconn.connection import (HORIZONTAL_ANGLE_ATOL, _EXCLUSION_RADIUS, _RESAMPLE_LIMIT,
                                 _slice_points)
 from disconn.rng import substream
 
-from conftest import ONE, closed_form_broken_at, count_root_calls
+from conftest import ONE, at_point, closed_form_broken_at, closed_form_where, count_root_calls
 
 
 class TestSliceProbe:
@@ -60,6 +62,17 @@ class TestSliceProbe:
         with pytest.raises(InvalidConfig, match="separation"):
             slice_probe(hopf_closed_form(), ONE, 4, separation=separation)
 
+    @pytest.mark.parametrize("box", [0.0, -1.0, math.nan, math.inf])
+    def test_box_not_finite_and_positive_rejected(self, line_bundle, box):
+        # the box SampleConfig refuses: nothing to draw in, or no finite draw
+        form = trivial_form_from_C(line_bundle, make_c_function("constant"))
+        with pytest.raises(InvalidConfig, match="box must be finite and above 0"):
+            slice_probe(form, line_bundle.point(0.5), 4, box=box)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(InvalidConfig, match="at least one point"):
+            slice_probes(hopf_closed_form(), [], 2)
+
     def test_every_sample_is_drawn_away_from_the_probed_point(self, line_bundle,
                                                               monkeypatch):
         # in a box of half-width 3e-3 around q, two fiber directions in three
@@ -84,37 +97,26 @@ class TestSliceProbe:
     def test_probe_failure_when_no_root_exists(self, hopf):
         # a constant nonzero "form" has no horizontal slice to find
         broken = DiscreteConnectionForm(
-            hopf,
-            lambda q0, q1: CircleElement(1.0),
-            lambda q0, q1: True,
-            "closed-form")
+            hopf, "closed-form",
+            lambda q0, q1: np.ones(q0.shape[1:], dtype=bool),
+            lambda q0, q1: np.ones(q0.shape[1:]))
         with pytest.raises(ProbeFailed):
             slice_probe(broken, ONE, 4, seed=2)
 
 
-    def test_fiber_direction_draw_tries_the_resample_limit(self, hopf):
+    def test_fiber_direction_draw_tries_the_resample_limit(self):
         # a domain holding nothing off the diagonal: every candidate is
         # checked once, and the probe gives up after the shared budget
         checked = []
-
-        def dom(q0, q1):
-            checked.append(q1)
-            return False
-
-        empty = DiscreteConnectionForm(hopf, None, dom, "closed-form")
+        empty = closed_form_where(lambda q0, q1: False, checked=checked)
         with pytest.raises(ProbeFailed, match="fiber direction"):
             slice_probe(empty, ONE, 4, seed=2)
-        assert len(checked) == _RESAMPLE_LIMIT
+        assert sum(checked) == _RESAMPLE_LIMIT
 
-    def test_partner_leaving_the_domain_raises(self, hopf):
+    def test_partner_leaving_the_domain_raises(self):
         # the domain keeps only pairs whose closed-form phase exceeds 0.5 in
         # magnitude, so it excludes every horizontal partner
-        closed = hopf_closed_form()
-
-        def dom(q0, q1):
-            return closed.in_domain(q0, q1) and abs(closed.evaluate(q0, q1).angle) > 0.5
-
-        narrow = DiscreteConnectionForm(hopf, closed.evaluate, dom, "closed-form")
+        narrow = closed_form_where(lambda q0, q1: abs(phase_rows(q0, q1)) > 0.5)
         with pytest.raises(ProbeFailed, match="left the form's domain"):
             slice_probe(narrow, ONE, 4, seed=2)
 
@@ -176,10 +178,7 @@ class TestSliceProbes:
     def test_rejected_draws_keep_their_order(self, hopf):
         # half of all fibers lie outside the domain; each accepted direction
         # must come from the same stream position as when recorded
-        closed = hopf_closed_form()
-        half = DiscreteConnectionForm(
-            hopf, closed.evaluate,
-            lambda q0, q1: closed.in_domain(q0, q1) and hopf.project(q1).x > 0, "closed-form")
+        half = closed_form_where(lambda q0, q1: hopf.project_rows(q1)[1] > 0)
         points = [hopf.sample_point(substream(5, k)) for k in range(3)]
         reports = slice_probes(half, points, 16, seed=9)
         assert [r.min_separation for r in reports] == [
@@ -187,20 +186,15 @@ class TestSliceProbes:
 
     def test_each_pair_is_checked_once(self, hopf):
         # the draw checks each pair (q, p), and _slice_points each partner
-        closed = hopf_closed_form()
         checks = []
-        form = DiscreteConnectionForm(
-            hopf, closed.evaluate, lambda q0, q1: checks.append(q1) or True, "closed-form")
+        form = closed_form_where(checked=checks)
         points = [hopf.sample_point(substream(70, k)) for k in range(3)]
         slice_probes(form, points, 8, seed=5)
-        assert len(checks) == 2 * len(points) * 8
+        assert sum(checks) == 2 * len(points) * 8
 
     def test_later_point_draw_failure_raises_before_any_evaluation(self, hopf):
         points = [hopf.sample_point(substream(69, k)) for k in range(3)]
-        closed = hopf_closed_form()
-        form = DiscreteConnectionForm(
-            hopf, closed.evaluate,
-            lambda q0, q1: q0 != points[2] and closed.in_domain(q0, q1), "closed-form")
+        form = closed_form_where(lambda q0, q1: ~at_point(q0, points[2]))
         calls = count_root_calls(form)
         with pytest.raises(ProbeFailed, match="fiber direction"):
             slice_probes(form, points, 4, seed=7)
@@ -219,12 +213,10 @@ class TestTangentSplit:
 
     def test_each_pair_is_checked_once(self, hopf):
         # the finite-difference pairs where they are built, then the partners
-        closed = hopf_closed_form()
         checks = []
-        form = DiscreteConnectionForm(
-            hopf, closed.evaluate, lambda q0, q1: checks.append(q1) or True, "closed-form")
+        form = closed_form_where(checked=checks)
         assert tangent_split_check(form, ONE)
-        assert len(checks) == 2 * 2 * hopf.dim_base
+        assert sum(checks) == 2 * 2 * hopf.dim_base
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_trivial_rank(self, dim):

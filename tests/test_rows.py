@@ -401,4 +401,4 @@ def test_coordinates_add_left_to_right(monkeypatch):
             monkeypatch.setattr(builtins, "sum", compensated)
         assert bundle.base_distance(origin, far) == 1e8
         assert bundle.distance(bundle.point(origin), bundle.point(far)) == 1e8
-        assert c(origin, (1e16, 1.0, -1e16)).angle == 0.0
+        assert c(np.array(origin), np.array((1e16, 1.0, -1e16))) == 0.0

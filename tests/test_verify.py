@@ -8,7 +8,6 @@ import pytest
 from disconn import (
     AXIOM_IDS,
     CircleElement,
-    DiscreteConnectionForm,
     EmptyDomainIntersection,
     InvalidConfig,
     OutOfDomain,
@@ -32,7 +31,7 @@ from disconn.connection import _RESAMPLE_LIMIT, answer_queries, slice_probes
 from disconn.rng import substream
 from disconn.verify import CSV_HEADER
 
-from conftest import I_BASE, J_POINT, ONE, count_root_calls
+from conftest import I_BASE, J_POINT, ONE, closed_form_where, columns, count_root_calls
 
 
 @pytest.fixture
@@ -156,7 +155,7 @@ class TestRounds:
         assert len(integrations) == math.ceil(1100 / verify._ROUND_SAMPLES)
 
     def test_per_pair_form_is_evaluated_once_per_block(self, line_bundle):
-        # a form built from a per-pair function runs the same merged rounds
+        # a C-built form runs the same merged rounds, one root call per block
         form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.9,), 1))
         calls = count_root_calls(form)
         check_axioms(form, SampleConfig(seed=6, n_samples=600))
@@ -191,22 +190,14 @@ class TestRounds:
             assert [p.components() for p in lift.lift_many(batch)] == [
                 tuple(c) for c in lifted.T.tolist()]
 
-    def test_form_with_a_per_pair_evaluator_gives_the_same_report(self):
-        form = riemannian_form(16)
-        plain = DiscreteConnectionForm(form.bundle, form.evaluate, form.in_domain,
-                                       form.provenance)
-        cfg = SampleConfig(seed=5, n_samples=32)
-        assert check_axioms(plain, cfg).to_json() == check_axioms(form, cfg).to_json()
-
-    def test_blocks_fold_like_one_round(self):
+    def test_blocks_fold_like_one_round(self, monkeypatch):
         # more samples than one round holds: the worst input and failure
-        # count are folded across blocks, by the row evaluator and by a
-        # per-pair one alike
+        # count are folded across blocks as one round holding them all finds them
         closed = hopf_closed_form()
-        per_pair = DiscreteConnectionForm(
-            closed.bundle, closed.evaluate, closed.in_domain, closed.provenance)
         cfg = SampleConfig(seed=8, n_samples=verify._ROUND_SAMPLES + 60)
-        assert check_axioms(per_pair, cfg).to_json() == check_axioms(closed, cfg).to_json()
+        blocks = check_axioms(closed, cfg).to_json()
+        monkeypatch.setattr(verify, "_ROUND_SAMPLES", cfg.n_samples)
+        assert blocks == check_axioms(closed, cfg).to_json()
 
     def test_first_maximum_wins_across_blocks(self, monkeypatch):
         # every diagonal_domain violation is 0.0, so the worst input is the
@@ -282,7 +273,7 @@ class TestDrawing:
 
     def test_exhausted_budget_names_the_axiom(self, line_bundle):
         form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.7,), 1),
-                                   base_domain=lambda r0, r1: r0 == r1)
+                                   base_domain=lambda r0, r1: r0[0] == r1[0])
         with pytest.raises(ProbeFailed, match="equivariance"):
             check_axioms(form, SampleConfig(seed=3, n_samples=5))
 
@@ -294,11 +285,12 @@ class TestDrawing:
         # at its first domain check; the run checks this axiom alone
         checks = []
         form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.7,), 1),
-                                   base_domain=lambda r0, r1: checks.append(r0) or r0 == r1)
+                                   base_domain=lambda r0, r1: checks.append(columns(r0))
+                                   or r0[0] == r1[0])
         monkeypatch.setattr(verify, "AXIOM_IDS", (axiom,))
         with pytest.raises(ProbeFailed, match=re.escape(f"({axiom})")):
             check_axioms(form, SampleConfig(seed=3, n_samples=1))
-        assert len(checks) == _RESAMPLE_LIMIT
+        assert sum(checks) == _RESAMPLE_LIMIT
 
 
 def _serial_draw_rows(steps, targets, streams, box, rejected, exhausted, offsets=None,
@@ -347,18 +339,13 @@ def serial_draws(monkeypatch):
 
 def _east_of(calls, x_floor=-math.inf):
     """The closed form on pairs whose second base point has x > 0, counting
-    its domain calls, so that every draw check rejects about half its draws.
-    An ``x_floor`` also leaves out q1.x <= x_floor, which is not invariant
-    under the group (the section values, with x = 0, stay in), so that
-    checks of moved pairs reject draws too."""
-    closed = hopf_closed_form()
-    project = closed.bundle.project
-
-    def dom(q0, q1):
-        calls.append(None)
-        return closed.in_domain(q0, q1) and project(q1).x > 0 and q1.x > x_floor
-
-    return DiscreteConnectionForm(closed.bundle, closed.evaluate, dom, "closed-form")
+    the pairs its domain checks, so that every draw check rejects about half
+    its draws.  An ``x_floor`` also leaves out q1.x <= x_floor, which is not
+    invariant under the group (the section values, with x = 0, stay in), so
+    that checks of moved pairs reject draws too."""
+    project = hopf_closed_form().bundle.project_rows
+    return closed_form_where(lambda q0, q1: (project(q1)[1] > 0) & (q1[1] > x_floor),
+                             checked=calls)
 
 
 class TestRowDraws:
@@ -367,10 +354,10 @@ class TestRowDraws:
     def _both(self, request, run, **options):
         calls = []
         rows = run(_east_of(calls, **options))
-        row_calls = len(calls)
+        row_calls = sum(calls)
         request.getfixturevalue("serial_draws")
         calls.clear()
-        return rows, run(_east_of(calls, **options)), row_calls, len(calls)
+        return rows, run(_east_of(calls, **options)), row_calls, sum(calls)
 
     def test_check_axioms_matches_the_serial_draws(self, request, monkeypatch):
         # every draw check of every axiom rejects some draws
@@ -412,12 +399,11 @@ class TestRowDraws:
         assert rows == serial
         assert row_calls == serial_calls
 
-    def test_nowhere_domain_exhausts_as_the_serial_draws(self, request, hopf):
+    def test_nowhere_domain_exhausts_as_the_serial_draws(self, request):
         for serial in (False, True):
             if serial:
                 request.getfixturevalue("serial_draws")
-            nowhere = DiscreteConnectionForm(
-                hopf, lambda q0, q1: None, lambda q0, q1: False, "closed-form")
+            nowhere = closed_form_where(lambda q0, q1: False)
             with pytest.raises(ProbeFailed, match=re.escape("exhausted (normalization)")):
                 check_axioms(nowhere, SampleConfig(seed=1, n_samples=10))
             with pytest.raises(EmptyDomainIntersection, match="no draw for sample 0 "):
@@ -520,26 +506,18 @@ class TestSoundness:
             violation_from_record(hopf_closed_form(), axiom, _args(*entries))
 
 
-def _closed_on(extra):
-    """The closed form on the part of its domain where ``extra`` holds."""
-    closed = hopf_closed_form()
-    return DiscreteConnectionForm(
-        closed.bundle, closed.evaluate,
-        lambda q0, q1: closed.in_domain(q0, q1) and extra(q0, q1), "closed-form")
-
-
 class TestDomainControls:
     def test_non_invariant_domain_reports_its_failures(self):
         # the diagonal (q, q) with q.w <= -0.9 is outside: normalization's
         # draw check redraws it, and the two domain axioms count it
-        form = _closed_on(lambda q0, q1: q1.w > -0.9)
+        form = closed_form_where(lambda q0, q1: q1[0] > -0.9)
         report = check_axioms(form, SampleConfig(seed=1, n_samples=300))
         assert report.verdict == "fail"
         assert {a.axiom_id: a.failures for a in report.axioms if a.failures} == {
             "diagonal_domain": 11, "domain_invariance": 5}
 
     def test_diagonal_excluding_domain_exhausts_the_normalization_draw(self):
-        form = _closed_on(lambda q0, q1: q0 != q1)
+        form = closed_form_where(lambda q0, q1: (q0 != q1).any(axis=0))
         with pytest.raises(ProbeFailed, match=re.escape("(normalization)")):
             check_axioms(form, SampleConfig(seed=1, n_samples=10))
 
@@ -547,14 +525,14 @@ class TestDomainControls:
         (lambda q0, q1: True, "roundtrip_form", (ONE, J_POINT)),
         # -i is the base point of j, the one the section chart excludes
         (lambda q0, q1: True, "lift_section", (ONE, -I_BASE)),
-        (lambda q0, q1: q0 != q1, "normalization", (ONE,)),
+        (lambda q0, q1: (q0 != q1).any(axis=0), "normalization", (ONE,)),
     ])
     def test_recorded_input_outside_the_domain_raises(self, hopf, extra, axiom, inputs):
         steps = verify._AXIOMS[axiom].steps
         record = verify._serialize_inputs(
             hopf, steps, [hopf.rows_of(kind, [v]) for (kind, _), v in zip(steps, inputs)])
         with pytest.raises(OutOfDomain, match=f"recorded {axiom} input"):
-            violation_from_record(_closed_on(extra), axiom, record)
+            violation_from_record(closed_form_where(extra), axiom, record)
 
 
 class TestCompareForms:
@@ -581,7 +559,7 @@ class TestCompareForms:
     def test_rejected_draws_keep_their_order(self):
         # the cap rejects about half of all pairs; each accepted pair must
         # come from the same stream position as when recorded
-        cap = _closed_on(lambda q0, q1: q1.w > 0)
+        cap = closed_form_where(lambda q0, q1: q1[0] > 0)
         cmp = compare_forms(lmw_form(16), cap, SampleConfig(seed=3, n_samples=200))
         assert cmp.max_deviation == 3.09148169308658
         assert cmp.worst_input == {
@@ -596,22 +574,17 @@ class TestCompareForms:
         with pytest.raises(ValueError):
             compare_forms(form_a, form_b, SampleConfig())
 
-    def test_empty_intersection(self, hopf):
-        closed = hopf_closed_form()
-        nowhere = DiscreteConnectionForm(
-            hopf, lambda q0, q1: None, lambda q0, q1: False, "closed-form")
+    def test_empty_intersection(self):
+        nowhere = closed_form_where(lambda q0, q1: False)
         with pytest.raises(EmptyDomainIntersection):
-            compare_forms(closed, nowhere, SampleConfig(seed=1, n_samples=10))
+            compare_forms(hopf_closed_form(), nowhere, SampleConfig(seed=1, n_samples=10))
 
-    def test_partial_intersection_names_the_uncovered_sample(self, hopf):
+    def test_partial_intersection_names_the_uncovered_sample(self):
         # most samples find a pair in the small cap, but one whose every
         # draw misses it fails the comparison instead of being dropped
-        closed = hopf_closed_form()
-        cap = DiscreteConnectionForm(
-            hopf, closed.evaluate, lambda q0, q1: closed.in_domain(q0, q1) and q0.w > 0.9,
-            "closed-form")
+        cap = closed_form_where(lambda q0, q1: q0[0] > 0.9)
         with pytest.raises(EmptyDomainIntersection, match=r"sample \d+"):
-            compare_forms(closed, cap, SampleConfig(seed=1, n_samples=200))
+            compare_forms(hopf_closed_form(), cap, SampleConfig(seed=1, n_samples=200))
 
 
 class TestSweep:
