@@ -11,6 +11,8 @@ PYTHONPATH=src python -m disconn.cli verify --bundle trivial --form trivial-c --
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form geodesic --steps 32 --samples 64 --seed 5 > tests/golden/verify-geodesic-64.out 2> tests/golden/verify-geodesic-64.err
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form geodesic --steps 32 --samples 1100 --seed 5 > tests/golden/verify-geodesic-1100.out 2> tests/golden/verify-geodesic-1100.err
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form lmw --steps 16 --samples 40 --seed 13 > tests/golden/verify-lmw.out 2> tests/golden/verify-lmw.err
+PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form geodesic --steps 256 --samples 32 --seed 42 > tests/golden/verify-geodesic-256.out 2> tests/golden/verify-geodesic-256.err
+PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form lmw --steps 256 --samples 32 --seed 13 > tests/golden/verify-lmw-256.out 2> tests/golden/verify-lmw-256.err
 PYTHONPATH=src python -m disconn.cli verify --bundle hopf --form geodesic --steps 4 --samples 2500 --seed 3 > tests/golden/verify-stray.out 2> tests/golden/verify-stray.err
 PYTHONPATH=src python -m disconn.cli compare --bundle hopf --form-a geodesic --form-b closed --steps 32 --samples 100 --seed 42 > tests/golden/compare.out 2> tests/golden/compare.err
 PYTHONPATH=src python -m disconn.cli sweep --steps 256 > tests/golden/sweep.out 2> tests/golden/sweep.err
@@ -48,6 +50,12 @@ CASES = {
         "verify --bundle hopf --form geodesic --steps 32 --samples 1100 --seed 5", 0),
     "verify-lmw": (
         "verify --bundle hopf --form lmw --steps 16 --samples 40 --seed 13", 1),
+    # the benchmark's verify-geodesic workload, and the variant, both at the
+    # default step count
+    "verify-geodesic-256": (
+        "verify --bundle hopf --form geodesic --steps 256 --samples 32 --seed 42", 0),
+    "verify-lmw-256": (
+        "verify --bundle hopf --form lmw --steps 256 --samples 32 --seed 13", 1),
     # one stray endpoint aborts the run: no report, exit 2 and the reason
     "verify-stray": (
         "verify --bundle hopf --form geodesic --steps 4 --samples 2500 --seed 3", 2),
