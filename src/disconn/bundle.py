@@ -52,6 +52,15 @@ SECTION_CHART_ATOL = 1e-6
 DEFAULT_BOX = 2.0
 
 
+def box_fits(box: float, dim) -> bool:
+    """True when ``box`` > 0 and (2 box)^2 dim is finite: no squared distance
+    between points of a box of that half-width in ``dim`` coordinates overflows."""
+    try:  # products, so that a float overflow reads inf instead of raising
+        return math.isfinite((2.0 * box) * (2.0 * box) * dim) and box > 0
+    except OverflowError:  # a dim too large to convert to a float
+        return False
+
+
 class PrincipalBundle(abc.ABC):
     """Contract for a principal bundle with structure group U(1).
 

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__
-from .bundle import DEFAULT_BOX, TrivialBundle
+from .bundle import DEFAULT_BOX, TrivialBundle, box_fits
 from .connection import (C_FAMILIES, DEFAULT_SEPARATION, make_c_function, slice_probes,
                           trivial_form_from_C)
 from .errors import DisconnError
@@ -254,11 +254,7 @@ def _check_sizes(args) -> None:
     if args.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {args.steps}")
     box = getattr(args, "box", 1.0)
-    try:  # products, so that a float overflow reads inf instead of raising
-        squared_diameter = (2.0 * box) * (2.0 * box) * getattr(args, "dim", 1)
-    except OverflowError:  # a --dim too large to convert to a float
-        squared_diameter = math.inf
-    if not (math.isfinite(squared_diameter) and box > 0):
+    if not box_fits(box, getattr(args, "dim", 1)):
         raise UsageError(f"--box must be above 0 with a finite squared diameter "
                          f"(2 box)^2 dim, got {box}")
     if getattr(args, "dim", 1) > _MAX_DIM:

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import CircleElement, canonical_rows
-from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle
+from .bundle import DEFAULT_BOX, PrincipalBundle, TrivialBundle, box_fits
 from .errors import InvalidC, InvalidConfig, OutOfDomain, ProbeFailed
 from .rng import SplitMix64, draw_rows, substream_states
 
@@ -538,15 +538,18 @@ def slice_probes(form: DiscreteConnectionForm, points: Sequence, budget: int,
     :func:`_slice_points` call then serves every point, so a ProbeFailed
     leaves no point computed.  The minimum cross distance must exceed
     ``separation``.  Raises InvalidConfig for no points, a budget below one,
-    and a separation or box that is not finite and above 0, which would
-    make every probe vacuous or draw outside any box.
+    a separation that is not finite and above 0, and a box that fails
+    :func:`~disconn.bundle.box_fits` on the base, which would make every
+    probe vacuous, draw outside any box or overflow a distance.
     """
     if not len(points):
         raise InvalidConfig("slice probes need at least one point")
     if budget < 1:
         raise InvalidConfig(f"budget must be at least 1, got {budget}")
     _finite_above_zero("separation", separation)
-    _finite_above_zero("box", box)
+    if not box_fits(box, form.bundle.dim_base):
+        raise InvalidConfig(f"box must be finite and above 0 with a finite squared "
+                            f"diameter (2 box)^2 dim, got {box}")
     bundle = form.bundle
     targets = {"form": form}
     exhausted = ProbeFailed(

@@ -20,7 +20,7 @@ from disconn import (
     trivial_form_from_C,
 )
 from disconn import connection
-from disconn.bundle import phase_rows
+from disconn.bundle import box_fits, phase_rows
 from disconn.connection import (HORIZONTAL_ANGLE_ATOL, _EXCLUSION_RADIUS, _RESAMPLE_LIMIT,
                                 _slice_points)
 from disconn.rng import substream
@@ -68,6 +68,15 @@ class TestSliceProbe:
         form = trivial_form_from_C(line_bundle, make_c_function("constant"))
         with pytest.raises(InvalidConfig, match="box must be finite and above 0"):
             slice_probe(form, line_bundle.point(0.5), 4, box=box)
+
+    def test_box_whose_squared_diameter_overflows_rejected(self, line_bundle):
+        # the CLI's rule for --box: a box of 1e200 squared its distances into
+        # a bare OverflowError
+        form = trivial_form_from_C(line_bundle, make_c_function("constant"))
+        with pytest.raises(InvalidConfig, match="squared diameter"):
+            slice_probe(form, line_bundle.point(0.5), 4, box=1e200)
+        assert box_fits(5e153, 1) and not box_fits(5e153, 3) and not box_fits(1e154, 1)
+        assert not box_fits(1.0, 10**400)
 
     def test_no_points_rejected(self):
         with pytest.raises(InvalidConfig, match="at least one point"):
