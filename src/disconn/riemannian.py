@@ -26,9 +26,9 @@ rows are the w, x, y, z components, and n base vectors as (3, n).  Every
 helper works elementwise on those contiguous component rows, so each
 pair's result does not depend on how many pairs share the batch, and a
 non-finite stage is caught once per step on the renormalized state.  One
-column integrates on Python floats through the same stage kernel: float
-arithmetic, ``math.sqrt`` and ``np.sqrt`` all round correctly, so it keeps
-the bits of a batch column, without a NumPy call per length-1 row.
+column integrates on Python floats, a batch by buffered ufunc calls in the
+same order of operations: float arithmetic, ``math.sqrt`` and ``np.sqrt``
+all round correctly, so both carriers give a column the same bits.
 
 Both integrated forms lift from q0 and translate onto q1 under one fiber
 guard and one antipodal guard, a single pair as a batch of one; they
@@ -44,14 +44,19 @@ the CPU.  Arc lengths come from ``math.acos`` and phases from
 from NumPy on angle rows) and the exact ``fmod`` that reduces phases to
 canonical angles, besides arithmetic.
 
-Measured, and pinned by the test suite: the geodesic form's phase does
-not depend on the step count.  At 8 steps it agrees with
-:func:`hopf_closed_form` within 1e-14 on 2,000 drawn pairs (largest gap
-8.9e-16), while the endpoints stray up to about 1.4e-4 off the fiber.
+The geodesic lift never leaves one horizontal plane, so the geodesic
+form's phase does not depend on the step count.  With n the unit normal of
+the base arc and omega its length, a stage state in P = q0 span(1, n) lies
+over the arc's great circle, so v x r is parallel to n and the stage
+velocity q u lies in P; RK4's combination and the renormalization keep P,
+as Runge-Kutta methods keep linear invariants.  So every state is
+q0 exp(-theta n / 2): the only error, theta_N - omega, moves the endpoint
+along the track, which the phase of q1 conj(end) does not see.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -135,9 +140,9 @@ def _project_rows(q: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
 def _stage_rows(q, v) -> list:
     """Per-column horizontal velocity h = q (v x r) / (2 |q|^2) over base velocity v.
 
-    Written elementwise on components, rows or floats, so every column is
-    computed by the same operations whatever the batch size.  A zero q gives
-    a non-finite h (on floats ZeroDivisionError), which the integrator reports.
+    Written elementwise on the components of one column, as floats;
+    :func:`_batch_kernels` runs the same operations on rows.  A zero q raises
+    ZeroDivisionError, which the integrator reports.
     """
     w, x, y, z = q
     v0, v1, v2 = v
@@ -176,14 +181,6 @@ def _field_blocks(velocity_fn: Callable, steps: int, columns: int):
                                     for i in range(lo, min(lo + size, end))]))
 
 
-def _rk4_rows(q: np.ndarray, dt: float, k1, k2, k3, k4) -> np.ndarray:
-    q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    q = q / np.sqrt(np.add.reduce(q * q, axis=0))
-    if not np.isfinite(q).all():
-        raise SolveFailed(_NON_FINITE)
-    return q
-
-
 def _axpy_floats(q: list, c: float, k: list) -> list:
     return [q[0] + c * k[0], q[1] + c * k[1], q[2] + c * k[2], q[3] + c * k[3]]
 
@@ -198,15 +195,76 @@ def _rk4_floats(q: list, dt: float, k1, k2, k3, k4) -> list:
     return q
 
 
+def _batch_kernels(columns: int):
+    """:func:`_stage_rows`, :func:`_axpy_floats` and :func:`_rk4_floats` on (4, n)
+    rows: ufunc calls with ``out=`` into buffers and row views made once, in the
+    float kernels' operations and grouping, so each column keeps their bits.
+    The results of ``stage`` take turns in four buffers."""
+    s, acc, sq, r, back = np.empty((5, 4, columns))  # s: the state of a stage
+    k, p = np.empty((4, 4, columns)), np.empty((4, 3, columns))
+    (t, norm2, half), u, cross = np.empty((3, 3, columns))
+    (xy, wz), (wy, xz) = pair_a, pair_b = np.empty((2, 2, columns))
+    (ww, xx, yy, zz), (r1, r2, r0, r1_copy), r12, r_lo, r_hi = sq, r, r[:2], r[:3], r[1:]
+    (back0, _, _, back3), back_lo, back_hi = back, back[:3], back[1:]
+    wx, xw, yz, column = s[:2], s[1::-1], s[2:], s[:, None]
+    # u holds (u2, u0, u1), so p[i, j] = s_i u_(j - 1), which is row 3 i + j of flat
+    (_, _, w_u1), (x_u2, x_u0, _), (_, _, y_u1), (z_u2, z_u0, _) = p
+    flat = p.reshape(12, columns)
+    w_u02, yx_u21, zy_u10 = flat[1::-1], flat[6:4:-1], flat[11:6:-4]
+    outputs = itertools.cycle([(h, h[0], h[1::2], h[2]) for h in k])
+
+    def stage(q, v):
+        if q is not s:  # a step's first stage; axpy writes the others' state into s
+            np.copyto(s, q)
+        h, h0, h13, h2 = next(outputs)
+        np.multiply(s, s, out=sq)
+        np.add(np.add(np.add(ww, xx, out=t), yy, out=norm2), zz, out=norm2)
+        np.subtract(np.subtract(t, yy, out=r0), zz, out=r0)
+        np.multiply(xw, yz, out=pair_a)
+        np.multiply(wx, yz, out=pair_b)
+        np.subtract(xy, wz, out=r1)
+        np.add(wy, xz, out=r2)
+        np.multiply(r12, 2.0, out=r12)
+        np.divide(r_lo, norm2, out=r_lo)
+        np.copyto(r1_copy, r1)
+        np.divide(0.5, norm2, out=half)
+        np.multiply(v, r_lo, out=cross)  # v0 r1, v1 r2, v2 r0
+        np.multiply(v, r_hi, out=back_lo)  # v0 r2, v1 r0, v2 r1
+        np.copyto(back3, back0)  # back_hi: v1 r0, v2 r1, v0 r2, in step with cross
+        np.multiply(np.subtract(cross, back_hi, out=u), half, out=u)
+        np.multiply(column, u, out=p)
+        np.negative(np.add(np.add(x_u0, y_u1, out=h0), z_u2, out=h0), out=h0)
+        np.subtract(np.add(w_u02, yx_u21, out=h13), zy_u10, out=h13)  # rows 1 and 3
+        np.add(np.subtract(w_u1, x_u2, out=h2), z_u0, out=h2)
+        return h
+
+    def axpy(q, c, k):
+        return np.add(q, np.multiply(k, c, out=s), out=s)
+
+    def rk4(q, dt, k1, k2, k3, k4):
+        np.multiply(k2, 2.0, out=s)
+        np.multiply(k3, 2.0, out=acc)
+        np.add(np.add(np.add(k1, s, out=s), acc, out=s), k4, out=s)
+        q = q + np.multiply(s, dt / 6.0, out=s)
+        q /= np.sqrt(np.add.reduce(q * q, axis=0))
+        if not np.isfinite(q).all():
+            raise SolveFailed(_NON_FINITE)
+        return q
+
+    return stage, axpy, rk4
+
+
 def _integrate_rows(q0: np.ndarray, velocity_fn: Callable, steps: int):
     """Classical four-stage Runge-Kutta over the unit interval, one step per item.
 
     ``q0`` is a (4, n) batch and ``velocity_fn(t)`` returns the (len(t), 3, n)
-    base velocities at a 1-d array of times t.  Each step renormalizes the
-    state to the sphere and checks it finite, which catches a non-finite
-    stage, then yields its end time t, the state q at t and its first-stage
-    velocity k1, taken where it started: (4, n) rows, or for one column lists
-    of four floats.  The public entries check ``steps``.
+    base velocities at a 1-d array of times t.  One column runs on floats, a
+    batch as the buffered ufunc calls of :func:`_batch_kernels`, in the same
+    order of operations.  Each step renormalizes the state to the sphere and
+    checks it finite, which catches a non-finite stage, then yields its end
+    time t, the state q at t and its first-stage velocity k1, taken where it
+    started: new (4, n) arrays, or for one column lists of four floats.  The
+    public entries check ``steps``.
     """
     dt = 1.0 / steps
     blocks = _field_blocks(velocity_fn, steps, q0.shape[1])
@@ -214,9 +272,8 @@ def _integrate_rows(q0: np.ndarray, velocity_fn: Callable, steps: int):
         q, stage, axpy, rk4 = q0[:, 0].tolist(), _stage_rows, _axpy_floats, _rk4_floats
         values = (v for block in blocks for v in block[:, :, 0].tolist())
     else:
-        q, axpy, rk4 = q0, lambda q, c, k: q + c * k, _rk4_rows
-        stage = lambda q, v: np.array(_stage_rows(q, v))  # noqa: E731
-        values = (v for block in blocks for v in block)
+        stage, axpy, rk4 = _batch_kernels(q0.shape[1])
+        q, values = q0, (v for block in blocks for v in block)
     v_next = next(values)
     for n in range(steps):
         v_t, v_mid, v_next = v_next, next(values), next(values)
@@ -228,7 +285,7 @@ def _integrate_rows(q0: np.ndarray, velocity_fn: Callable, steps: int):
             q = rk4(q, dt, k1, k2, k3, k4)
         except ZeroDivisionError:  # floats raise where rows carry inf
             raise SolveFailed(_NON_FINITE) from None
-        yield (n + 1) * dt, q, k1
+        yield (n + 1) * dt, q, k1.copy()  # a batch's stages write into buffers
 
 
 def _arc_exists(dot):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from disconn import (
 from disconn.algebra import hamilton
 from disconn.riemannian import (
     _arc_rows,
+    _base_arc_velocity,
+    _batch_kernels,
     _integrate_rows,
     _project_rows,
     _stage_rows,
@@ -151,12 +154,26 @@ class TestBaseGeodesic:
             base_geodesic(I_BASE, Quaternion(0.0, -1.0, 0.0, 0.0))
 
 
-def _stage_inputs(n, seed, scale=1.0):
-    """Random (4, n) quaternions of norm ``scale`` and (3, n) base velocities."""
+def _stage_inputs(n, seed, scale=1.0, zeros=False):
+    """Random (4, n) quaternions of norm ``scale`` and (3, n) base velocities,
+    with exact and negative zeros among the components when ``zeros``."""
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n, 4))
+    v = rng.normal(size=(n, 3))
+    if zeros:
+        q[rng.random(q.shape) < 0.2] = 0.0
+        q[rng.random(q.shape) < 0.2] = -0.0
+        q[:, 0] = np.where(np.abs(q).sum(axis=1) == 0.0, 1.0, q[:, 0])
+        v[rng.random(v.shape) < 0.2] = -0.0
+        v[rng.random(v.shape) < 0.2] = 0.0
     q = scale * q / np.linalg.norm(q, axis=1, keepdims=True)
-    return q.T.copy(), rng.normal(size=(n, 3)).T.copy()
+    return q.T.copy(), v.T.copy()
+
+
+def _batch_stage(q, v):
+    """One stage velocity from the batch carrier's kernel, as a new (4, n) array."""
+    stage, _, _ = _batch_kernels(q.shape[1])
+    return stage(q, v).copy()
 
 
 def _stage_scalar(q, v):
@@ -181,7 +198,7 @@ class TestClosedFormStage:
     @pytest.mark.parametrize("scale", [1.0, 0.7, 1.3])
     def test_tangent_horizontal_and_base_matching(self, scale):
         q, v = _stage_inputs(200, 3, scale)
-        h = _stage_rows(q, v)
+        h = _batch_stage(q, v)
         i_cols = np.tile([[0.0], [1.0], [0.0], [0.0]], (1, q.shape[1]))
         iq = _qmul_rows(i_cols, q)
         assert np.abs(np.sum(h * q, axis=0)).max() <= 1e-14
@@ -195,16 +212,22 @@ class TestClosedFormStage:
 
     @pytest.mark.parametrize("scale", [1.0, 0.7, 1.3])
     def test_matches_the_scalar_transcription_bit_for_bit(self, scale):
-        q, v = _stage_inputs(1000, 8, scale)
-        expected = [_stage_scalar(qk, vk) for qk, vk in zip(q.T.tolist(), v.T.tolist())]
-        assert np.array(_stage_rows(q, v)).T.tolist() == expected
+        # bytes, so that a -0.0 where the floats give 0.0 counts
+        for width in (2, 3, 1000):
+            q, v = _stage_inputs(width, 8 + width, scale, zeros=True)
+            expected = [_stage_scalar(qk, vk) for qk, vk in zip(q.T.tolist(), v.T.tolist())]
+            assert _batch_stage(q, v).tobytes() == np.array(expected).T.tobytes()
+            assert [_stage_rows(qk, vk)
+                    for qk, vk in zip(q.T.tolist(), v.T.tolist())] == expected
+        signed = np.signbit(q) & (q == 0.0), ~np.signbit(q) & (q == 0.0)
+        assert all(zeros.any() for zeros in signed)
 
     def test_row_does_not_depend_on_batch_size(self):
-        q, v = _stage_inputs(64, 4, 1.1)
-        batch = np.array(_stage_rows(q, v))
+        q, v = _stage_inputs(64, 4, 1.1, zeros=True)
+        batch = _batch_stage(q, v)
         for k in range(64):
-            single = np.array(_stage_rows(q[:, k:k + 1], v[:, k:k + 1]))
-            assert np.array_equal(single[:, 0], batch[:, k])
+            single = np.array(_stage_rows(q[:, k].tolist(), v[:, k].tolist()))
+            assert single.tobytes() == batch[:, k].tobytes()
         # the integrator runs one column on floats and a batch on rows; each
         # column of a batch of lifts gives the same bits either way, along
         # arcs and along chords (equal or nearly equal base points)
@@ -223,10 +246,20 @@ class TestClosedFormStage:
             single = _integrate_rows(b.rows_of("point", [start]),
                                      lambda t: column(t)[:, 1:], steps)
             for (t, end, k1), (t_batch, end_batch, k1_batch) in zip(single, batch, strict=True):
-                assert (t, end, k1) == (t_batch, end_batch[:, k].tolist(), k1_batch[:, k].tolist())
+                assert t == t_batch
+                assert np.array(end).tobytes() == end_batch[:, k].tobytes()
+                assert np.array(k1).tobytes() == k1_batch[:, k].tobytes()
             lift = horizontal_lift_path(base_geodesic(b.project(start), ends[k]), start, steps)
             assert lift.trajectory[1:] == [(t, UnitQuaternion(*end[:, k].tolist()))
                                            for t, end, _ in batch]
+
+    @pytest.mark.parametrize("columns", [2, 3, 1000])
+    def test_yielded_states_are_new_arrays(self, columns):
+        # callers keep every yielded state and first-stage velocity
+        q0, q1 = (_stage_inputs(columns, seed)[0] for seed in (11, 12))
+        states = list(_integrate_rows(q0, _base_arc_velocity(q0, q1), 6))
+        arrays = [q0] + [a for _, q, k1 in states for a in (q, k1)]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_non_finite_stage_raises(self, columns):
@@ -234,12 +267,47 @@ class TestClosedFormStage:
         # report a zero start and a NaN velocity alike
         start = np.tile([[1.0], [0.0], [0.0], [0.0]], (1, columns))
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert not np.isfinite(np.array(_stage_rows(np.zeros((4, 1)), np.ones((3, 1))))).any()
+            assert not np.isfinite(_batch_stage(np.zeros((4, 2)), np.ones((3, 2)))).any()
+            with pytest.raises(ZeroDivisionError):
+                _stage_rows([0.0] * 4, [1.0] * 3)
             with pytest.raises(SolveFailed, match="non-finite stage velocity"):
                 list(_integrate_rows(np.zeros((4, columns)),
                                      lambda t: np.ones((len(t), 3, columns)), 4))
             with pytest.raises(SolveFailed, match="non-finite stage velocity"):
                 list(_integrate_rows(start, lambda t: np.full((len(t), 3, columns), np.nan), 4))
+
+
+def _geodesic_pairs(n, seed):
+    """(4, n) start and end points whose base points are 0.1 to 2.8 apart, the
+    unit normals of their base arcs, and the arc lengths omega."""
+    rng = np.random.default_rng(seed)
+    q0, q1 = (q / np.linalg.norm(q, axis=0) for q in rng.normal(size=(2, 4, 4 * n)))
+    r0, r1 = _project_rows(q0), _project_rows(q1)
+    omega = np.arccos(np.clip(np.sum(r0 * r1, axis=0), -1.0, 1.0))
+    keep = np.flatnonzero((omega > 0.1) & (omega < 2.8))[:n]
+    normal = np.cross(r0[:, keep], r1[:, keep], axis=0)
+    return q0[:, keep], q1[:, keep], normal / np.linalg.norm(normal, axis=0), omega[keep]
+
+
+class TestHorizontalPlane:
+    """Every Runge-Kutta state of a geodesic lift lies in P = q0 span(1, n): it
+    is q0 exp(-theta n / 2), and theta_N - omega is the only integration error."""
+
+    @pytest.mark.parametrize("columns", [1, 1000])
+    def test_states_stay_in_the_plane_and_err_along_track_only(self, columns):
+        q0, q1, normal, omega = _geodesic_pairs(columns, 21)
+        assert q0.shape[1] == columns
+        errors = {}
+        for steps in (1, 4, 8, 16, 32, 64, 256):
+            for _, q, _ in _integrate_rows(q0, _base_arc_velocity(q0, q1), steps):
+                # c = conj(q0) q is cos(theta / 2) - sin(theta / 2) n in P
+                c = _qmul_rows(_conj_rows(q0), np.reshape(q, q0.shape))
+                off_plane = np.linalg.norm(np.cross(c[1:], normal, axis=0), axis=0)
+                assert off_plane.max() <= 1e-13, (steps, off_plane.max())
+            theta = 2.0 * np.arctan2(-np.sum(c[1:] * normal, axis=0), c[0])
+            errors[steps] = np.abs(theta - omega).max()
+        for steps in (8, 16, 32):
+            assert 15.0 <= errors[steps] / errors[2 * steps] <= 17.0, errors
 
 
 class TestProjectionRows:
