@@ -31,11 +31,12 @@ same order of operations: float arithmetic, ``math.sqrt`` and ``np.sqrt``
 all round correctly, so both carriers give a column the same bits.
 
 Both integrated forms lift from q0 and translate onto q1 under one fiber
-guard and one antipodal guard, a single pair as a batch of one; they
-differ in the base velocity only: the minimizing base arc's, or the
-variant's exact 2 B(g, g') along the projected total-space arc g, with B
-symmetric and B(q, q) the base point of q.  All constructions are pure;
-forms built here are immutable and safe for concurrent evaluation.
+guard and one antipodal guard, a single pair as a batch of one and a wider
+batch in chunks of at most ``FIELD_BLOCK`` pairs; they differ in the base
+velocity only: the minimizing base arc's, or the variant's exact
+2 B(g, g') along the projected total-space arc g, with B symmetric and
+B(q, q) the base point of q.  All constructions are pure; forms built
+here are immutable and safe for concurrent evaluation.
 
 Integrated values reach the reports, so their bits must not depend on
 the CPU.  Arc lengths come from ``math.acos`` and phases from
@@ -391,7 +392,8 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     """Form that lifts a base path from q0 and translates the endpoint onto q1.
 
     ``base_velocity(q0, q1)`` returns the velocity field of the base paths
-    of a (4, n) batch, and one pair integrates as a batch of one.
+    of a (4, n) batch; one pair integrates as a batch of one, and a wider
+    batch in chunks of ``FIELD_BLOCK`` pairs under one fiber guard.
     ``in_domain`` is the row mask of pairs whose path's arc exists, so a
     pair outside it raises AntipodalPoints.
     """
@@ -400,9 +402,12 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
     def ev_many(q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
         if q0.ndim == 1:
             return ev_many(q0[:, None], q1[:, None])[0]
-        for _, end, _ in _integrate_rows(q0, base_velocity(q0, q1), steps):
-            pass  # keep only the last state
-        end = np.reshape(end, q0.shape)
+        end = np.empty(q0.shape)
+        for lo in range(0, q0.shape[1], FIELD_BLOCK):
+            a, b = q0[:, lo:lo + FIELD_BLOCK], q1[:, lo:lo + FIELD_BLOCK]
+            for _, last, _ in _integrate_rows(a, base_velocity(a, b), steps):
+                pass  # keep only the last state
+            end[:, lo:lo + FIELD_BLOCK] = np.reshape(last, a.shape)
         base_err = np.linalg.norm(_project_rows(end) - _project_rows(q1), axis=0)
         if np.any(base_err > LIFT_FIBER_ATOL):
             raise SolveFailed(

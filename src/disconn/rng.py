@@ -85,11 +85,16 @@ def substream(seed: int, *keys: int) -> SplitMix64:
     return SplitMix64(state)
 
 
+def _key_row(x) -> np.ndarray:
+    if isinstance(x, range):  # start + i step, wrapped mod 2^64 as the mask wraps it
+        return np.arange(len(x), dtype=np.uint64) * (x.step & _MASK) + (x.start & _MASK)
+    return np.array([v & _MASK for v in ([x] if isinstance(x, int) else x)], dtype=np.uint64)
+
+
 def substream_states(seed, *keys) -> np.ndarray:
     """States of ``substream(seed, *keys)`` as a uint64 row; the seed and each
     key is an int, or an iterable of ints giving one value per stream."""
-    state, *keys = (np.array([v & _MASK for v in ([x] if isinstance(x, int) else x)],
-                             dtype=np.uint64) for x in (seed, *keys))
+    state, *keys = map(_key_row, (seed, *keys))
     for k in keys:
         state = _mix(state + (k + 1) * _GAMMA)
     return state

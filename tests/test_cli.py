@@ -436,6 +436,12 @@ class TestParser:
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout == "[]\n"
 
+    def test_python_m_runs_the_command_line(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-m", "disconn", "--version"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{disconn.__version__}\n", "")
+
 
 @pytest.mark.parametrize("argv, code, line", [
     (("verify", "--bundle", "hopf", "--form", "closed", "--samples", "20", "--seed", "3"),

@@ -25,6 +25,7 @@ from disconn import (
 )
 from disconn.algebra import hamilton
 from disconn.riemannian import (
+    FIELD_BLOCK,
     _arc_rows,
     _base_arc_velocity,
     _batch_kernels,
@@ -467,6 +468,37 @@ class TestGeodesicForm:
         assert len(batch) == len(pairs) >= 80
         for (q0, q1), g in zip(pairs, batch):
             assert form.evaluate(q0, q1).angle == g.angle
+
+    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    def test_call_wider_than_a_field_block_gives_each_column_its_own_bits(self, factory):
+        # FIELD_BLOCK + 5 columns integrate in two chunks; columns of both and
+        # on either side of the seam give the bits they give integrated alone
+        form = factory(16)
+        q0, q1, _, _ = _geodesic_pairs(FIELD_BLOCK + 5, 84)
+        angles = form._values_fn(q0, q1)
+        assert angles.shape == (FIELD_BLOCK + 5,)
+        for k in [*range(0, FIELD_BLOCK, 127), *range(FIELD_BLOCK - 3, FIELD_BLOCK + 5)]:
+            assert form._values_fn(q0[:, k], q1[:, k]) == angles[k]
+
+    @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
+    def test_stray_in_the_last_chunk_names_the_largest_stray(self, factory):
+        # a full first chunk of pairs that evaluate alone, then the pairs that
+        # stray alone at 4 steps: the guard runs over every column of the call
+        form = factory(4)
+        q0, q1, _, _ = _geodesic_pairs(40, 5)
+        strays = {}
+        for k in range(q0.shape[1]):
+            try:
+                form._values_fn(q0[:, k], q1[:, k])
+            except SolveFailed as error:
+                strays[k] = str(error)
+        good = [k for k in range(q0.shape[1]) if k not in strays]
+        assert len(strays) >= 2 and good
+        columns = [*np.resize(good, FIELD_BLOCK), *strays]
+        with pytest.raises(SolveFailed) as raised:
+            form._values_fn(q0[:, columns], q1[:, columns])
+        largest = max(strays.values(), key=lambda message: float(message.split()[3]))
+        assert str(raised.value) == largest
 
     @pytest.mark.parametrize("factory", [riemannian_form, lmw_form])
     def test_empty_batch(self, factory):

@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from disconn.bundle import HopfBundle
-from disconn.rng import SplitMix64, substream
+from disconn.rng import SplitMix64, substream, substream_states
 
 
 def test_streams_are_deterministic():
@@ -19,6 +20,14 @@ def test_substreams_differ_by_key():
 
 def test_substream_argument_order_matters():
     assert substream(1, 2, 3).next_u64() != substream(1, 3, 2).next_u64()
+
+
+@pytest.mark.parametrize("keys", [range(6), range(1000, 1006), range(2**63 - 3, 2**63 + 3),
+                                  range(5, -7, -3)])
+def test_range_keys_give_the_states_of_list_keys(keys):
+    states = substream_states(11, 2, keys)
+    assert states.tolist() == substream_states(11, 2, list(keys)).tolist()
+    assert states.tolist() == [substream(11, 2, k)._state for k in keys]
 
 
 def test_uniform_range():

@@ -150,16 +150,18 @@ class TestRounds:
         check_axioms(riemannian_form(16), SampleConfig(seed=5, n_samples=32))
         assert integrations == [352]
 
-    def test_each_block_is_one_integration(self, integrations):
+    def test_each_block_integrates_in_field_blocks(self, integrations):
+        # a round of 1,024 samples states 11,264 pairs in one root call, which
+        # integrates them in chunks of FIELD_BLOCK; the last 76 samples make one
         check_axioms(riemannian_form(16), SampleConfig(seed=5, n_samples=1100))
-        assert len(integrations) == math.ceil(1100 / verify._ROUND_SAMPLES)
+        assert integrations == [4096, 4096, 3072, 836]
 
     def test_per_pair_form_is_evaluated_once_per_block(self, line_bundle):
         # a C-built form runs the same merged rounds, one root call per block
         form = trivial_form_from_C(line_bundle, make_c_function("linear", (0.9,), 1))
         calls = count_root_calls(form)
-        check_axioms(form, SampleConfig(seed=6, n_samples=600))
-        assert len(calls) == math.ceil(600 / verify._ROUND_SAMPLES)
+        check_axioms(form, SampleConfig(seed=6, n_samples=1100))
+        assert len(calls) == math.ceil(1100 / verify._ROUND_SAMPLES) == 2
 
     def test_violation_from_record_is_one_integration(self, integrations):
         form = riemannian_form(16)
@@ -190,14 +192,21 @@ class TestRounds:
             assert [p.components() for p in lift.lift_many(batch)] == [
                 tuple(c) for c in lifted.T.tolist()]
 
-    def test_blocks_fold_like_one_round(self, monkeypatch):
+    @pytest.mark.parametrize("make_form", [
+        pytest.param(hopf_closed_form, id="closed"),
+        pytest.param(lambda: trivial_form_from_C(
+            TrivialBundle(1), make_c_function("linear", (0.9,), 1)), id="trivial-linear"),
+    ])
+    def test_blocks_fold_like_one_round(self, make_form, monkeypatch):
         # more samples than one round holds: the worst input and failure
-        # count are folded across blocks as one round holding them all finds them
-        closed = hopf_closed_form()
+        # count are folded across blocks as one round holding them all, or
+        # rounds of the 256 samples they once held, find them
+        form = make_form()
         cfg = SampleConfig(seed=8, n_samples=verify._ROUND_SAMPLES + 60)
-        blocks = check_axioms(closed, cfg).to_json()
-        monkeypatch.setattr(verify, "_ROUND_SAMPLES", cfg.n_samples)
-        assert blocks == check_axioms(closed, cfg).to_json()
+        blocks = check_axioms(form, cfg).to_json()
+        for size in (cfg.n_samples, 256):
+            monkeypatch.setattr(verify, "_ROUND_SAMPLES", size)
+            assert blocks == check_axioms(form, cfg).to_json()
 
     def test_first_maximum_wins_across_blocks(self, monkeypatch):
         # every diagonal_domain violation is 0.0, so the worst input is the
