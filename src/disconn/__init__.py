@@ -1,6 +1,6 @@
 """Discrete connections on principal circle bundles, with a verification harness."""
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"
 
 from .algebra import (  # noqa: F401
     CIRCLE_IDENTITY,

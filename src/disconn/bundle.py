@@ -36,7 +36,6 @@ from .algebra import (
     CircleElement,
     Quaternion,
     UnitQuaternion,
-    canonical_angle,
     canonical_rows,
     hamilton,
     unit_rows,
@@ -66,9 +65,10 @@ class PrincipalBundle(abc.ABC):
 
     A concrete geometry states ``dim_base`` and ``name`` and writes each
     operation once, as a row kernel: ``project_rows``, ``act_rows``
-    (angles, points), ``fiber_rows``, ``section_rows`` (sections, NaN off
-    the chart, and the chart mask), ``distance_rows`` and
-    ``base_distance_rows``; it also provides the sampling and serialization
+    (angles, points), ``fiber_rows`` and ``section_rows`` (sections, NaN
+    off the chart, and the chart mask), while distances (``distance_rows``,
+    ``base_distance_rows``) and :meth:`embed_difference` default to
+    Euclidean in the rows; it also provides the sampling and serialization
     helpers of the probes and the verification harness.  The methods on
     values run the kernels on one value, and :meth:`rows_of` and
     :meth:`values_of` convert values of a kind ("point", "base" or
@@ -104,6 +104,14 @@ class PrincipalBundle(abc.ABC):
         """Left action of the group element ``g`` on the total point ``q``."""
         return self._one("point", self.act_rows(self._row("group", g), self._row("point", q)))
 
+    def _check_fiber(self, q0: np.ndarray, q1: np.ndarray) -> None:
+        """Raise NotSameFiber, naming the first, when the base points of point
+        rows are more than ``FIBER_ATOL`` apart."""
+        d = self.base_distance_rows(self.project_rows(q0), self.project_rows(q1))
+        over = np.extract(d > FIBER_ATOL, d)
+        if over.size:
+            raise NotSameFiber(f"base points are {over[0]:.3e} apart (allowed {FIBER_ATOL:.1e})")
+
     def fiber_translation(self, q0, q1) -> CircleElement:
         """Unique g with act(g, q0) = q1 for points on the same fiber.
 
@@ -123,6 +131,12 @@ class PrincipalBundle(abc.ABC):
         """True when ``r`` lies in the local section's chart."""
         return bool(self.section_rows(self._row("base", r))[1])
 
+    def distance_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        return np.sqrt(_square_sum(q0, q1))
+
+    def base_distance_rows(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+        return np.sqrt(_square_sum(r0, r1))
+
     def distance(self, q0, q1) -> float:
         """Extrinsic distance between total points."""
         return float(self.distance_rows(self._row("point", q0), self._row("point", q1)))
@@ -131,13 +145,13 @@ class PrincipalBundle(abc.ABC):
         """Extrinsic distance between base points."""
         return float(self.base_distance_rows(self._row("base", r0), self._row("base", r1)))
 
-    @abc.abstractmethod
     def embed_difference(self, q_plus, q_minus) -> np.ndarray:
         """Difference q_plus - q_minus in the ambient coordinates.
 
         Periodic coordinates are unwrapped so finite differences across
         them stay meaningful.
         """
+        return self._row("point", q_plus) - self._row("point", q_minus)
 
     @abc.abstractmethod
     def base_direction_curves(self, q) -> Sequence[Callable[[float], object]]:
@@ -224,28 +238,16 @@ def _base_components(w, x, y, z) -> tuple:
     return hamilton(w, -x, -y, -z, *hamilton(0.0, 1.0, 0.0, 0.0, w, x, y, z))
 
 
-def _gap(aw, ax, ay, az, bw, bx, by, bz):
-    """Euclidean norm of the rows of a - b, summed in the order of ``Quaternion.norm``."""
-    dw, dx, dy, dz = aw - bw, ax - bx, ay - by, az - bz
-    return np.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
-
-
 def _square_sum(a, b):
-    """Sum over the rows of (a_k - b_k) ** 2, added left to right from 0.0 (from
-    Python 3.12 ``sum()`` compensates), each square Python's ``** 2`` on a float,
-    which differs from d * d in the last bit on some inputs."""
+    """Sum over the rows of (a_k - b_k)^2, squared as d * d (correctly rounded,
+    unlike libm's ``pow``) and added left to right from 0.0 (from Python 3.12
+    ``sum()`` compensates); a sum that overflows is inf."""
     total = 0.0
-    for x, y in zip(a, b):
-        d = x - y
-        total = total + np.array([v ** 2 for v in d.ravel().tolist()]).reshape(d.shape)
+    with np.errstate(over="ignore"):
+        for x, y in zip(a, b):
+            d = x - y
+            total = total + d * d
     return total
-
-
-def _check_fiber(d: np.ndarray) -> None:
-    """Raise NotSameFiber, naming the first, when base points are ``d`` > FIBER_ATOL apart."""
-    over = np.extract(d > FIBER_ATOL, d)
-    if over.size:
-        raise NotSameFiber(f"base points are {over[0]:.3e} apart (allowed {FIBER_ATOL:.1e})")
 
 
 def _counted(data, count: int, what: str):
@@ -300,27 +302,18 @@ class HopfBundle(PrincipalBundle):
         return unit_rows(*hamilton(np.cos(g), np.sin(g), 0.0, 0.0, *q))
 
     def fiber_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-        _check_fiber(_gap(*_base_components(*q0), *_base_components(*q1)))
+        self._check_fiber(q0, q1)
         return phase_rows(q0, q1)
 
     def section_rows(self, r: np.ndarray) -> tuple:
         # the chart excludes the base point -i
-        defined = _gap(*r, 0.0, -1.0, 0.0, 0.0) > SECTION_CHART_ATOL
+        defined = self.base_distance_rows(r, (0.0, -1.0, 0.0, 0.0)) > SECTION_CHART_ATOL
         w, x, y, z = hamilton(0.0, 1.0, 0.0, 0.0, *r[..., defined])
         s = np.array([-1.0 + w, 0.0 + x, 0.0 + y, 0.0 + z])
         out = np.full(r.shape, np.nan)
         out[..., defined] = unit_rows(*s / np.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]
                                                  + s[3] * s[3]))
         return out, defined
-
-    def distance_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-        return _gap(*q0, *q1)
-
-    def base_distance_rows(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-        return _gap(*r0, *r1)
-
-    def embed_difference(self, q_plus, q_minus) -> np.ndarray:
-        return np.array(q_plus.components()) - np.array(q_minus.components())
 
     def base_direction_curves(self, q: UnitQuaternion):
         # j*q and k*q span the directions transverse to the fiber through q
@@ -362,7 +355,8 @@ class HopfBundle(PrincipalBundle):
 
 @dataclass(frozen=True)
 class TrivialBundle(PrincipalBundle):
-    """Product bundle R^dim x U(1) with the identity chart on the base."""
+    """Product bundle R^dim x U(1) with the identity chart on the base; distances
+    and differences take the circle coordinate as a canonical angle."""
 
     dim: int = 1
 
@@ -402,7 +396,7 @@ class TrivialBundle(PrincipalBundle):
         return np.concatenate([q[:-1], canonical_rows(g + q[-1])[None]])
 
     def fiber_rows(self, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-        _check_fiber(self.base_distance_rows(q0[:-1], q1[:-1]))
+        self._check_fiber(q0, q1)
         # q1.g * q0.g.inverse(), building only the result
         return canonical_rows(q1[-1] + canonical_rows(-q0[-1]))
 
@@ -413,12 +407,10 @@ class TrivialBundle(PrincipalBundle):
         dg = canonical_rows(q0[-1] - q1[-1])
         return np.sqrt(_square_sum(q0[:-1], q1[:-1]) + dg * dg)
 
-    def base_distance_rows(self, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-        return np.sqrt(_square_sum(r0, r1))
-
     def embed_difference(self, q_plus: TrivialPoint, q_minus: TrivialPoint) -> np.ndarray:
-        return np.array([*(a - b for a, b in zip(q_plus.r, q_minus.r)),
-                         canonical_angle(q_plus.g.angle - q_minus.g.angle)])
+        d = super().embed_difference(q_plus, q_minus)
+        d[-1] = canonical_rows(d[-1])
+        return d
 
     def base_direction_curves(self, q: TrivialPoint):
         def curve(i: int) -> Callable[[float], TrivialPoint]:

@@ -408,7 +408,7 @@ def _integrated_form(steps: int, base_velocity: Callable, in_domain: Callable,
             for _, last, _ in _integrate_rows(a, base_velocity(a, b), steps):
                 pass  # keep only the last state
             end[:, lo:lo + FIELD_BLOCK] = np.reshape(last, a.shape)
-        base_err = np.linalg.norm(_project_rows(end) - _project_rows(q1), axis=0)
+        base_err = _HOPF.base_distance_rows(_project_rows(end), _project_rows(q1))
         if np.any(base_err > LIFT_FIBER_ATOL):
             raise SolveFailed(
                 f"integrated endpoint strayed {base_err.max():.3e} from the target fiber")

@@ -69,14 +69,6 @@ from .rng import substream_states
 #: axioms that record 0 (held) or 1 (violated) and compare exactly, whatever the tolerance
 _DOMAIN_AXIOMS = frozenset({"diagonal_domain", "domain_invariance", "domain_properness"})
 
-#: default violation tolerance of the measured axioms keyed by form provenance
-_DEFAULT_TOLERANCES = {
-    "closed-form": 1e-9,
-    "C-built": 1e-9,
-    "geodesic-built": 1e-9,
-    "lmw-variant": 1e-6,
-}
-
 #: samples per round: every axiom's inputs for this many samples at once
 _ROUND_SAMPLES = 1024
 _COMPARE_STREAM = 0x10001
@@ -86,8 +78,9 @@ _COMPARE_STREAM = 0x10001
 class SampleConfig:
     """Sampling parameters; identical configs yield byte-identical reports.
 
-    ``tolerance``, when given, replaces the provenance default of every
-    measured axiom; the three domain axioms compare exactly whatever it
+    ``tolerance``, when given, replaces the default of every measured
+    axiom, 1e-6 on a form flagged as a non-connection (the variant) and
+    1e-9 on any other; the three domain axioms compare exactly whatever it
     is.  Raises InvalidConfig for fewer than one sample, for a box that is
     not a finite positive half-width and for a non-finite tolerance, each
     of which would make a verdict vacuous or wrong.  A negative tolerance
@@ -111,7 +104,7 @@ class SampleConfig:
             return 0.0
         if self.tolerance is not None:
             return self.tolerance
-        return _DEFAULT_TOLERANCES.get(form.provenance, 1e-9)
+        return 1e-6 if form.flagged_non_connection else 1e-9
 
 
 @dataclass

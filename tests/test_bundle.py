@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +207,17 @@ class TestTrivialBundle:
         for build in (line_bundle.point, line_bundle.local_section):
             with pytest.raises(ValueError):
                 build((0.3, 0.4))
+
+    def test_huge_distances_are_inf(self, line_bundle):
+        # squares that overflow read inf, without a warning, and points that far
+        # apart lie on different fibers
+        a, b = line_bundle.point(1e200), line_bundle.point(-1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert line_bundle.distance(a, b) == math.inf
+            assert line_bundle.base_distance((1e200,), (-1e200,)) == math.inf
+            with pytest.raises(NotSameFiber):
+                line_bundle.fiber_translation(a, b)
 
     def test_embed_difference_unwraps_angle(self, line_bundle):
         a = line_bundle.point(1.0, CircleElement(math.pi - 0.05))

@@ -70,8 +70,7 @@ class TestSliceProbe:
             slice_probe(form, line_bundle.point(0.5), 4, box=box)
 
     def test_box_whose_squared_diameter_overflows_rejected(self, line_bundle):
-        # the CLI's rule for --box: a box of 1e200 squared its distances into
-        # a bare OverflowError
+        # the CLI's rule for --box: a box of 1e200 would measure its distances as inf
         form = trivial_form_from_C(line_bundle, make_c_function("constant"))
         with pytest.raises(InvalidConfig, match="squared diameter"):
             slice_probe(form, line_bundle.point(0.5), 4, box=1e200)

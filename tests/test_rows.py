@@ -217,11 +217,11 @@ def test_row_canonical_angle_matches_the_scalar_reduction():
 
 def ref_trivial(bundle, name, *args):
     """The trivial bundle's operations on values, in the arithmetic of the
-    value types: circle products, and squares added left to right."""
+    value types: circle products, and squares d * d added left to right."""
     def square_sum(a, b):
         total = 0.0
         for x, y in zip(a, b):
-            total += (x - y) ** 2
+            total += (x - y) * (x - y)
         return total
 
     if name == "project":
@@ -279,6 +279,14 @@ def outcome(fn, *args):
     return bits(value) if not isinstance(value, float) else repr(value)
 
 
+def pow_square_sum(differences):
+    """Squares of Python floats by ``** 2``, libm's ``pow``, added left to right."""
+    total = 0.0
+    for d in differences:
+        total += d ** 2
+    return total
+
+
 def kernel_cases(bundle, n):
     """Blocks of drawn inputs per operation, with fiber mates for the fiber
     translation and, on the Hopf bundle, base points near the excluded -i
@@ -298,10 +306,11 @@ def kernel_cases(bundle, n):
     pairs = np.concatenate([q1, mates], axis=-1)
     r0, r1 = r, np.roll(r, 1, axis=-1)
     if isinstance(bundle, TrivialBundle):
-        # base pairs whose distance moves when a square is d * d, not libm's pow
+        # base pairs whose distance moves when a square is libm's pow, not d * d
         a, b = np.random.default_rng(bundle.dim).uniform(-2.0, 2.0, (2, bundle.dim, 20_000))
-        pow_sums = [ref_trivial(bundle, "base_distance", x, y) for x, y in zip(a.T, b.T)]
-        moved = np.sqrt(np.sum((a - b) * (a - b), axis=0)) != np.array(pow_sums)
+        exact = [ref_trivial(bundle, "base_distance", x, y) for x, y in zip(a.T, b.T)]
+        moved = np.array([math.sqrt(pow_square_sum((x - y).tolist()))
+                          for x, y in zip(a.T, b.T)]) != np.array(exact)
         r0, r1 = (np.concatenate([r, c[:, moved]], axis=1) for r, c in ((r0, a), (r1, b)))
     return {
         "project": ("base", (("point", q0),)),
